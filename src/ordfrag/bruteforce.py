@@ -1,7 +1,8 @@
 """Exhaustive reference searches.
 
 These are the slow, obviously-correct counterparts of the constructions
-in `simple` and `openpart`. Tests and the acceptance suite compare fast
+in `simple` and `openpart` and of the pairwise clauses of
+`ptree.verify_admissible`. Tests and the acceptance suite compare fast
 answers against them on small instances; nothing here may call the fast
 paths.
 """
@@ -10,7 +11,40 @@ from __future__ import annotations
 
 import itertools
 
-from .ptree import StagedTree
+from .ptree import _PAIR_REPORT_CAP, PAIR_CLAUSES, PartitionTree, StagedTree, Verdict, check_tree
+
+
+def dense_verify_admissible(tree: PartitionTree) -> Verdict:
+    """`verify_admissible` with every node pair checked one by one."""
+    return check_tree(tree, dense_pair_clauses)
+
+
+def dense_pair_clauses(lo, hi, lvl, par, tin, tout) -> dict:
+    """The pairwise clauses of `ptree.check_tree` over all n(n-1)/2 pairs,
+    in position order: O(n^2) time."""
+    found = {clause: [0, []] for clause in PAIR_CLAUSES}
+
+    def hit(clause, r, c):
+        entry = found[clause]
+        entry[0] += 1
+        if entry[0] <= _PAIR_REPORT_CAP:
+            entry[1].append((r, c))
+
+    n = len(lo)
+    for r in range(n):
+        for c in range(r + 1, n):
+            anc_rc = tin[r] <= tin[c] and tout[c] <= tout[r]
+            anc_cr = tin[c] <= tin[r] and tout[r] <= tout[c]
+            cont_rc = lo[r] <= lo[c] and hi[c] <= hi[r]
+            cont_cr = lo[c] <= lo[r] and hi[r] <= hi[c]
+            overlap = max(lo[r], lo[c]) < min(hi[r], hi[c])
+            if anc_rc != cont_rc or anc_cr != cont_cr:
+                hit("reverse-inclusion", r, c)
+            if lvl[r] == lvl[c] and overlap:
+                hit("level-overlap", r, c)
+            if overlap and not (anc_rc or anc_cr):
+                hit("comparability", r, c)
+    return {clause: tuple(entry) for clause, entry in found.items()}
 
 
 def _pool_ancestors(st: StagedTree, x: int) -> list[int]:

@@ -2,9 +2,10 @@
 
 Exit status triage: 0 means the requested check or build succeeded,
 1 means a verified negative answer (a refusal, a violated bound, an
-unseparated pair) reported as machine-readable JSON, and 2 means the
+unseparated pair) reported as machine-readable JSON, 2 means the
 invocation itself was broken (usage, unreadable input, malformed JSON,
-or valid JSON of the wrong shape).
+or valid JSON of the wrong shape), and 3 means a bug: a guaranteed
+postcondition failed (InternalInconsistency).
 All JSON artifacts are emitted canonically: sorted keys, no spaces,
 one trailing newline, so identical configurations give identical bytes.
 """
@@ -21,7 +22,7 @@ from . import generators as gen
 from . import rnwit as rn
 from . import space as sp
 from . import suite as acceptance
-from .errors import NoRoom, NoSubsequence, NotSimpleError, OrdfragError
+from .errors import InternalInconsistency, NoRoom, NoSubsequence, NotSimpleError, OrdfragError
 from .frag import (
     delta_pairs,
     fragment_check,
@@ -650,6 +651,9 @@ def main(argv=None) -> int:
         _emit({"v": 1, "kind": "refusal", "error": "GuaranteeFailure",
                "message": str(err)}, args)
         return 1
+    except InternalInconsistency as err:
+        print(f"ordfrag: internal error: {err}", file=sys.stderr)
+        return 3
     except (CliError, OrdfragError, OSError) as err:
         print(f"ordfrag: error: {err}", file=sys.stderr)
         return 2

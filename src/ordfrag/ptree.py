@@ -14,10 +14,10 @@ may land in.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import ordinal as ord_
 from . import space as sp
@@ -140,13 +140,37 @@ class Verdict:
 
 _PAIR_REPORT_CAP = 100
 
+# The pairwise clauses, in report order, with the detail of each violation.
+PAIR_CLAUSES = {
+    "reverse-inclusion": "tree order and reverse interval inclusion disagree",
+    "level-overlap": "distinct same-level intervals share more than a point",
+    "comparability": "overlapping intervals on incomparable nodes",
+}
+
 
 def verify_admissible(tree: PartitionTree) -> Verdict:
     """Check every structural clause over all node pairs.
 
     Clauses: linkage, root, nontrivial, two-point-leaf, binary-split,
     level-step, limit-intersection, reverse-inclusion, level-overlap,
-    comparability. Pairwise work runs on dense endpoint ranks in numpy.
+    comparability. The pairwise clauses are decided by sorting and
+    sweeping endpoint ranks (`_pair_clauses`) in O(n) memory. An
+    admissible tree takes O(n log n) time; a broken one adds its
+    violating pairs and, per node, a bisection for each non-nested edge
+    above it.
+    """
+    return check_tree(tree, _pair_clauses)
+
+
+def check_tree(tree: PartitionTree, pairwise) -> Verdict:
+    """`verify_admissible` with the pairwise clauses left to `pairwise`.
+
+    `pairwise(lo, hi, lvl, par, tin, tout)` gets one entry per node, in
+    sorted id order: endpoint and level ranks, the parent's position
+    (-1 at the root) and the DFS entry and exit times. It returns, per
+    name in PAIR_CLAUSES, the number of violating unordered pairs and
+    the first _PAIR_REPORT_CAP of them as position pairs (r, c), r < c,
+    in increasing order.
     """
     violations: list[Violation] = []
     counts: dict[str, int] = {}
@@ -196,7 +220,6 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
             report("root", (i,), "non-root node at level 0")
 
     # reachability (cycles would hide below a fake root)
-    order: list[int] = []
     tin: dict[int, int] = {}
     tout: dict[int, int] = {}
     clock = 0
@@ -207,9 +230,10 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
             tout[i] = clock
             clock += 1
             continue
+        if i in tin:  # listed twice among its parent's children
+            continue
         tin[i] = clock
         clock += 1
-        order.append(i)
         stack.append((i, True))
         for c in sorted(nodes[i].children, reverse=True):
             stack.append((c, False))
@@ -275,50 +299,223 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
                     "limit-level interval differs from the intersection of its ancestors",
                 )
 
-    # pairwise clauses on dense endpoint ranks
+    # pairwise clauses on endpoint ranks
     keys = sorted({sp.point_key(K, nodes[i].interval.lo) for i in ids} | {sp.point_key(K, nodes[i].interval.hi) for i in ids})
     rank = {k: r for r, k in enumerate(keys)}
     pos = {i: p for p, i in enumerate(ids)}
-    lo = np.array([rank[sp.point_key(K, nodes[i].interval.lo)] for i in ids], dtype=np.int64)
-    hi = np.array([rank[sp.point_key(K, nodes[i].interval.hi)] for i in ids], dtype=np.int64)
-    tin_a = np.array([tin[i] for i in ids], dtype=np.int64)
-    tout_a = np.array([tout[i] for i in ids], dtype=np.int64)
+    lo = [rank[sp.point_key(K, nodes[i].interval.lo)] for i in ids]
+    hi = [rank[sp.point_key(K, nodes[i].interval.hi)] for i in ids]
     lvl_keys = sorted({nodes[i].level for i in ids})
     lvl_rank = {l: r for r, l in enumerate(lvl_keys)}
-    lvl = np.array([lvl_rank[nodes[i].level] for i in ids], dtype=np.int64)
-
-    anc = (tin_a[:, None] <= tin_a[None, :]) & (tout_a[None, :] <= tout_a[:, None])
-    cont = (lo[:, None] <= lo[None, :]) & (hi[None, :] <= hi[:, None])
-    overlap = np.maximum(lo[:, None], lo[None, :]) < np.minimum(hi[:, None], hi[None, :])
-    eye = np.eye(len(ids), dtype=bool)
-
-    def emit_pairs(clause, mask, describe):
-        idx = np.argwhere(mask)
-        if idx.size == 0:
-            return
-        counts[clause] = counts.get(clause, 0) + len(idx)
-        for r, c in idx[:_PAIR_REPORT_CAP]:
-            violations.append(Violation(clause, (ids[int(r)], ids[int(c)]), describe))
-
-    mismatch = anc != cont
-    emit_pairs(
-        "reverse-inclusion",
-        np.triu(mismatch | mismatch.T, 1),
-        "tree order and reverse interval inclusion disagree",
-    )
-    same_lvl = lvl[:, None] == lvl[None, :]
-    emit_pairs(
-        "level-overlap",
-        np.triu(same_lvl & overlap & ~eye, 1),
-        "distinct same-level intervals share more than a point",
-    )
-    emit_pairs(
-        "comparability",
-        np.triu(overlap & ~(anc | anc.T), 1),
-        "overlapping intervals on incomparable nodes",
-    )
+    lvl = [lvl_rank[nodes[i].level] for i in ids]
+    par = [-1 if nodes[i].parent is None else pos[nodes[i].parent] for i in ids]
+    found = pairwise(lo, hi, lvl, par, [tin[i] for i in ids], [tout[i] for i in ids])
+    for clause, detail in PAIR_CLAUSES.items():
+        count, first = found[clause]
+        if count:
+            counts[clause] = count
+            violations.extend(Violation(clause, (ids[r], ids[c]), detail) for r, c in first)
 
     return Verdict(not violations and not counts, tuple(violations), counts)
+
+
+class _PairLog:
+    """The number of pairs added and the _PAIR_REPORT_CAP smallest of
+    them, kept in a bounded heap so memory does not grow with the count."""
+
+    def __init__(self):
+        self.count = 0
+        self._heap: list[tuple[int, int]] = []  # negated pairs: a max-heap
+
+    def add(self, a: int, b: int) -> None:
+        self.count += 1
+        item = (-a, -b) if a < b else (-b, -a)
+        if len(self._heap) < _PAIR_REPORT_CAP:
+            heapq.heappush(self._heap, item)
+        elif item > self._heap[0]:
+            heapq.heapreplace(self._heap, item)
+
+    def result(self) -> tuple[int, list[tuple[int, int]]]:
+        return self.count, sorted((-a, -b) for a, b in self._heap)
+
+
+def _pair_clauses(lo, hi, lvl, par, tin, tout) -> dict:
+    """The pairwise clauses by sorting and sweeping (see `check_tree`).
+
+    With u an ancestor of v (tin/tout nest), `reverse-inclusion` wants
+    [lo, hi] of v strictly inside that of u, and for incomparable nodes
+    it wants neither interval inside the other; `comparability` wants
+    incomparable intervals to share at most a point and
+    `level-overlap` wants the same of same-level intervals.
+
+    Admissible trees take the fast path: every edge strictly nested
+    with levels rising, all intervals proper, and a stack sweep in
+    (lo, -hi) order showing that each node's innermost open interval is
+    its parent's. Then every violating count is zero. Otherwise the
+    violating pairs are enumerated, each once, without visiting the
+    ancestor pairs that are in order.
+    """
+    n = len(lo)
+    logs = {clause: _PairLog() for clause in PAIR_CLAUSES}
+    sweep = sorted(range(n), key=lambda v: (lo[v], -hi[v], tin[v]))
+    laminar = (
+        all(p < 0 or _strictly_inside(lo, hi, p, v) for v, p in enumerate(par))
+        and all(a < b for a, b in zip(lo, hi))
+        and _stack_follows_tree(sweep, lo, hi, par)
+    )
+    if not laminar:
+        _ancestor_pairs(lo, hi, par, tin, logs["reverse-inclusion"])
+        _crossing_pairs(lo, hi, tin, tout, sweep, logs["reverse-inclusion"], logs["comparability"])
+    if not (laminar and all(p < 0 or lvl[p] < lvl[v] for v, p in enumerate(par))):
+        # with nested intervals and rising levels, same-level nodes are
+        # incomparable and so already share at most a point
+        _level_overlaps(lo, hi, lvl, logs["level-overlap"])
+    return {clause: log.result() for clause, log in logs.items()}
+
+
+def _strictly_inside(lo, hi, u, v) -> bool:
+    """[lo, hi] of v lies inside that of u and differs from it."""
+    return lo[u] <= lo[v] and hi[v] <= hi[u] and (lo[u] < lo[v] or hi[v] < hi[u])
+
+
+def _stack_follows_tree(sweep, lo, hi, par) -> bool:
+    """Sweep proper intervals by (lo, -hi), keeping a stack of those that
+    extend past the current low; each must find its parent on top.
+
+    The stack stays a root path, so an earlier interval overlapping a
+    later one is always on it, that is, an ancestor.
+    """
+    stack: list[int] = []
+    for v in sweep:
+        while stack and hi[stack[-1]] <= lo[v]:
+            stack.pop()
+        if (stack[-1] if stack else -1) != par[v]:
+            return False
+        stack.append(v)
+    return True
+
+
+def _ancestor_pairs(lo, hi, par, tin, log: _PairLog) -> None:
+    """Log every ancestor pair (u, v) whose intervals are not strictly nested.
+
+    Cutting the tree at its non-nested edges leaves pieces in which
+    strict nesting is transitive. Along a root path each piece's lows
+    therefore rise and its highs fall, so the ancestors of v in another
+    piece that fail are a suffix of that piece, plus at most one equal
+    interval just before it; bisection finds both.
+    """
+    path: list[int] = []
+    pieces: list[tuple[int, list[int], list[int]]] = []  # (start in path, lows, -highs)
+    for v in sorted(range(len(lo)), key=tin.__getitem__):
+        p = par[v]
+        while path and path[-1] != p:
+            path.pop()
+            _start, lows, neg_highs = pieces[-1]
+            lows.pop()
+            neg_highs.pop()
+            if not lows:
+                pieces.pop()
+        joins = p >= 0 and _strictly_inside(lo, hi, p, v)
+        for start, lows, neg_highs in pieces[:-1] if joins else pieces:
+            cut = min(bisect.bisect_right(lows, lo[v]), bisect.bisect_right(neg_highs, -hi[v]))
+            for k in range(cut, len(lows)):
+                log.add(path[start + k], v)
+            if cut and lows[cut - 1] == lo[v] and neg_highs[cut - 1] == -hi[v]:
+                log.add(path[start + cut - 1], v)
+        if not joins:
+            pieces.append((len(path), [], []))
+        path.append(v)
+        pieces[-1][1].append(lo[v])
+        pieces[-1][2].append(-hi[v])
+
+
+def _crossing_pairs(lo, hi, tin, tout, sweep, inclusion: _PairLog, comparability: _PairLog) -> None:
+    """Log every incomparable pair whose intervals overlap or contain one another.
+
+    In sweep order, an earlier u meets v (one interval inside the
+    other, or overlap) exactly when hi[u] reaches lo[v] + 1 for a proper
+    v and hi[v] otherwise. Nodes neither above nor below v end before
+    v starts (tout < tin[v]) or start after it ends (tin > tout[v]), so
+    two max trees over the earlier nodes, ordered by tout and by tin,
+    report exactly those.
+    """
+    n = len(lo)
+    by_tout = sorted(range(n), key=tout.__getitem__)
+    by_tin = sorted(range(n), key=tin.__getitem__)
+    touts = [tout[v] for v in by_tout]
+    tins = [tin[v] for v in by_tin]
+    tout_slot = {v: k for k, v in enumerate(by_tout)}
+    tin_slot = {v: k for k, v in enumerate(by_tin)}
+    before, after = _MaxTree(n), _MaxTree(n)
+    for v in sweep:
+        reach = lo[v] + 1 if lo[v] < hi[v] else hi[v]
+        met = [by_tout[k] for k in before.reaching(0, bisect.bisect_left(touts, tin[v]), reach)]
+        met += [by_tin[k] for k in after.reaching(bisect.bisect_right(tins, tout[v]), n, reach)]
+        for u in met:
+            if (lo[u] <= lo[v] and hi[v] <= hi[u]) or (lo[v] <= lo[u] and hi[u] <= hi[v]):
+                inclusion.add(u, v)
+            if max(lo[u], lo[v]) < min(hi[u], hi[v]):
+                comparability.add(u, v)
+        before.raise_to(tout_slot[v], hi[v])
+        after.raise_to(tin_slot[v], hi[v])
+
+
+class _MaxTree:
+    """Slots holding -1 or a rank, raised one at a time, that report every
+    slot of a range at or above a threshold in O((k + 1) log n)."""
+
+    def __init__(self, n: int):
+        self.size = 1 << max(n - 1, 0).bit_length()
+        self.best = [-1] * (2 * self.size)
+
+    def raise_to(self, slot: int, value: int) -> None:
+        best = self.best
+        i = slot + self.size
+        while i and best[i] < value:
+            best[i] = value
+            i >>= 1
+
+    def reaching(self, a: int, b: int, threshold: int) -> list[int]:
+        best, size = self.best, self.size
+        todo = []
+        a += size
+        b += size
+        while a < b:
+            if a & 1:
+                todo.append(a)
+                a += 1
+            if b & 1:
+                b -= 1
+                todo.append(b)
+            a >>= 1
+            b >>= 1
+        todo = [i for i in todo if best[i] >= threshold]
+        slots = []
+        while todo:
+            i = todo.pop()
+            if i >= size:
+                slots.append(i - size)
+            else:
+                todo.extend(c for c in (2 * i, 2 * i + 1) if best[c] >= threshold)
+        return slots
+
+
+def _level_overlaps(lo, hi, lvl, log: _PairLog) -> None:
+    """Log every same-level pair of intervals sharing more than a point:
+    per level, sweep by lo with a heap of the highs still open."""
+    rows: dict[int, list[int]] = {}
+    for v in range(len(lo)):
+        if lo[v] < hi[v]:
+            rows.setdefault(lvl[v], []).append(v)
+    for row in rows.values():
+        row.sort(key=lo.__getitem__)
+        open_: list[tuple[int, int]] = []
+        for v in row:
+            while open_ and open_[0][0] <= lo[v]:
+                heapq.heappop(open_)
+            for _hi, u in open_:
+                log.add(u, v)
+            heapq.heappush(open_, (hi[v], v))
 
 
 def endpoints(tree: PartitionTree) -> list:
@@ -483,9 +680,6 @@ class StagedTree:
     def tops(self) -> list[int]:
         return sorted(i for i, l in self.level.items() if l == self.top_level)
 
-    def level_nodes(self, lvl: int) -> list[int]:
-        return sorted(i for i, l in self.level.items() if l == lvl)
-
     def ancestor_at(self, i: int, lvl: int) -> int:
         """The unique node at level lvl on the branch through i."""
         if lvl > self.level[i]:
@@ -570,16 +764,42 @@ class StagedTree:
                         raise DomainError("root payload must be the whole space")
                 elif not sp.interval_contains(K, self.payload[p], iv):
                     raise DomainError(f"payload of {i} escapes its parent")
-            for lvl in range(self.top_level + 1):
-                row = self.level_nodes(lvl)
-                for ai in range(len(row)):
-                    for bi in range(ai + 1, len(row)):
-                        if sp.intervals_overlap_nontrivially(
-                            K, self.payload[row[ai]], self.payload[row[bi]]
-                        ):
-                            raise DomainError(
-                                f"same-level payloads of {row[ai]} and {row[bi]} overlap nontrivially"
-                            )
+            rows: dict[int, list[int]] = {}
+            for i in sorted(ids):
+                rows.setdefault(self.level[i], []).append(i)
+            for lvl in sorted(rows):
+                clash = _first_overlap(K, rows[lvl], self.payload)
+                if clash is not None:
+                    raise DomainError(
+                        f"same-level payloads of {clash[0]} and {clash[1]} overlap nontrivially"
+                    )
+
+
+def _first_overlap(K, row: list[int], payload: dict[int, ClosedInterval]) -> tuple[int, int] | None:
+    """The first pair (a, b), a < b, in id order among `row` whose proper
+    payload intervals share more than a point, or None.
+
+    Sweeps the payloads by low end. Every payload still open when
+    another starts overlaps it, so the best pair that starting payload
+    v makes is (smallest open id, v) or (v, smallest open id above v).
+    """
+    lo = {i: sp.point_key(K, payload[i].lo) for i in row}
+    hi = {i: sp.point_key(K, payload[i].hi) for i in row}
+    ends: list[tuple] = []  # heap of (hi key, id) of the open payloads
+    open_ids: list[int] = []  # the same ids, sorted
+    best = None
+    for v in sorted(row, key=lo.__getitem__):
+        while ends and ends[0][0] <= lo[v]:
+            _, u = heapq.heappop(ends)
+            del open_ids[bisect.bisect_left(open_ids, u)]
+        if open_ids:
+            k = bisect.bisect_left(open_ids, v)
+            pair = (open_ids[0], v) if k else (v, open_ids[0])
+            if best is None or pair < best:
+                best = pair
+        heapq.heappush(ends, (hi[v], v))
+        bisect.insort(open_ids, v)
+    return best
 
 
 def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> StagedTree:
@@ -595,10 +815,12 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
         if not isinstance(l, int) or isinstance(l, bool) or not 0 <= l < m:
             raise DomainError(f"pool level {l!r} must lie strictly below the top level {m}")
     K = tree.space
+    rows: dict[Ordinal, list[int]] = {}
+    for i in sorted(tree.nodes):
+        rows.setdefault(tree.nodes[i].level, []).append(i)
     by_level: list[list[int]] = []
     for lvl in range(m + 1):
-        want = ord_.from_int(lvl)
-        row = sorted(i for i, n in tree.nodes.items() if n.level == want)
+        row = rows.get(ord_.from_int(lvl), [])
         by_level.append(row)
         if lvl < m:
             for i in row:

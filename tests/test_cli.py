@@ -1,8 +1,10 @@
 """End-to-end runs of the console script in subprocesses.
 
 Everything here shells out for real: the exit-code triage and the
-byte-level output contract are part of the interface. The heavyweight
-suite command is exercised in test_acceptance instead.
+byte-level output contract are part of the interface. The one exception
+calls `cli.main` in-process, because it has to replace a command with
+one that fails. The heavyweight suite command is exercised in
+test_acceptance instead.
 """
 
 import json
@@ -10,6 +12,9 @@ import subprocess
 import sys
 
 import pytest
+
+from ordfrag import cli
+from ordfrag.errors import InternalInconsistency
 
 SPACE8 = '{"kind":"finite","size":8}'
 
@@ -281,6 +286,22 @@ class TestTriage:
         assert proc.returncode == 2
         assert proc.stderr.startswith("ordfrag: error: ")
         assert message in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_internal_inconsistency_is_exit_3(self, monkeypatch, capsys):
+        def broken(args):
+            raise InternalInconsistency("postcondition failed")
+
+        monkeypatch.setattr(cli, "cmd_space_show", broken)
+        assert cli.main(["space", "show", "--space", SPACE8]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ordfrag: internal error: postcondition failed\n"
+
+    def test_imports_without_numpy(self):
+        code = "import sys; sys.modules['numpy'] = None; import ordfrag.cli"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_file_is_exit_2(self):
         proc = run_cli("frag", "weight", "--in", "/no/such/file.json")

@@ -1,12 +1,18 @@
 """Partition tree construction, verification and staging."""
 
+import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ordfrag import generators as gen
+from ordfrag.bruteforce import dense_verify_admissible
 from ordfrag.errors import DomainError, InsufficientMaterialization
-from ordfrag.ordinal import ZERO, from_int, parse
+from ordfrag.ordinal import ZERO, add, from_int, parse
 from ordfrag.ptree import (
     PartitionTree,
     StagedTree,
@@ -189,6 +195,109 @@ class TestVerify:
         t = PartitionTree(FiniteChain(3), {}, 0)
         assert not verify_admissible(t).ok
 
+    def test_pair_report_cap_and_order(self):
+        # twenty equal siblings: every pair of them breaks all three pair clauses
+        sibs = [3 * k + 7 for k in range(20)]
+        rows = [(1000, 0, 4, ZERO, None)] + [(i, 0, 3, from_int(1), 1000) for i in sibs]
+        t = make_tree(FiniteChain(5), rows)
+        v = verify_admissible(t)
+        pairs = list(itertools.combinations(sibs, 2))
+        assert v.counts == {"binary-split": 1, "reverse-inclusion": 190,
+                            "level-overlap": 190, "comparability": 190}
+        for clause in ("reverse-inclusion", "level-overlap", "comparability"):
+            assert [x.nodes for x in v.violations if x.clause == clause] == pairs[:100]
+        assert [x.clause for x in v.violations][1::100] == ["reverse-inclusion", "level-overlap",
+                                                            "comparability"]
+        assert v == dense_verify_admissible(t)
+
+
+SMALL_SPACES = (
+    FiniteChain(2),
+    FiniteChain(7),
+    FiniteChain(12),
+    SplitChain(5),
+    OrdinalInterval(W2),
+    OrderSum((FiniteChain(3), OrdinalInterval(W), SplitChain(2))),
+)
+MUTATIONS = ("level-step", "binary-split", "linkage", "root", "swap", "whole",
+             "equal", "one-point", "reversed", "limit-level")
+
+
+@hst.composite
+def mutated_trees(draw):
+    """Small built trees with up to three seeded mutations, admissible
+    ones included: the five kinds the benchmark applies (level-step,
+    binary-split, linkage, root, swapped or widened intervals) and
+    equal, one-point and reversed intervals and limit levels."""
+    K = draw(hst.sampled_from(SMALL_SPACES))
+    tree = build_tree(K, draw(hst.integers(1, 41)))
+    rows = {i: [i, n.interval.lo, n.interval.hi, n.level, n.parent] for i, n in tree.nodes.items()}
+    ids = sorted(rows)
+    for kind in draw(hst.lists(hst.sampled_from(MUTATIONS), max_size=3)):
+        a, b = draw(hst.sampled_from(ids)), draw(hst.sampled_from(ids))
+        parent = rows[a][4]
+        if kind == "level-step" and parent is not None:
+            rows[a][3] = add(rows[parent][3], from_int(2))
+        elif kind == "binary-split" and parent is not None:
+            rows[a][2] = rows[parent][2]
+        elif kind == "linkage":
+            rows[a][4] = b
+        elif kind == "root":
+            rows[a][3] = ZERO
+        elif kind == "swap":
+            rows[a][1:3], rows[b][1:3] = rows[b][1:3], rows[a][1:3]
+        elif kind == "whole":
+            rows[a][1:3] = rows[tree.root_id][1:3]
+        elif kind == "equal":
+            rows[b][1:3] = rows[a][1:3]
+        elif kind == "one-point":
+            rows[a][2] = rows[a][1]
+        elif kind == "reversed":
+            rows[a][1], rows[a][2] = rows[a][2], rows[a][1]
+        elif kind == "limit-level":
+            rows[a][3] = draw(hst.sampled_from([W, parse("w+1"), W2]))
+    return make_tree(K, [tuple(r) for r in rows.values()], tree.budget)
+
+
+class TestVerifyAgainstDenseReference:
+    @given(mutated_trees())
+    @settings(max_examples=300, deadline=None)
+    def test_whole_verdicts_agree(self, tree):
+        fast, dense = verify_admissible(tree), dense_verify_admissible(tree)
+        assert fast.ok == dense.ok
+        assert fast.violations == dense.violations
+        assert list(fast.counts.items()) == list(dense.counts.items())
+
+
+def comb_rows(n):
+    """An admissible comb over FiniteChain(n + 1) with 2n - 1 nodes:
+    the spine [k, n] splits into the leaf [k, k + 1] and the spine [k + 1, n]."""
+    rows = [(0, 0, n, ZERO, None)]
+    spine = 0
+    for k in range(n - 1):
+        rows.append((2 * k + 1, k, k + 1, from_int(k + 1), spine))
+        rows.append((2 * k + 2, k + 1, n, from_int(k + 1), spine))
+        spine = 2 * k + 2
+    return rows
+
+
+class TestVerifyMemory:
+    @pytest.mark.parametrize("make", [
+        lambda: build_tree(FiniteChain(20001), 20000),
+        lambda: make_tree(FiniteChain(1002), comb_rows(1001)),
+    ], ids=["finite-20000", "comb-2001"])
+    def test_large_admissible_trees_verify_in_bounded_memory(self, make):
+        tree = make()
+        assert len(tree.nodes) in (19999, 2001)
+        tracemalloc.start()
+        try:
+            verdict = verify_admissible(tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.ok, verdict.violations
+        assert peak < 64 * 2**20
+
 
 class TestEndpoints:
     def test_omega_two_levels(self):
@@ -345,6 +454,40 @@ class TestStaging:
         )
         with pytest.raises(DomainError):
             st.validate()
+
+    @given(hst.lists(hst.tuples(hst.integers(0, 9), hst.integers(1, 5)), min_size=2, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_validate_names_the_first_overlapping_pair(self, spans):
+        K = FiniteChain(16)
+        payload = {0: ClosedInterval(0, 15)}
+        payload.update({i: ClosedInterval(a, a + w) for i, (a, w) in enumerate(spans, 1)})
+        kids = range(1, len(spans) + 1)
+        st = StagedTree(
+            parent={0: None, **{i: 0 for i in kids}},
+            level={0: 0, **{i: 1 for i in kids}},
+            top_level=1,
+            pool=frozenset({0}),
+            payload=payload,
+            space=K,
+        )
+        clash = next(
+            ((a, b) for a, b in itertools.combinations(kids, 2)
+             if max(payload[a].lo, payload[b].lo) < min(payload[a].hi, payload[b].hi)),
+            None,
+        )
+        if clash is None:
+            st.validate()
+        else:
+            with pytest.raises(DomainError) as err:
+                st.validate()
+            assert str(err.value) == f"same-level payloads of {clash[0]} and {clash[1]} overlap nontrivially"
+
+    def test_deep_cut_of_a_4097_chain_is_fast(self):
+        t = build_tree(FiniteChain(4097), 10_000)
+        start = time.perf_counter()
+        st = to_staged(t, 12, set(range(12)))
+        assert time.perf_counter() - start < 10
+        assert len(st.nodes()) == 8191 and len(st.tops()) == 4096
 
     def test_validate_catches_limit_claim_on_single_level(self):
         st = StagedTree(parent={0: None}, level={0: 0}, top_level=0, pool=frozenset(), limit_top=True)
