@@ -28,7 +28,7 @@ from .space import ClosedInterval
 NODE_CAP = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeNode:
     id: int
     interval: ClosedInterval
@@ -52,6 +52,11 @@ def build_tree(space, budget: int, split=None) -> PartitionTree:
     children always arrive in pairs. `split` may replace the canonical
     splitting rule; it gets (space, interval) and must return a point
     strictly between the endpoints.
+
+    Every endpoint is a point of the space by construction, so only a
+    callback's split point is validated; the rest compares order keys.
+    Each node becomes a TreeNode when it leaves the queue, which is in
+    id order, and the queue holds only the frontier.
     """
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise DomainError(f"budget must be a positive int, got {budget!r}")
@@ -59,40 +64,36 @@ def build_tree(space, budget: int, split=None) -> PartitionTree:
         raise RangeError(f"budget {budget} exceeds the node cap {NODE_CAP}")
     if sp.space_size(space) == 1:
         raise DomainError("cannot build a tree over a one-point space")
-    split = split or sp.canonical_split
 
-    intervals = {0: sp.whole_interval(space)}
-    levels = {0: ord_.ZERO}
-    parents: dict[int, int | None] = {0: None}
-    children: dict[int, list[int]] = {0: []}
-    queue = deque([0])
+    whole = sp.whole_interval(space)
+    # (id, interval, level, parent, key of lo, key of hi)
+    queue = deque([(0, whole, ord_.ZERO, None, sp.point_key(space, whole.lo), sp.point_key(space, whole.hi))])
+    nodes: dict[int, TreeNode] = {}
+    level, succ = None, None
     next_id = 1
     while queue and next_id + 2 <= budget:
-        nid = queue.popleft()
-        iv = intervals[nid]
-        cnt = sp.point_count(space, iv)
+        nid, iv, lvl, parent, klo, khi = queue.popleft()
+        cnt = sp._count(space, iv.lo, iv.hi)
         if cnt is not sp.INFINITE and cnt <= 2:
+            nodes[nid] = TreeNode(nid, iv, lvl, parent)
             continue
-        w = split(space, iv)
-        if (
-            sp.compare_points(space, iv.lo, w) != "less"
-            or sp.compare_points(space, w, iv.hi) != "less"
-        ):
+        if split is None:
+            w = sp._split_point(space, iv, cnt)
+        else:
+            w = split(space, iv)
+            sp.validate_point(space, w)
+        kw = sp.point_key(space, w)
+        if not klo < kw < khi:
             raise DomainError(f"split callback returned {sp.render_point(space, w)}, not strictly inside")
-        lvl = ord_.add(levels[nid], ord_.ONE)
-        for sub in (ClosedInterval(iv.lo, w), ClosedInterval(w, iv.hi)):
-            intervals[next_id] = sub
-            levels[next_id] = lvl
-            parents[next_id] = nid
-            children[next_id] = []
-            children[nid].append(next_id)
-            queue.append(next_id)
-            next_id += 1
-
-    nodes = {
-        i: TreeNode(i, intervals[i], levels[i], parents[i], tuple(children[i]))
-        for i in range(next_id)
-    }
+        if lvl is not level:  # breadth-first: levels arrive in runs
+            level, succ = lvl, ord_.add(lvl, ord_.ONE)
+        queue.append((next_id, ClosedInterval(iv.lo, w), succ, nid, klo, kw))
+        queue.append((next_id + 1, ClosedInterval(w, iv.hi), succ, nid, kw, khi))
+        nodes[nid] = TreeNode(nid, iv, lvl, parent, (next_id, next_id + 1))
+        next_id += 2
+    while queue:  # the budget is spent: the rest are leaves
+        nid, iv, lvl, parent, _, _ = queue.popleft()
+        nodes[nid] = TreeNode(nid, iv, lvl, parent)
     return PartitionTree(space, nodes, 0, budget)
 
 
@@ -100,9 +101,14 @@ def make_tree(space, rows, budget=None) -> PartitionTree:
     """Assemble a tree from explicit rows (id, lo, hi, level, parent).
 
     For hand-built fixtures, including deliberately broken ones; no
-    admissibility checking happens here beyond linking children.
+    admissibility checking happens here beyond linking children and
+    refusing a repeated id.
     """
-    children: dict[int, list[int]] = {r[0]: [] for r in rows}
+    children: dict[int, list[int]] = {}
+    for r in rows:
+        if r[0] in children:
+            raise DomainError(f"node id {r[0]} is repeated")
+        children[r[0]] = []
     roots = [r[0] for r in rows if r[4] is None]
     for r in rows:
         if r[4] is not None:
@@ -242,15 +248,20 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
         report("linkage", tuple(unreachable[:8]), f"{len(unreachable)} nodes unreachable from root")
         return Verdict(False, tuple(violations), counts)
 
-    counts_pts = {}
-    for i in ids:
+    # one validation and one key per endpoint; every later step reads these
+    ivs = [nodes[i].interval for i in ids]
+    klo = [sp.point_key(K, iv.lo) for iv in ivs]
+    khi = [sp.point_key(K, iv.hi) for iv in ivs]
+    bad = [_invalid(K, iv.lo) or _invalid(K, iv.hi) for iv in ivs]
+    pos = {i: p for p, i in enumerate(ids)}
+    succ: dict[Ordinal, Ordinal] = {}  # level -> level + 1, once per level
+    for p, i in enumerate(ids):
         n = nodes[i]
-        try:
-            cnt = sp.point_count(K, n.interval)
-        except DomainError:
+        if bad[p] or klo[p] > khi[p]:
             report("nontrivial", (i,), "interval endpoints out of order")
             cnt = 0
-        counts_pts[i] = cnt
+        else:
+            cnt = sp._count(K, n.interval.lo, n.interval.hi)
         if cnt is not sp.INFINITE and cnt < 2:
             report("nontrivial", (i,), f"interval has {cnt} points")
         if cnt == 2 and n.children:
@@ -260,39 +271,36 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
         if len(n.children) > 2:
             report("binary-split", (i,), f"{len(n.children)} children")
         if len(n.children) == 2:
-            a, b = (nodes[c] for c in n.children)
-            if sp.point_key(K, a.interval.lo) > sp.point_key(K, b.interval.lo):
+            a, b = (pos[c] for c in n.children)
+            if klo[a] > klo[b]:
                 a, b = b, a
-            shape_ok = (
-                sp.point_key(K, a.interval.lo) == sp.point_key(K, n.interval.lo)
-                and sp.point_key(K, a.interval.hi) == sp.point_key(K, b.interval.lo)
-                and sp.point_key(K, b.interval.hi) == sp.point_key(K, n.interval.hi)
-                and sp.compare_points(K, a.interval.lo, a.interval.hi) == "less"
-                and sp.compare_points(K, b.interval.lo, b.interval.hi) == "less"
-            )
+            if klo[a] == klo[p] and khi[a] == klo[b] and khi[b] == khi[p]:
+                # an invalid child endpoint is an error here, not a verdict
+                shape_ok = _ordered(bad[a], klo[a], khi[a]) and _ordered(bad[b], klo[b], khi[b])
+            else:
+                shape_ok = False
             if not shape_ok:
-                report("binary-split", (i, a.id, b.id), "children do not split at a single interior point")
+                report("binary-split", (i, ids[a], ids[b]), "children do not split at a single interior point")
         if n.parent is not None:
             plvl = nodes[n.parent].level
             if n.level.kind == "limit":
                 if not n.level > plvl:
                     report("level-step", (i,), f"limit level {n.level} not above parent level {plvl}")
-            elif n.level != ord_.add(plvl, ord_.ONE):
-                report("level-step", (i,), f"level {n.level} is not parent level {plvl} + 1")
+            else:
+                if plvl not in succ:
+                    succ[plvl] = ord_.add(plvl, ord_.ONE)
+                if n.level != succ[plvl]:
+                    report("level-step", (i,), f"level {n.level} is not parent level {plvl} + 1")
         if n.level.kind == "limit":
             lo_best, hi_best = None, None
             a = n.parent
             while a is not None:
-                aiv = nodes[a].interval
-                if lo_best is None or sp.point_key(K, aiv.lo) > sp.point_key(K, lo_best):
-                    lo_best = aiv.lo
-                if hi_best is None or sp.point_key(K, aiv.hi) < sp.point_key(K, hi_best):
-                    hi_best = aiv.hi
+                if lo_best is None or klo[pos[a]] > lo_best:
+                    lo_best = klo[pos[a]]
+                if hi_best is None or khi[pos[a]] < hi_best:
+                    hi_best = khi[pos[a]]
                 a = nodes[a].parent
-            if lo_best is not None and (
-                sp.point_key(K, lo_best) != sp.point_key(K, n.interval.lo)
-                or sp.point_key(K, hi_best) != sp.point_key(K, n.interval.hi)
-            ):
+            if lo_best is not None and (lo_best != klo[p] or hi_best != khi[p]):
                 report(
                     "limit-intersection",
                     (i,),
@@ -300,11 +308,9 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
                 )
 
     # pairwise clauses on endpoint ranks
-    keys = sorted({sp.point_key(K, nodes[i].interval.lo) for i in ids} | {sp.point_key(K, nodes[i].interval.hi) for i in ids})
-    rank = {k: r for r, k in enumerate(keys)}
-    pos = {i: p for p, i in enumerate(ids)}
-    lo = [rank[sp.point_key(K, nodes[i].interval.lo)] for i in ids]
-    hi = [rank[sp.point_key(K, nodes[i].interval.hi)] for i in ids]
+    rank = {k: r for r, k in enumerate(sorted(set(klo) | set(khi)))}
+    lo = [rank[k] for k in klo]
+    hi = [rank[k] for k in khi]
     lvl_keys = sorted({nodes[i].level for i in ids})
     lvl_rank = {l: r for r, l in enumerate(lvl_keys)}
     lvl = [lvl_rank[nodes[i].level] for i in ids]
@@ -317,6 +323,23 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
             violations.extend(Violation(clause, (ids[r], ids[c]), detail) for r, c in first)
 
     return Verdict(not violations and not counts, tuple(violations), counts)
+
+
+def _invalid(K, p) -> DomainError | None:
+    """The DomainError validating p as a point of K raises, or None."""
+    try:
+        sp.validate_point(K, p)
+    except DomainError as err:
+        return err
+    return None
+
+
+def _ordered(bad: DomainError | None, klo, khi) -> bool:
+    """Whether an interval with these endpoint keys is proper, raising
+    its endpoint's validation error as `sp.compare_points` would."""
+    if bad is not None:
+        raise bad
+    return klo < khi
 
 
 class _PairLog:
@@ -748,43 +771,50 @@ class StagedTree:
                 raise DomainError("payload table does not match node set")
             K = self.space
             whole = sp.whole_interval(K)
+            wlo, whi = sp.point_key(K, whole.lo), sp.point_key(K, whole.hi)
+            # one validation per endpoint; each error is raised by the
+            # check that first compares the endpoint, in node order
+            bad = {i: (_invalid(K, iv.lo), _invalid(K, iv.hi)) for i, iv in self.payload.items()}
+            lo = {i: sp.point_key(K, iv.lo) for i, iv in self.payload.items() if bad[i][0] is None}
+            hi = {i: sp.point_key(K, iv.hi) for i, iv in self.payload.items() if bad[i][1] is None}
             for i in ids:
-                iv = self.payload[i]
-                if sp.compare_points(K, iv.lo, iv.hi) == "greater":
+                if bad[i][0] or bad[i][1]:
+                    raise bad[i][0] or bad[i][1]
+                if lo[i] > hi[i]:
                     raise DomainError(f"payload of {i} out of order")
-                cnt = sp.point_count(K, iv)
+                cnt = sp._count(K, self.payload[i].lo, self.payload[i].hi)
                 if cnt is not sp.INFINITE and cnt < 2:
                     raise DomainError(f"payload of {i} is trivial")
                 p = self.parent[i]
                 if p is None:
-                    if (
-                        sp.point_key(K, iv.lo) != sp.point_key(K, whole.lo)
-                        or sp.point_key(K, iv.hi) != sp.point_key(K, whole.hi)
-                    ):
+                    if lo[i] != wlo or hi[i] != whi:
                         raise DomainError("root payload must be the whole space")
-                elif not sp.interval_contains(K, self.payload[p], iv):
-                    raise DomainError(f"payload of {i} escapes its parent")
+                else:
+                    if bad[p][0]:
+                        raise bad[p][0]
+                    if lo[p] <= lo[i] and bad[p][1]:
+                        raise bad[p][1]
+                    if lo[p] > lo[i] or hi[i] > hi[p]:
+                        raise DomainError(f"payload of {i} escapes its parent")
             rows: dict[int, list[int]] = {}
             for i in sorted(ids):
                 rows.setdefault(self.level[i], []).append(i)
             for lvl in sorted(rows):
-                clash = _first_overlap(K, rows[lvl], self.payload)
+                clash = _first_overlap(rows[lvl], lo, hi)
                 if clash is not None:
                     raise DomainError(
                         f"same-level payloads of {clash[0]} and {clash[1]} overlap nontrivially"
                     )
 
 
-def _first_overlap(K, row: list[int], payload: dict[int, ClosedInterval]) -> tuple[int, int] | None:
+def _first_overlap(row: list[int], lo: dict, hi: dict) -> tuple[int, int] | None:
     """The first pair (a, b), a < b, in id order among `row` whose proper
-    payload intervals share more than a point, or None.
+    intervals, given by their endpoint keys, share more than a point, or None.
 
-    Sweeps the payloads by low end. Every payload still open when
-    another starts overlaps it, so the best pair that starting payload
+    Sweeps the intervals by low end. Every interval still open when
+    another starts overlaps it, so the best pair that starting interval
     v makes is (smallest open id, v) or (v, smallest open id above v).
     """
-    lo = {i: sp.point_key(K, payload[i].lo) for i in row}
-    hi = {i: sp.point_key(K, payload[i].hi) for i in row}
     ends: list[tuple] = []  # heap of (hi key, id) of the open payloads
     open_ids: list[int] = []  # the same ids, sorted
     best = None

@@ -307,8 +307,8 @@ def dense_set(K, A, levels, denominator_bound: int = 16) -> DenseSetRecord:
             stairs = []
             for j in range(n + 1):
                 at = bisect_right(level_keys[j], key(x)) - 1
-                if at < 0:
-                    raise InternalInconsistency("level misses the minimum")
+                if at < 0:  # the levels come from the caller, so this is bad input
+                    raise DomainError(f"level {j} misses the minimum")
                 stairs.append(sorted_levels[j][at])
             for j in range(n + 1):
                 if j < n:

@@ -205,7 +205,7 @@ def _split_decode(lin: int):
     return (lin // 2, lin % 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClosedInterval:
     """Endpoint pair; validity against a space is checked at use sites."""
 
@@ -249,7 +249,7 @@ def point_count(space, iv: ClosedInterval):
     """Number of points in [lo, hi]; INFINITE when uncountable by walking."""
     validate_point(space, iv.lo)
     validate_point(space, iv.hi)
-    if compare_points(space, iv.lo, iv.hi) == "greater":
+    if point_key(space, iv.lo) > point_key(space, iv.hi):
         raise DomainError("interval endpoints out of order")
     return _count(space, iv.lo, iv.hi)
 
@@ -328,6 +328,8 @@ def canonical_split(space, iv: ClosedInterval):
 
 
 def _split_point(space, iv, cnt):
+    """`canonical_split` for a valid interval of cnt points, cnt >= 3,
+    without validating or checking the result."""
     if isinstance(space, FiniteChain):
         return iv.lo + (cnt - 1) // 2
     if isinstance(space, SplitChain):
@@ -342,9 +344,7 @@ def _split_point(space, iv, cnt):
     if isinstance(space, OrderSum):
         p_lo, p_hi = iv.lo[0], iv.hi[0]
         if p_lo == p_hi:
-            part = space.parts[p_lo]
-            inner = canonical_split(part, ClosedInterval(iv.lo[1], iv.hi[1]))
-            return (p_lo, inner)
+            return (p_lo, _split_point(space.parts[p_lo], ClosedInterval(iv.lo[1], iv.hi[1]), cnt))
         mid = _median_part(space, iv, cnt, p_lo, p_hi)
         if mid == p_hi:
             return (p_hi, minimum(space.parts[p_hi]))

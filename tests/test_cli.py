@@ -103,6 +103,17 @@ class TestTree:
         report = out_json(proc)
         assert report["ok"] is False and report["violations"]
 
+    def test_repeated_node_id_is_exit_2(self, tmp_path):
+        path = tmp_path / "tree.json"
+        run_cli("tree", "build", "--space", SPACE8, "--budget", "3", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["nodes"].append(doc["nodes"][1])
+        path.write_text(json.dumps(doc))
+        proc = run_cli("tree", "verify", "--in", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "ordfrag: error: node id 1 is repeated\n"
+
     def test_export_writes_dot(self, tmp_path):
         path = tmp_path / "tree.json"
         run_cli("tree", "build", "--space", SPACE8, "--budget", "40",

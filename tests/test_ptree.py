@@ -16,6 +16,7 @@ from ordfrag.ordinal import ZERO, add, from_int, parse
 from ordfrag.ptree import (
     PartitionTree,
     StagedTree,
+    TreeNode,
     build_tree,
     chain_order_types,
     endpoints,
@@ -190,6 +191,20 @@ class TestVerify:
         v = verify_admissible(t)
         assert not v.ok
         assert "limit-intersection" in v.counts
+
+    def test_repeated_row_id_is_refused(self):
+        with pytest.raises(DomainError, match="node id 1 is repeated"):
+            make_tree(FiniteChain(5), [(0, 0, 4, ZERO, None), (1, 0, 2, from_int(1), 0),
+                                       (1, 2, 4, from_int(1), 0)])
+
+    def test_child_listed_twice_is_walked_once(self):
+        t = build_tree(FiniteChain(5), 3)
+        root = t.nodes[0]
+        nodes = dict(t.nodes)
+        nodes[0] = TreeNode(0, root.interval, root.level, None, (1, 1, 2))
+        v = verify_admissible(PartitionTree(t.space, nodes, 0))
+        assert v.counts == {"binary-split": 1}
+        assert v == dense_verify_admissible(PartitionTree(t.space, nodes, 0))
 
     def test_linkage_violations_short_circuit(self):
         t = PartitionTree(FiniteChain(3), {}, 0)
