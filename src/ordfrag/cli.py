@@ -13,6 +13,7 @@ one trailing newline, so identical configurations give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -413,13 +414,9 @@ def cmd_frag_weight(args) -> int:
 # -- rn ------------------------------------------------------------------------
 
 
-def _family_of(K, levels):
-    return rn.separating_family(K, levels)
-
-
 def cmd_rn_witness(args) -> int:
     K, levels = _levels_of(args)
-    fam = _family_of(K, levels)
+    fam = rn.separating_family(K, levels)
     D = rn.dense_set(K, fam, levels, args.denbound)
     doc = rn.witness_bundle_to_json(K, fam, D)
     doc["space"] = sp.space_to_json(K)
@@ -430,7 +427,7 @@ def cmd_rn_witness(args) -> int:
 
 def cmd_rn_dense(args) -> int:
     K, levels = _levels_of(args)
-    D = rn.dense_set(K, _family_of(K, levels), levels, args.denbound)
+    D = rn.dense_set(K, rn.separating_family(K, levels), levels, args.denbound)
     doc = rn.dense_to_json(K, D)
     doc["space"] = sp.space_to_json(K)
     _emit(doc, args)
@@ -457,7 +454,7 @@ def cmd_rn_approx(args) -> int:
 
 def cmd_rn_check(args) -> int:
     K, levels = _levels_of(args)
-    fam = _family_of(K, levels)
+    fam = rn.separating_family(K, levels)
     kwargs = {}
     if not sp.is_finite_space(K):
         final = sorted(levels[-1], key=lambda p: sp.point_key(K, p))
@@ -500,7 +497,9 @@ def _add_io(p, out=True):
         p.add_argument("--out", metavar="FILE", help="write JSON here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, shared by every call: do not change it."""
     top = argparse.ArgumentParser(
         prog="ordfrag",
         description="Partition trees, open partitions, graded decompositions, "
@@ -512,13 +511,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("show", help="normalize and summarize a space")
     p.add_argument("--space", required=True, help="inline space JSON")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_space_show)
     p = sub.add_parser("sample", help="seeded sample of points")
     p.add_argument("--space", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_space_sample)
 
     g = groups.add_parser("tree", help="build, verify, export partition trees")
     sub = g.add_subparsers(dest="cmd", required=True)
@@ -526,14 +523,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_tree_build)
     p = sub.add_parser("verify", help="check every admissibility clause")
     _add_io(p)
-    p.set_defaults(func=cmd_tree_verify)
     p = sub.add_parser("export", help="render a tree as DOT")
     _add_io(p, out=False)
     p.add_argument("--dot", metavar="FILE", help="write DOT here (default stdout)")
-    p.set_defaults(func=cmd_tree_export)
 
     g = groups.add_parser("staged", help="finite staged miniatures")
     sub = g.add_subparsers(dest="cmd", required=True)
@@ -547,10 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--pool-mode", default="no_parent", choices=["no_parent", "full"])
     p.add_argument("--out")
-    p.set_defaults(func=cmd_staged_gen)
     p = sub.add_parser("check-simple", help="decide simplicity of the top level")
     _add_io(p)
-    p.set_defaults(func=cmd_staged_check_simple)
     p = sub.add_parser("construct", help="run a witness construction")
     p.add_argument("op", choices=["cofinal", "compose", "disjoint", "union",
                                   "bounded", "lr", "core"])
@@ -558,36 +550,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="instance seed (union generates its own two-part instance)")
     p.add_argument("--levels", help="comma-separated target levels for cofinal")
-    p.set_defaults(func=cmd_staged_construct)
     p = sub.add_parser("partition", help="open chain-interval partition")
     _add_io(p)
     p.add_argument("--dot", metavar="FILE", help="also write a colored DOT rendering")
-    p.set_defaults(func=cmd_staged_partition)
 
     g = groups.add_parser("frag", help="graded decompositions and fragment checks")
     sub = g.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("ln", help="graded point decomposition of a staged tree")
     _add_io(p)
-    p.set_defaults(func=cmd_frag_ln)
     p = sub.add_parser("delta", help="gap pairs of every level")
     _add_io(p)
     p.add_argument("--space")
-    p.set_defaults(func=cmd_frag_delta)
     p = sub.add_parser("density", help="gap density of the deepest level")
     _add_io(p)
     p.add_argument("--space")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=200)
-    p.set_defaults(func=cmd_frag_density)
     p = sub.add_parser("check", help="small-diameter fragment under the induced metric")
     _add_io(p)
     p.add_argument("--space")
     p.add_argument("--eps", default="1/8", help="diameter bound, a fraction")
     p.add_argument("--members", help="comma-separated points (default: whole space)")
-    p.set_defaults(func=cmd_frag_check)
     p = sub.add_parser("weight", help="top-level counting bound")
     _add_io(p)
-    p.set_defaults(func=cmd_frag_weight)
 
     g = groups.add_parser("rn", help="separating families and dense approximants")
     sub = g.add_subparsers(dest="cmd", required=True)
@@ -595,18 +580,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p)
     p.add_argument("--space")
     p.add_argument("--denbound", type=int, default=16)
-    p.set_defaults(func=cmd_rn_witness)
     p = sub.add_parser("dense", help="the countable dense approximant set")
     _add_io(p)
     p.add_argument("--space")
     p.add_argument("--denbound", type=int, default=16)
-    p.set_defaults(func=cmd_rn_dense)
     p = sub.add_parser("approx", help="approximate one point from a witness bundle")
     _add_io(p)
     p.add_argument("--space")
     p.add_argument("--point", required=True)
     p.add_argument("--n", type=int, required=True, help="accuracy 1/n")
-    p.set_defaults(func=cmd_rn_approx)
     p = sub.add_parser("check", help="full Namioka-style criterion")
     _add_io(p)
     p.add_argument("--space")
@@ -614,22 +596,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--subsets", type=int, default=20)
     p.add_argument("--denbound", type=int, default=16)
-    p.set_defaults(func=cmd_rn_check)
 
     g = groups.add_parser("suite", help="the acceptance suite")
     sub = g.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("run", help="run all nine criteria, canonical JSON report")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_suite_run)
 
     return top
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up at call time, so a replaced handler is the one that runs
+    handler = globals()[f"cmd_{args.group}_{args.cmd.replace('-', '_')}"]
     try:
-        return args.func(args)
+        return handler(args)
     except NotSimpleError as err:
         _emit({
             "v": 1,

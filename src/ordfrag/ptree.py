@@ -217,9 +217,7 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
     root = roots[0]
     if nodes[root].level != ord_.ZERO:
         report("root", (root,), f"root level is {nodes[root].level}, not 0")
-    whole = sp.whole_interval(K)
-    riv = nodes[root].interval
-    if sp.point_key(K, riv.lo) != sp.point_key(K, whole.lo) or sp.point_key(K, riv.hi) != sp.point_key(K, whole.hi):
+    if nodes[root].interval != sp.whole_interval(K):
         report("root", (root,), "root interval is not the whole space")
     for i in ids:
         if i != root and nodes[i].level == ord_.ZERO:
@@ -248,11 +246,18 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
         report("linkage", tuple(unreachable[:8]), f"{len(unreachable)} nodes unreachable from root")
         return Verdict(False, tuple(violations), counts)
 
-    # one validation and one key per endpoint; every later step reads these
+    # one validation and one key per endpoint; every later step reads
+    # these. An endpoint outside the space keeps its key while that key
+    # orders with the others, so the verdict can rank it; otherwise its
+    # DomainError is raised here.
     ivs = [nodes[i].interval for i in ids]
-    klo = [sp.point_key(K, iv.lo) for iv in ivs]
-    khi = [sp.point_key(K, iv.hi) for iv in ivs]
     bad = [_invalid(K, iv.lo) or _invalid(K, iv.hi) for iv in ivs]
+    try:
+        klo = [sp.point_key(K, iv.lo) for iv in ivs]
+        khi = [sp.point_key(K, iv.hi) for iv in ivs]
+        rank = {k: r for r, k in enumerate(sorted(set(klo) | set(khi)))}
+    except (LookupError, TypeError):
+        raise next(err for err in bad if err) from None
     pos = {i: p for p, i in enumerate(ids)}
     succ: dict[Ordinal, Ordinal] = {}  # level -> level + 1, once per level
     for p, i in enumerate(ids):
@@ -308,7 +313,6 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
                 )
 
     # pairwise clauses on endpoint ranks
-    rank = {k: r for r, k in enumerate(sorted(set(klo) | set(khi)))}
     lo = [rank[k] for k in klo]
     hi = [rank[k] for k in khi]
     lvl_keys = sorted({nodes[i].level for i in ids})
@@ -870,6 +874,10 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
         for old in row:
             fresh[old] = nid
             nid += 1
+    for old in fresh:
+        up = tree.nodes[old].parent
+        if up is not None and up not in fresh:
+            raise DomainError(f"parent {up} of node {old} lies outside the cut at level {m}")
     parent = {
         fresh[old]: (None if tree.nodes[old].parent is None else fresh[tree.nodes[old].parent])
         for old in fresh

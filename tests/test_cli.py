@@ -1,12 +1,14 @@
 """End-to-end runs of the console script in subprocesses.
 
 Everything here shells out for real: the exit-code triage and the
-byte-level output contract are part of the interface. The one exception
-calls `cli.main` in-process, because it has to replace a command with
-one that fails. The heavyweight suite command is exercised in
-test_acceptance instead.
+byte-level output contract are part of the interface. The exceptions
+call `cli.main` in-process: one replaces a command with one that fails,
+and the others check that the parser built once per process dispatches
+every subcommand by name and gives the console's bytes. The heavyweight
+suite command is exercised in test_acceptance instead.
 """
 
+import argparse
 import json
 import subprocess
 import sys
@@ -302,11 +304,34 @@ class TestTriage:
         def broken(args):
             raise InternalInconsistency("postcondition failed")
 
+        # the parser is built by this first call; the patched handler must still run
+        assert cli.main(["space", "show", "--space", SPACE8]) == 0
+        capsys.readouterr()
         monkeypatch.setattr(cli, "cmd_space_show", broken)
         assert cli.main(["space", "show", "--space", SPACE8]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "ordfrag: internal error: postcondition failed\n"
+
+    def test_every_subcommand_has_its_handler(self):
+        def choices(parser):
+            (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return sub.choices
+
+        leaves = {f"cmd_{group}_{cmd.replace('-', '_')}"
+                  for group, gp in choices(cli.build_parser()).items() for cmd in choices(gp)}
+        assert all(callable(getattr(cli, name, None)) for name in leaves)
+        assert leaves == {name for name in vars(cli) if name.startswith("cmd_")}
+
+    def test_in_process_calls_match_the_console_bytes(self, comb_file, tmp_path, capsysbinary):
+        tree_file = tmp_path / "tree.json"
+        assert run_cli("tree", "build", "--space", SPACE8, "--budget", "9",
+                       "--out", str(tree_file)).returncode == 0
+        for argv in (["frag", "weight", "--in", str(comb_file)],
+                     ["tree", "verify", "--in", str(tree_file)]):
+            proc = run_cli(*argv)
+            assert cli.main(argv) == proc.returncode
+            assert capsysbinary.readouterr().out.decode() == proc.stdout
 
     def test_imports_without_numpy(self):
         code = "import sys; sys.modules['numpy'] = None; import ordfrag.cli"

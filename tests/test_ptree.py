@@ -421,6 +421,17 @@ class TestStaging:
         with pytest.raises(DomainError):
             to_staged(t, 0, {0})
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_cut_node_whose_parent_lies_outside_the_cut(self, m):
+        # a level-3 node relabelled to level 0 sits in every cut, its parent in none below 2
+        t = build_tree(FiniteChain(16), 29)
+        node = t.nodes[min(i for i, n in t.nodes.items() if n.level == from_int(3))]
+        nodes = dict(t.nodes)
+        nodes[node.id] = TreeNode(node.id, node.interval, ZERO, node.parent, node.children)
+        with pytest.raises(DomainError) as err:
+            to_staged(PartitionTree(t.space, nodes, t.root_id), m, set(range(m)))
+        assert str(err.value) == f"parent {node.parent} of node {node.id} lies outside the cut at level {m}"
+
     def test_unexpanded_frontier_blocks_staging(self):
         t = build_tree(OrdinalInterval(W), 5)
         with pytest.raises(InsufficientMaterialization):

@@ -119,6 +119,24 @@ BROKEN = {
          (2, (1, ZERO), (2, (1, 1)), ONE, 0), (3, (0, 0), (0, 99), TWO, 1), (4, (0, 99), (1, ZERO), TWO, 1)],
         "99 is not a point of FiniteChain(size=3, labels=None)",
     ),
+    "sum-missing-part": (
+        OrderSum((FiniteChain(3), FiniteChain(3))),
+        [(0, (0, 0), (1, 2), ZERO, None), (1, (0, 0), (0, 2), ONE, 0), (2, (0, 2), (1, 2), ONE, 0),
+         (3, (0, 0), (0, 1), TWO, 1), (4, (5, 0), (5, 1), TWO, 1)],
+        "(5, 0) is not a point of an order sum with 2 parts",
+    ),
+    "split-string": (
+        SplitChain(3),
+        [(0, (0, 0), (2, 1), ZERO, None), (1, (0, 0), (1, 0), ONE, 0), (2, (1, 0), (2, 1), ONE, 0),
+         (3, (1, 0), "a", TWO, 2), (4, "a", (2, 1), TWO, 2)],
+        "'a' is not a point of SplitChain(size=3)",
+    ),
+    "split-string-unordered": (
+        SplitChain(3),
+        [(0, (0, 0), (2, 1), ZERO, None), (1, (0, 0), (1, 0), ONE, 0), (2, (1, 0), (2, 1), ONE, 0),
+         (3, (1, 0), "ab", TWO, 2), (4, "ab", (2, 1), TWO, 2)],
+        "'ab' is not a point of SplitChain(size=3)",
+    ),
     "reversed-leaf": (
         FiniteChain(5),
         [(0, 0, 4, ZERO, None), (1, 0, 2, ONE, 0), (2, 4, 2, ONE, 0)],
