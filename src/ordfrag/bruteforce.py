@@ -1,8 +1,9 @@
 """Exhaustive reference searches.
 
 These are the slow, obviously-correct counterparts of the constructions
-in `simple` and `openpart` and of the pairwise clauses of
-`ptree.verify_admissible`. Tests and the acceptance suite compare fast
+in `simple` and `openpart`, of the pairwise clauses of
+`ptree.verify_admissible`, and of the indexed pseudo-metric and
+separation sweep of `rnwit`. Tests and the acceptance suite compare fast
 answers against them on small instances; nothing here may call the fast
 paths.
 """
@@ -10,7 +11,9 @@ paths.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
+from . import space as sp
 from .ptree import _PAIR_REPORT_CAP, PAIR_CLAUSES, PartitionTree, StagedTree, Verdict, check_tree
 
 
@@ -118,3 +121,38 @@ def exhaustive_chain_partitions(st: StagedTree):
             root_of[i] = anchor
             cells.setdefault(anchor, []).append(i)
         yield tuple(frozenset(c) for _, c in sorted(cells.items()))
+
+
+def step_value(f, w) -> Fraction:
+    """The value of an `rnwit.StepFunction` at w, read off its cuts: the
+    sum of the jumps whose upper point lies at or below w."""
+    k = sp.point_key(f.space, w)
+    return sum((jump for _lo, hi, jump in f.cuts if k >= sp.point_key(f.space, hi)),
+               Fraction(0))
+
+
+def all_function_distance(family, u, v) -> Fraction:
+    """d_A(u, v) with every member of the family evaluated."""
+    return max((abs(step_value(f, u) - step_value(f, v)) for f in family),
+               default=Fraction(0))
+
+
+def all_pairs_separation(family, pairs):
+    """The first pair, in the given order, on which every member of the
+    family takes one value, or None: each member evaluated on each pair."""
+    for u, v in pairs:
+        if all(step_value(f, u) == step_value(f, v) for f in family):
+            return (u, v)
+    return None
+
+
+def deepest_containing_gap(family, w, n: int):
+    """(k, gap) of the first member, in family order, of greatest depth
+    k <= n whose tagged gap strictly contains w; (0, None) when none does."""
+    k, gap = 0, None
+    for f in family:
+        x, y, depth = f.tag
+        kx, kw, ky = (sp.point_key(f.space, p) for p in (x, w, y))
+        if k < depth <= n and kx < kw < ky:
+            k, gap = depth, (x, y)
+    return k, gap

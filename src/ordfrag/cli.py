@@ -39,6 +39,7 @@ from .ptree import (
     staged_from_json,
     staged_to_dot,
     staged_to_json,
+    to_staged,
     tree_from_json,
     tree_to_dot,
     tree_to_json,
@@ -242,6 +243,16 @@ def cmd_staged_gen(args) -> int:
     return 0
 
 
+def cmd_staged_cut(args) -> int:
+    tree = tree_from_json(_read_doc(args))
+    try:
+        pool = [int(part) for part in args.pool.split(",") if part.strip()]
+    except ValueError as err:
+        raise CliError(f"--pool takes comma-separated levels, got {args.pool!r}") from err
+    _emit(staged_to_json(to_staged(tree, args.level, pool, limit_top=args.limit_top)), args)
+    return 0
+
+
 def cmd_staged_check_simple(args) -> int:
     st = _staged_of(args)
     decision = is_simple(st, frozenset(st.tops()))
@@ -439,8 +450,9 @@ def cmd_rn_approx(args) -> int:
     K = _space_of(args, doc)
     family, D = rn.witness_bundle_from_json(K, doc)
     w = sp.parse_point(K, args.point)
-    z = rn.approximate(K, w, args.n, family, D)
-    dist = rn.pseudo_metric(family).distance(w, z)
+    metric = rn.pseudo_metric(family)
+    z = rn.approximate(K, w, args.n, metric, D)
+    dist = metric.distance(w, z)
     _emit({
         "v": 1,
         "kind": "approximation",
@@ -541,6 +553,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--pool-mode", default="no_parent", choices=["no_parent", "full"])
     p.add_argument("--out")
+    p = sub.add_parser("cut", help="cut a staged tree out of a tree document")
+    _add_io(p)
+    p.add_argument("--level", type=int, required=True, help="the top level m")
+    p.add_argument("--pool", required=True,
+                   help="comma-separated pool levels, each below m")
+    p.add_argument("--no-limit-top", dest="limit_top", action="store_false",
+                   help="the top level does not stand in for a limit stage")
     p = sub.add_parser("check-simple", help="decide simplicity of the top level")
     _add_io(p)
     p = sub.add_parser("construct", help="run a witness construction")

@@ -10,14 +10,21 @@ returned guarantee is re-evaluated literally before it is reported.
 
 from __future__ import annotations
 
+import functools
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import itemgetter
+from typing import NamedTuple
 
 from . import space as sp
 from .errors import DomainError, GuaranteeFailure, InternalInconsistency, document_decoder
 from .frag import delta_pairs
+
+_ZERO = Fraction(0)
+_first = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -35,9 +42,10 @@ class StepFunction:
     tag: tuple
 
     def value(self, w):
-        total = Fraction(0)
+        k = sp.point_key(self.space, w)
+        total = _ZERO
         for _lo, hi, jump in self.cuts:
-            if sp.point_key(self.space, w) >= sp.point_key(self.space, hi):
+            if k >= sp.point_key(self.space, hi):
                 total += jump
         return total
 
@@ -113,49 +121,112 @@ def separating_family(K, levels, deltas=None) -> tuple:
 def check_separation(K, family, pairs):
     """None when every pair is separated, else the first failing pair.
 
-    Candidate functions are located by binary search on cut position,
-    then confirmed by literal evaluation; a pair is reported only after
-    a full literal sweep finds no separating member.
+    f(v) - f(u) is the sum of f's jumps posted in (u, v], so candidate
+    functions are located by binary search on cut position, then
+    confirmed by literal evaluation; a pair is reported only after a
+    full literal sweep finds no separating member. Each pair's points
+    are keyed once.
+
+    On its default sweep of a finite space, `namioka_check` passes only
+    the n-1 adjacent pairs when every jump is positive: a pair is then
+    separated exactly when an adjacent pair between its ends is. Its
+    `pairs_checked` still counts the n(n-1)/2 pairs covered.
     """
-    fams = _functions(family)
-    key = lambda p: sp.point_key(K, p)
-    posts = sorted(
-        ((key(hi), f) for f in fams for _lo, hi, _j in f.cuts),
-        key=lambda t: t[0])
-    post_keys = [t[0] for t in posts]
+    metric = pseudo_metric(family)
     for u, v in pairs:
-        if not key(u) < key(v):
+        ku, kv = sp.point_key(K, u), sp.point_key(K, v)
+        if not ku < kv:
             raise DomainError("separation pairs must be strictly increasing")
-        hit = None
-        i = bisect_right(post_keys, key(u))
-        while i < len(posts) and post_keys[i] <= key(v):
-            f = posts[i][1]
+        for f in metric.posted(ku, kv):
             if f.value(u) != f.value(v):
-                hit = f
                 break
-            i += 1
-        if hit is None and not any(f.value(u) != f.value(v) for f in fams):
-            return (u, v)
+        else:
+            if not any(f.value(u) != f.value(v) for f in metric.family):
+                return (u, v)
     return None
 
 
 @dataclass(frozen=True)
 class PseudoMetric:
-    """d(u, v) = max over the family of |f(u) - f(v)|, exact rationals."""
+    """d(u, v) = max over the family of |f(u) - f(v)|, exact rationals.
+
+    The family is indexed by order key on first use: every cut post
+    (the key of a cut's hi) sorted, for `distance` and
+    `check_separation`, and per depth the tagged gaps sorted by left
+    end, which only `approximate` reads. Built eagerly, the gap index
+    slowed `frag check`, which measures a few distances once.
+    """
 
     family: tuple
 
+    @functools.cached_property
+    def _posts(self) -> tuple:
+        posts = sorted(((sp.point_key(f.space, hi), f) for f in self.family
+                        for _lo, hi, _jump in f.cuts), key=_first)
+        return [k for k, _f in posts], [f for _k, f in posts]
+
+    @functools.cached_property
+    def _gaps(self) -> dict:
+        rows: dict = {}
+        for order, f in enumerate(self.family):
+            x, y, depth = f.tag
+            if depth >= 1:
+                rows.setdefault(depth, []).append(
+                    (sp.point_key(f.space, x), sp.point_key(f.space, y), order, (x, y)))
+        gaps = {}
+        for depth in sorted(rows):
+            row = sorted(rows[depth], key=_first)
+            gaps[depth] = ([r[0] for r in row], list(accumulate((r[1] for r in row), max)), row)
+        return gaps
+
+    def posted(self, ku, kv):
+        """Yield the members with a cut post in (ku, kv], once per post,
+        in post order: for keys ku < kv only they can tell u from v."""
+        keys, fns = self._posts
+        i = bisect_right(keys, ku)
+        while i < len(keys) and keys[i] <= kv:
+            yield fns[i]
+            i += 1
+
     def distance(self, u, v) -> Fraction:
-        best = Fraction(0)
-        for f in self.family:
+        """d(u, v), evaluating literally only the members a bisection
+        finds posted in (u, v] (u <= v): f(v) - f(u) is the sum of f's
+        jumps posted there, so every other member takes one value on
+        both. With every jump positive the same identity lets
+        `namioka_check` sweep only the n-1 adjacent pairs of a finite
+        space; its `pairs_checked` still counts all n(n-1)/2 pairs."""
+        best = _ZERO
+        if not self.family:
+            return best
+        K = self.family[0].space
+        ku, kv = sp.point_key(K, u), sp.point_key(K, v)
+        for f in self.posted(min(ku, kv), max(ku, kv)):
             d = abs(f.value(u) - f.value(v))
             if d > best:
                 best = d
         return best
 
+    def deepest_gap(self, kw, n: int):
+        """(k, gap): the deepest depth k <= n at which a member's gap
+        strictly contains the point keyed kw, and the gap of the first
+        such member in family order; (0, None) when there is none."""
+        for depth in sorted((d for d in self._gaps if d <= n), reverse=True):
+            lefts, reach, row = self._gaps[depth]
+            hit = None
+            # row[:i+1] opens below kw; reach[i] is the farthest it closes
+            i = bisect_left(lefts, kw) - 1
+            while i >= 0 and reach[i] > kw:
+                _kx, ky, order, gap = row[i]
+                if ky > kw and (hit is None or order < hit[0]):
+                    hit = (order, gap)
+                i -= 1
+            if hit is not None:
+                return depth, hit[1]
+        return 0, None
+
 
 def pseudo_metric(A) -> PseudoMetric:
-    return PseudoMetric(_functions(A))
+    return A if isinstance(A, PseudoMetric) else PseudoMetric(tuple(A))
 
 
 def scale_family(family, factor) -> tuple:
@@ -171,15 +242,16 @@ def drop_level(family, n: int) -> tuple:
     return tuple(f for f in _functions(family) if f.level != n)
 
 
-@dataclass(frozen=True)
-class ZSelection:
+class ZSelection(NamedTuple):
     """Provenance of one dense-set point.
 
     A depth-`level` gap is bracketed by the staircase x_0 <= ... <=
     x_level of greatest lower level points; stair j covers the region
     (x_j, x_{j+1}] (the final stair runs to max K) and `boxes` holds the
     canonical rational brackets around the depth-i values 1/i (i <= j)
-    and 0 (i > j) at the configured denominator bound.
+    and 0 (i > j) at the configured denominator bound. A named tuple:
+    a dense set holds about n log n of them, and a frozen dataclass
+    costs nearly three times as much to build.
     """
 
     level: int
@@ -199,6 +271,10 @@ class DenseSetRecord:
     `selections` records every staircase choice. Queries at depth n are
     served only for n <= n_cap = denominator_bound // 2, which keeps the
     rational box around 1/n strictly above the box around 0.
+
+    Construction indexes the record by order key: the point keys, one
+    fence per depth (the extremes plus every m-set up to that depth,
+    sorted) and the depth-j stair points by (level, key x, key y).
     """
 
     space: object
@@ -206,31 +282,50 @@ class DenseSetRecord:
     m_sets: tuple
     selections: tuple
     denominator_bound: int
+    _keys: frozenset = field(init=False, repr=False, compare=False)
+    _fences: tuple = field(init=False, repr=False, compare=False)
+    _z: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        key = functools.partial(sp.point_key, self.space)
+        object.__setattr__(self, "_keys", frozenset(map(key, self.points)))
+        fence = {key(p): p for p in (sp.minimum(self.space), sp.maximum(self.space))}
+        depths, fences = [], [_sorted_by_key(fence)]
+        for depth, pts in sorted(self.m_sets, key=_first):
+            fence.update((key(p), p) for p in pts)
+            if depths and depths[-1] == depth:
+                depths.pop()
+                fences.pop()
+            depths.append(depth)
+            fences.append(_sorted_by_key(fence))
+        object.__setattr__(self, "_fences", (depths, fences))
+        z = {}
+        for level, (x, y), j, _region, point, _boxes in self.selections:
+            if j == level:
+                z.setdefault((level, key(x), key(y)), point)
+        object.__setattr__(self, "_z", z)
 
     @property
     def n_cap(self) -> int:
         return self.denominator_bound // 2
 
     def contains(self, w) -> bool:
-        k = sp.point_key(self.space, w)
-        return any(sp.point_key(self.space, p) == k for p in self.points)
+        return sp.point_key(self.space, w) in self._keys
 
-    def m_upto(self, n: int) -> list:
-        out = []
-        for depth, pts in self.m_sets:
-            if depth <= n:
-                out.extend(pts)
-        return out
+    def m_upto(self, n: int) -> tuple:
+        """(keys, points) of the extremes and every m-set of depth <= n,
+        sorted by key: the fence `approximate` brackets a query with."""
+        depths, fences = self._fences
+        return fences[bisect_right(depths, n)]
 
     def z_for(self, level: int, gap):
-        want = (sp.point_key(self.space, gap[0]), sp.point_key(self.space, gap[1]))
-        for s in self.selections:
-            if s.level != level or s.j != level:
-                continue
-            got = (sp.point_key(self.space, s.gap[0]), sp.point_key(self.space, s.gap[1]))
-            if got == want:
-                return s.z
-        return None
+        return self._z.get((level, sp.point_key(self.space, gap[0]),
+                            sp.point_key(self.space, gap[1])))
+
+
+def _sorted_by_key(by_key: dict) -> tuple:
+    keys = sorted(by_key)
+    return keys, [by_key[k] for k in keys]
 
 
 def _value_boxes(level: int, j: int, bound: int) -> tuple:
@@ -260,15 +355,17 @@ def dense_set(K, A, levels, denominator_bound: int = 16) -> DenseSetRecord:
     points is computed, one least decomposition point is selected per
     realizable stair region, and the selection is recorded together
     with its rational box. D is the extremes, the gap endpoint sets,
-    and the selected points.
+    and the selected points. Every point is keyed once, and the boxes
+    of each (depth, stair) are built once, from two `_value_boxes` rows.
     """
     fams = _functions(A)
     if denominator_bound < 4:
         raise DomainError("denominator bound must be at least 4")
     if not levels:
         raise DomainError("a decomposition with at least the extremes is required")
-    key = lambda p: sp.point_key(K, p)
+    key = functools.partial(sp.point_key, K)
     lo, hi = sp.minimum(K), sp.maximum(K)
+    k_hi = key(hi)
 
     by_level: dict = {}
     seen = set()
@@ -280,59 +377,74 @@ def dense_set(K, A, levels, denominator_bound: int = 16) -> DenseSetRecord:
         if mark in seen:
             continue
         seen.add(mark)
-        by_level.setdefault(n, []).append((x, y))
+        by_level.setdefault(n, []).append((mark[1], mark[2], x, y))
 
-    sorted_levels = [sorted(lv, key=key) for lv in levels]
-    level_keys = [[key(p) for p in lv] for lv in sorted_levels]
-    union = {key(p): p for lv in sorted_levels for p in lv}
-    L = [union[k] for k in sorted(union)]
-    L_keys = sorted(union)
+    level_keys, sorted_levels = [], []
+    union: dict = {}
+    for lv in levels:
+        keyed = sorted(((key(p), p) for p in lv), key=_first)
+        level_keys.append([k for k, _p in keyed])
+        sorted_levels.append([p for _k, p in keyed])
+        union.update(keyed)
+    L_keys, L = _sorted_by_key(union)
 
+    pool = {key(lo): lo, k_hi: hi}
     m_sets = []
     for n in sorted(by_level):
-        ends = {key(p): p for x, y in by_level[n] for p in (x, y)}
+        ends = {k: p for kx, ky, x, y in by_level[n] for k, p in ((kx, x), (ky, y))}
+        pool.update(ends)
         # finite endpoint sets are closed as-is in every space kind here
-        m_sets.append((n, tuple(ends[k] for k in sorted(ends))))
+        m_sets.append((n, tuple(_sorted_by_key(ends)[1])))
 
+    # box i of a depth-n stair j depends on i <= j only: slice it from two rows
+    deepest = max(by_level, default=0)
+    ones = _value_boxes(deepest, deepest, denominator_bound)
+    zeros = _value_boxes(deepest, 0, denominator_bound)
     selections = []
+    # per left end x: its stairs x_0 <= x_1 <= ..., and the (j, region, z)
+    # of each stair j < len - 1 with x_j < x_{j+1}; neither depends on the
+    # depth of the gap x opens, only the final stair's region does
+    ladders: dict = {}
+
+    def pick(k0, k1):
+        at = bisect_right(L_keys, k0)
+        if at >= len(L) or L_keys[at] > k1:
+            raise InternalInconsistency(
+                "a nonempty stair region holds no decomposition point")
+        pool[L_keys[at]] = L[at]
+        return L[at]
+
     for n in sorted(by_level):
-        for x, y in sorted(by_level[n], key=lambda g: key(g[0])):
-            i = bisect_left(level_keys[n], key(x))
+        boxes = [ones[:j] + zeros[j:n] for j in range(n + 1)]
+        for kx, ky, x, y in sorted(by_level[n], key=_first):
+            i = bisect_left(level_keys[n], kx)
             if not (i + 1 < len(level_keys[n])
-                    and level_keys[n][i] == key(x)
-                    and level_keys[n][i + 1] == key(y)):
+                    and level_keys[n][i] == kx
+                    and level_keys[n][i + 1] == ky):
                 raise DomainError(
                     f"({sp.render_point(K, x)}, {sp.render_point(K, y)}) "
                     f"is not a gap of level {n}")
-            stairs = []
-            for j in range(n + 1):
-                at = bisect_right(level_keys[j], key(x)) - 1
+            if kx not in ladders:
+                ladders[kx] = ([], [])
+            stairs, rises = ladders[kx]
+            grown = len(stairs)
+            for j in range(grown, n + 1):
+                at = bisect_right(level_keys[j], kx) - 1
                 if at < 0:  # the levels come from the caller, so this is bad input
                     raise DomainError(f"level {j} misses the minimum")
-                stairs.append(sorted_levels[j][at])
-            for j in range(n + 1):
-                if j < n:
-                    reg = (stairs[j], stairs[j + 1])
-                    if not key(reg[0]) < key(reg[1]):
-                        continue
-                else:
-                    reg = (stairs[n], hi)
-                at = bisect_right(L_keys, key(reg[0]))
-                if at >= len(L) or L_keys[at] > key(reg[1]):
-                    raise InternalInconsistency(
-                        "a nonempty stair region holds no decomposition point")
-                selections.append(ZSelection(
-                    n, (x, y), j, reg, L[at],
-                    _value_boxes(n, j, denominator_bound)))
+                stairs.append((level_keys[j][at], sorted_levels[j][at]))
+            for j in range(max(grown - 1, 0), n):
+                (k0, p0), (k1, p1) = stairs[j], stairs[j + 1]
+                if k0 < k1:
+                    rises.append((j, (p0, p1), pick(k0, k1)))
+            gap = (x, y)
+            for j, region, z in rises:
+                selections.append(ZSelection(n, gap, j, region, z, boxes[j]))
+            k0, p0 = stairs[n]
+            selections.append(ZSelection(n, gap, n, (p0, hi), pick(k0, k_hi), boxes[n]))
 
-    pool = {key(lo): lo, key(hi): hi}
-    for _n, pts in m_sets:
-        for p in pts:
-            pool[key(p)] = p
-    for s in selections:
-        pool[key(s.z)] = s.z
-    points = tuple(pool[k] for k in sorted(pool))
-    return DenseSetRecord(K, points, tuple(m_sets), tuple(selections), denominator_bound)
+    return DenseSetRecord(K, tuple(_sorted_by_key(pool)[1]), tuple(m_sets),
+                          tuple(selections), denominator_bound)
 
 
 def approximate(K, w, n: int, A, D: DenseSetRecord):
@@ -342,45 +454,38 @@ def approximate(K, w, n: int, A, D: DenseSetRecord):
     by its gap-endpoint neighbours u < w < v; with k the deepest depth
     <= n whose gap strictly contains w, the recorded stair point of
     that gap steers the choice between u and v. The bound is then
-    re-evaluated literally; a miss raises GuaranteeFailure.
+    re-evaluated literally; a miss raises GuaranteeFailure. `A` may be
+    a `PseudoMetric`, whose index then serves every call.
     """
     sp.validate_point(K, w)
-    fams = _functions(A)
     if not 1 <= n <= D.n_cap:
         raise DomainError(f"depth {n} is outside 1..{D.n_cap}")
-    key = lambda p: sp.point_key(K, p)
     if D.contains(w):
         return w
+    metric = pseudo_metric(A)
+    key = functools.partial(sp.point_key, K)
+    kw = key(w)
 
-    lo, hi = sp.minimum(K), sp.maximum(K)
-    fence = {key(lo): lo, key(hi): hi}
-    for p in D.m_upto(n):
-        fence[key(p)] = p
-    M_keys = sorted(fence)
-    at = bisect_left(M_keys, key(w))
+    M_keys, M = D.m_upto(n)
+    at = bisect_left(M_keys, kw)
     if at == 0 or at >= len(M_keys):
         raise InternalInconsistency("query escaped the extremes")
-    u = fence[M_keys[at - 1]]
-    v = fence[M_keys[at]]
+    u, v = M[at - 1], M[at]
 
-    k, gap = 0, None
-    for f in fams:
-        x, y, depth = f.tag
-        if depth <= n and depth > k and key(x) < key(w) < key(y):
-            k, gap = depth, (x, y)
-
+    k, gap = metric.deepest_gap(kw, n)
     if k == 0:
         z = u
     else:
         z_rec = D.z_for(k, gap)
         if z_rec is None:
             raise DomainError("the dense set was not built for this family")
-        if key(z_rec) <= key(w):
-            z = z_rec if key(z_rec) > key(u) else u
+        kz = key(z_rec)
+        if kz <= kw:
+            z = z_rec if kz > M_keys[at - 1] else u
         else:
-            z = z_rec if key(z_rec) < key(v) else v
+            z = z_rec if kz < M_keys[at] else v
 
-    dist = PseudoMetric(fams).distance(w, z)
+    dist = metric.distance(w, z)
     if dist >= Fraction(1, n):
         raise GuaranteeFailure(
             f"d_A({sp.render_point(K, w)}, {sp.render_point(K, z)}) = {dist} >= 1/{n}",
@@ -408,15 +513,28 @@ def namioka_check(K, family, levels, *, pairs=None, sample_points=None,
     then seeded subfamilies, each against its own dense set at the
     deepest admissible query depth. The clauses short-circuit: density
     is only sampled once norm and separation are clean.
+
+    The default sweep covers all n(n-1)/2 pairs of a finite space, and
+    `pairs_checked` counts the pairs covered. When every jump is
+    positive, f(u) != f(v) exactly when f has a post in (u, v], so a
+    pair is separated exactly when one of the adjacent pairs between
+    its ends is, and the first unseparated pair in enumeration order is
+    the first unseparated adjacent pair: only the n-1 adjacent pairs
+    are checked then. Explicit `pairs`, or a non-positive jump, keep the
+    per-pair sweep.
     """
-    fams = tuple(sorted(_functions(family), key=lambda f: _tag_key(K, f)))
+    tagged = sorted(((_tag_key(K, f), f) for f in _functions(family)), key=_first)
+    fams = tuple(f for _k, f in tagged)
+    metric = PseudoMetric(fams)
 
     norm_problems = []
+    positive = True
     for f in fams:
         total = Fraction(0)
         for _lo, _hi, jump in f.cuts:
             if jump <= 0:
                 norm_problems.append(f"function {f.tag} has a non-positive jump")
+                positive = False
             total += jump
         if total > 1:
             norm_problems.append(f"function {f.tag} climbs to {total}")
@@ -425,9 +543,15 @@ def namioka_check(K, family, levels, *, pairs=None, sample_points=None,
         if not sp.is_finite_space(K):
             raise DomainError("explicit pairs are required on infinite spaces")
         pts = sp.enumerate_points(K)
-        pairs = [(u, v) for i, u in enumerate(pts) for v in pts[i + 1:]]
-    pairs = list(pairs)
-    unseparated = check_separation(K, fams, pairs)
+        pairs_checked = len(pts) * (len(pts) - 1) // 2
+        if positive:
+            pairs = zip(pts, pts[1:])
+        else:
+            pairs = [(u, v) for i, u in enumerate(pts) for v in pts[i + 1:]]
+    else:
+        pairs = list(pairs)
+        pairs_checked = len(pairs)
+    unseparated = check_separation(K, metric, pairs)
 
     if sample_points is None:
         if not sp.is_finite_space(K):
@@ -440,11 +564,12 @@ def namioka_check(K, family, levels, *, pairs=None, sample_points=None,
     points_checked = 0
     if not norm_problems and unseparated is None and fams:
         rng = random.Random(seed)
-        chosen = [fams]
+        chosen = [metric]
         for _ in range(max(subsets - 1, 0)):
             size = rng.randint(1, len(fams))
-            chosen.append(tuple(sorted(rng.sample(fams, size),
-                                       key=lambda f: _tag_key(K, f))))
+            # sample draws the same positions from any population of this length
+            picks = sorted(rng.sample(range(len(fams)), size), key=lambda i: tagged[i][0])
+            chosen.append(PseudoMetric(tuple(fams[i] for i in picks)))
         for A in chosen:
             D = dense_set(K, A, levels, denominator_bound)
             for w in sample_points:
@@ -457,11 +582,12 @@ def namioka_check(K, family, levels, *, pairs=None, sample_points=None,
             subsets_checked += 1
 
     ok = (not norm_problems and unseparated is None and not density_failures)
-    return NamiokaReport(ok, tuple(norm_problems), unseparated, len(pairs),
+    return NamiokaReport(ok, tuple(norm_problems), unseparated, pairs_checked,
                          tuple(density_failures), subsets_checked, points_checked)
 
 
 def family_to_json(K, family) -> dict:
+    render = functools.cache(functools.partial(sp.render_point, K))
     fams = sorted(_functions(family), key=lambda f: _tag_key(K, f))
     entries = []
     for f in fams:
@@ -469,62 +595,75 @@ def family_to_json(K, family) -> dict:
             raise DomainError("only single-cut families serialize")
         lo, hi, _jump = f.cuts[0]
         entries.append({
-            "gap": [sp.render_point(K, f.tag[0]), sp.render_point(K, f.tag[1])],
+            "gap": [render(f.tag[0]), render(f.tag[1])],
             "n": f.tag[2],
-            "cut": [sp.render_point(K, lo), sp.render_point(K, hi)],
+            "cut": [render(lo), render(hi)],
         })
     return {"v": 1, "kind": "rn-family", "family": entries}
 
 
+@document_decoder
 def family_from_json(K, doc) -> tuple:
+    """Each distinct point text of the document is parsed once."""
     if doc.get("kind") != "rn-family" or doc.get("v") != 1:
         raise DomainError("not a family document")
+    parse = functools.cache(functools.partial(sp.parse_point, K))
     out = []
     for entry in doc["family"]:
-        x = sp.parse_point(K, entry["gap"][0])
-        y = sp.parse_point(K, entry["gap"][1])
+        x, y = parse(entry["gap"][0]), parse(entry["gap"][1])
         n = int(entry["n"])
-        lo = sp.parse_point(K, entry["cut"][0])
-        hi = sp.parse_point(K, entry["cut"][1])
+        lo, hi = parse(entry["cut"][0]), parse(entry["cut"][1])
         out.append(StepFunction(K, ((lo, hi, Fraction(1, n)),), (x, y, n)))
     return tuple(out)
 
 
 def dense_to_json(K, D: DenseSetRecord) -> dict:
+    """Each distinct point is rendered once, and each box tuple once."""
+    render = functools.cache(functools.partial(sp.render_point, K))
+    boxes: dict = {}
+
+    def box(s):
+        if id(s.boxes) not in boxes:
+            boxes[id(s.boxes)] = [[str(q), str(r)] for q, r in s.boxes]
+        return boxes[id(s.boxes)]
+
     return {
         "v": 1,
         "kind": "rn-dense",
         "denbound": D.denominator_bound,
-        "points": [sp.render_point(K, p) for p in D.points],
-        "m": [[n, [sp.render_point(K, p) for p in pts]] for n, pts in D.m_sets],
+        "points": [render(p) for p in D.points],
+        "m": [[n, [render(p) for p in pts]] for n, pts in D.m_sets],
         "z": [
             {
                 "level": s.level,
-                "gap": [sp.render_point(K, s.gap[0]), sp.render_point(K, s.gap[1])],
+                "gap": [render(s.gap[0]), render(s.gap[1])],
                 "j": s.j,
-                "region": [sp.render_point(K, s.region[0]), sp.render_point(K, s.region[1])],
-                "z": sp.render_point(K, s.z),
-                "box": [[str(q), str(r)] for q, r in s.boxes],
+                "region": [render(s.region[0]), render(s.region[1])],
+                "z": render(s.z),
+                "box": box(s),
             }
             for s in D.selections
         ],
     }
 
 
+@document_decoder
 def dense_from_json(K, doc) -> DenseSetRecord:
+    """Each distinct point text and box string is parsed once."""
     if doc.get("kind") != "rn-dense" or doc.get("v") != 1:
         raise DomainError("not a dense-set document")
-    points = tuple(sp.parse_point(K, t) for t in doc["points"])
-    m_sets = tuple(
-        (int(n), tuple(sp.parse_point(K, t) for t in pts)) for n, pts in doc["m"])
+    parse = functools.cache(functools.partial(sp.parse_point, K))
+    fraction = functools.cache(Fraction)
+    points = tuple(map(parse, doc["points"]))
+    m_sets = tuple((int(n), tuple(map(parse, pts))) for n, pts in doc["m"])
     selections = tuple(
         ZSelection(
             int(e["level"]),
-            (sp.parse_point(K, e["gap"][0]), sp.parse_point(K, e["gap"][1])),
+            (parse(e["gap"][0]), parse(e["gap"][1])),
             int(e["j"]),
-            (sp.parse_point(K, e["region"][0]), sp.parse_point(K, e["region"][1])),
-            sp.parse_point(K, e["z"]),
-            tuple((Fraction(q), Fraction(r)) for q, r in e["box"]),
+            (parse(e["region"][0]), parse(e["region"][1])),
+            parse(e["z"]),
+            tuple((fraction(q), fraction(r)) for q, r in e["box"]),
         )
         for e in doc["z"])
     return DenseSetRecord(K, points, m_sets, selections, int(doc["denbound"]))

@@ -230,13 +230,6 @@ def interval_contains_point(space, iv: ClosedInterval, p) -> bool:
     )
 
 
-def interval_contains(space, outer: ClosedInterval, inner: ClosedInterval) -> bool:
-    return (
-        compare_points(space, outer.lo, inner.lo) != "greater"
-        and compare_points(space, inner.hi, outer.hi) != "greater"
-    )
-
-
 def intervals_overlap_nontrivially(space, a: ClosedInterval, b: ClosedInterval) -> bool:
     """True when the intersection has at least two points: max of the lows
     strictly below min of the highs."""

@@ -347,7 +347,8 @@ def criterion_6(seed=0) -> CriterionResult:
         ordered = sorted(fam, key=lambda f: rn._tag_key(K, f))
         for s in range(20):
             take = rng.randint(1, len(ordered))
-            A = tuple(sorted(rng.sample(ordered, take), key=lambda f: rn._tag_key(K, f)))
+            A = rn.pseudo_metric(sorted(rng.sample(ordered, take),
+                                        key=lambda f: rn._tag_key(K, f)))
             D = rn.dense_set(K, A, levels)
             subsets_run += 1
             for idx, w in enumerate(samples):

@@ -169,6 +169,38 @@ class TestStaged:
         assert union.returncode == 0
         assert out_json(union)["kind"] == "regressive-map"
 
+    def test_cut_gives_the_library_bytes_and_feeds_the_pipeline(self, tmp_path):
+        from ordfrag.ptree import staged_to_json, to_staged, tree_from_json
+        from ordfrag.suite import canonical_bytes
+
+        tree, cut = tmp_path / "tree.json", tmp_path / "cut.json"
+        assert run_cli("tree", "build", "--space", '{"kind":"finite","size":16}',
+                       "--budget", "64", "--out", str(tree)).returncode == 0
+        proc = run_cli("staged", "cut", "--in", str(tree), "--level", "4", "--pool", "0,1,2",
+                       "--no-limit-top", "--out", str(cut))
+        assert proc.returncode == 0, proc.stderr
+        st = to_staged(tree_from_json(json.loads(tree.read_text())), 4, [0, 1, 2],
+                       limit_top=False)
+        assert cut.read_bytes() == canonical_bytes(staged_to_json(st)) + b"\n"
+        levels = tmp_path / "levels.json"
+        assert run_cli("frag", "ln", "--in", str(cut), "--out", str(levels)).returncode == 0
+        proc = run_cli("rn", "check", "--in", str(levels), "--subsets", "2")
+        assert proc.returncode == 0 and out_json(proc)["pairs_checked"] == 120
+
+    @pytest.mark.parametrize("level, pool, message", [
+        ("-1", "0", "natural number"),
+        ("3", "0,3", "strictly below the top level 3"),
+        ("3", "0,x", "--pool takes comma-separated levels"),
+    ], ids=["negative-level", "pool-at-the-top", "pool-not-a-number"])
+    def test_bad_cut_is_exit_2(self, tmp_path, capsys, level, pool, message):
+        tree = tmp_path / "tree.json"
+        assert cli.main(["tree", "build", "--space", SPACE8, "--budget", "20",
+                         "--out", str(tree)]) == 0
+        assert cli.main(["staged", "cut", "--in", str(tree), "--level", level,
+                         "--pool", pool]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ordfrag: error: ") and message in err
+
     def test_partition_refusal_is_machine_readable(self, tmp_path):
         mini = tmp_path / "mini.json"
         run_cli("staged", "gen", "--kind", "miniature", "--depth", "3",
@@ -240,6 +272,29 @@ class TestRn:
         assert ans["z"]
         num, _, den = ans["distance"].partition("/")
         assert int(num) * 4 < int(den or 1)  # d(w, z) < 1/4, exactly
+
+    @pytest.mark.parametrize("where", ["box", "point"])
+    def test_malformed_repeated_text_in_a_bundle_is_exit_2(self, levels_file, tmp_path,
+                                                            capsys, where):
+        bundle = tmp_path / "bundle.json"
+        assert cli.main(["rn", "witness", "--in", str(levels_file), "--out", str(bundle)]) == 0
+        text = bundle.read_text()
+        doc = json.loads(text)
+        if where == "box":
+            # every selection repeats the box string of depth 1
+            assert text.count('"15/16"') > 1
+            text = text.replace('"15/16"', '"15/1x"')
+        else:
+            # the last copy of a point text the document already used
+            last = doc["dense"]["z"][-1]
+            assert text.count(f'"{last["z"]}"') > 1
+            last["z"] += "x"
+            text = json.dumps(doc)
+        bundle.write_text(text)
+        argv = ["rn", "approx", "--in", str(bundle), "--point", "13", "--n", "4"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ordfrag: error: ") and "Traceback" not in err
 
     def test_dense_set_lists_m_sets(self, levels_file):
         proc = run_cli("rn", "dense", "--in", str(levels_file))

@@ -19,6 +19,7 @@ from ordfrag import cli
 DOC_COMMANDS = [
     (["tree", "verify"], "tree"),
     (["tree", "export"], "tree"),
+    (["staged", "cut", "--level", "1", "--pool", "0"], "tree"),
     (["staged", "check-simple"], "staged"),
     (["staged", "construct"], "staged"),  # the operation is drawn separately
     (["staged", "partition"], "staged"),

@@ -407,6 +407,11 @@ class TestSerialization:
         fam2, D2 = rn.witness_bundle_from_json(K, doc)
         assert fam2 == tuple(sorted(fam, key=lambda f: rn._tag_key(K, f)))
         assert D2 == D
+        # the decoded record carries the same index
+        assert [D2.m_upto(n) for n in range(len(levels) + 1)] == \
+            [D.m_upto(n) for n in range(len(levels) + 1)]
+        for f in fam:
+            assert D2.z_for(f.level, f.gap) == D.z_for(f.level, f.gap) is not None
 
     def test_dense_doc_carries_boxes_as_strings(self):
         K = FiniteChain(5)
