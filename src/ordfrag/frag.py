@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import space as sp
 from .errors import DomainError, document_decoder
@@ -36,10 +35,6 @@ __all__ = [
     "fragment_check",
     "WeightReport",
     "weight_bound",
-    "chain_from_partition",
-    "MetricTable",
-    "metric_to_json",
-    "metric_from_json",
     "levels_to_json",
     "levels_from_json",
 ]
@@ -267,79 +262,6 @@ def weight_bound(st: StagedTree) -> WeightReport:
         margin=len(reach) - len(tops),
         hall=hall,
     )
-
-
-def chain_from_partition(st: StagedTree, p: OpenPartition) -> tuple[int, ...]:
-    """Longest chain a partition glues under a top node.
-
-    Each top is pulled down to the lowest node of its cell; tops are
-    grouped by that anchor and the biggest group wins, ties resolved
-    toward the shallowest then smallest anchor. A discrete partition
-    yields a single node.
-    """
-    bad = verify_open_partition(st, p)
-    if bad:
-        raise DomainError("partition rejected: " + "; ".join(bad[:3]))
-    groups: dict[tuple[int, int], list[int]] = {}
-    for a in sorted(st.tops()):
-        anchor = min(p.cell_of(a), key=lambda v: (st.level[v], v))
-        groups.setdefault((st.level[anchor], anchor), []).append(a)
-    if not groups:
-        raise DomainError("the stage has no top nodes")
-    key = sorted(groups, key=lambda k: (-len(groups[k]), k))[0]
-    rep = min(groups[key])
-    return st.branch_segment(rep, key[0])
-
-
-@dataclass(frozen=True)
-class MetricTable:
-    """Symmetric table of exact distances over an explicit point list."""
-
-    points: tuple
-    rows: tuple
-
-    def __post_init__(self):
-        n = len(self.points)
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
-            raise DomainError("distance table must be square over the points")
-        for i in range(n):
-            if self.rows[i][i] != 0:
-                raise DomainError("self-distance must be zero")
-            for j in range(i + 1, n):
-                if self.rows[i][j] != self.rows[j][i]:
-                    raise DomainError("distance table must be symmetric")
-
-    def index(self, K, q) -> int:
-        k = sp.point_key(K, q)
-        for i, pt in enumerate(self.points):
-            if sp.point_key(K, pt) == k:
-                return i
-        raise DomainError(f"point {sp.render_point(K, q)} is not tabulated")
-
-    def metric(self, K):
-        """A two-point callable suitable for fragment_check."""
-
-        def d(u, v):
-            return self.rows[self.index(K, u)][self.index(K, v)]
-
-        return d
-
-
-def metric_to_json(K, mt: MetricTable) -> dict:
-    return {
-        "v": 1,
-        "kind": "metric",
-        "points": [sp.render_point(K, q) for q in mt.points],
-        "d": [[str(Fraction(x)) for x in row] for row in mt.rows],
-    }
-
-
-def metric_from_json(K, doc) -> MetricTable:
-    if not isinstance(doc, dict) or doc.get("kind") != "metric":
-        raise DomainError("not a metric document")
-    pts = tuple(sp.parse_point(K, t) for t in doc["points"])
-    rows = tuple(tuple(Fraction(x) for x in row) for row in doc["d"])
-    return MetricTable(pts, rows)
 
 
 def levels_to_json(K, levels) -> dict:

@@ -80,19 +80,6 @@ def sample_point(seed, space):
     raise DomainError(f"unknown space descriptor {space!r}")
 
 
-def sample_interval(seed, space, min_points=1) -> sp.ClosedInterval:
-    rng = rng_of(seed)
-    for _ in range(200):
-        p, q = sample_point(rng, space), sample_point(rng, space)
-        if sp.compare_points(space, p, q) == "greater":
-            p, q = q, p
-        iv = sp.ClosedInterval(p, q)
-        cnt = sp.point_count(space, iv)
-        if cnt is sp.INFINITE or cnt >= min_points:
-            return iv
-    raise DomainError(f"could not sample an interval with {min_points} points from {space}")
-
-
 # -- staged tree corpora -------------------------------------------------------
 
 from .ptree import StagedTree  # noqa: E402

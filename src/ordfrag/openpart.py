@@ -28,8 +28,6 @@ __all__ = [
     "partition_open",
     "verify_open_partition",
     "rank",
-    "partition_stages",
-    "verify_stage_nesting",
     "partition_to_json",
     "partition_from_json",
 ]
@@ -159,42 +157,6 @@ def rank(st: StagedTree, p: OpenPartition, a: int) -> int:
     if a not in st.parent:
         raise DomainError(f"unknown node {a}")
     return len({p.index_of(v) for v in st.branch_segment(a, 0)})
-
-
-def partition_stages(st: StagedTree, witness: RegressiveMap | None = None) -> list[OpenPartition]:
-    """The level-by-level partition family ending in the open partition.
-
-    Stage n partitions the nodes at levels up to n. Every step below the
-    top adds the new level's nodes as singletons; the top stage is the
-    open partition itself, which glues segments only when the top is a
-    designated limit.
-    """
-    final = partition_open(st, witness)
-    stages = []
-    for n in range(st.top_level):
-        below = [v for v in sorted(st.parent) if st.level[v] <= n]
-        stages.append(OpenPartition(tuple(frozenset((v,)) for v in below)))
-    stages.append(final)
-    return stages
-
-
-def verify_stage_nesting(st: StagedTree, stages: list[OpenPartition]) -> list[str]:
-    problems = []
-    if len(stages) != st.top_level + 1:
-        problems.append(f"expected {st.top_level + 1} stages, got {len(stages)}")
-        return problems
-    for n, stage in enumerate(stages):
-        want = {v for v in st.parent if st.level[v] <= n}
-        got = set().union(*stage.cells) if stage.cells else set()
-        if got != want:
-            problems.append(f"stage {n} does not cover exactly levels 0..{n}")
-    for n in range(len(stages) - 1):
-        where_next = stages[n + 1].as_cell_index()
-        for cell in stages[n].cells:
-            k = where_next.get(min(cell))
-            if k is None or not cell <= stages[n + 1].cells[k]:
-                problems.append(f"stage {n} cell {sorted(cell)} is split later")
-    return problems
 
 
 def partition_to_json(p: OpenPartition) -> dict:

@@ -187,7 +187,7 @@ def parse(text: str) -> Ordinal:
     terms: list[tuple[int, int]] = []
     for chunk in s.split("+"):
         chunk = chunk.strip()
-        if chunk.isdigit():
+        if chunk.isdecimal():
             v = int(chunk)
             if v == 0:
                 raise DomainError("'0' is only valid as the whole ordinal")

@@ -73,12 +73,12 @@ def build_tree(space, budget: int, split=None) -> PartitionTree:
     next_id = 1
     while queue and next_id + 2 <= budget:
         nid, iv, lvl, parent, klo, khi = queue.popleft()
-        cnt = sp._count(space, iv.lo, iv.hi)
+        cnt = space.count(iv.lo, iv.hi)
         if cnt is not sp.INFINITE and cnt <= 2:
             nodes[nid] = TreeNode(nid, iv, lvl, parent)
             continue
         if split is None:
-            w = sp._split_point(space, iv, cnt)
+            w = space.split(iv.lo, iv.hi, cnt)
         else:
             w = split(space, iv)
             sp.validate_point(space, w)
@@ -266,7 +266,7 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
             report("nontrivial", (i,), "interval endpoints out of order")
             cnt = 0
         else:
-            cnt = sp._count(K, n.interval.lo, n.interval.hi)
+            cnt = K.count(n.interval.lo, n.interval.hi)
         if cnt is not sp.INFINITE and cnt < 2:
             report("nontrivial", (i,), f"interval has {cnt} points")
         if cnt == 2 and n.children:
@@ -545,118 +545,6 @@ def _level_overlaps(lo, hi, lvl, log: _PairLog) -> None:
             heapq.heappush(open_, (hi[v], v))
 
 
-def endpoints(tree: PartitionTree) -> list:
-    """All interval endpoints, sorted in the space order."""
-    K = tree.space
-    seen = {}
-    for n in tree.nodes.values():
-        for p in (n.interval.lo, n.interval.hi):
-            seen[sp.point_key(K, p)] = p
-    return [seen[k] for k in sorted(seen)]
-
-
-def find_separating_pair(tree: PartitionTree, u, v):
-    """Two endpoints x < y with u <= x < y <= v.
-
-    Descends to the deepest node containing both points; a two-point
-    node answers outright, otherwise its split point is the left mark
-    and one more descent from the mark finds the right one.
-    """
-    K = tree.space
-    if sp.compare_points(K, u, v) != "less":
-        raise DomainError("need u < v")
-    mark = None
-    cur = u
-    while True:
-        node = tree.nodes[tree.root_id]
-        if not sp.interval_contains_point(K, node.interval, cur) or not sp.interval_contains_point(
-            K, node.interval, v
-        ):
-            raise DomainError("points outside the tree's root interval")
-        while node.children:
-            nxt = None
-            for c in node.children:
-                civ = tree.nodes[c].interval
-                if sp.interval_contains_point(K, civ, cur) and sp.interval_contains_point(K, civ, v):
-                    nxt = tree.nodes[c]
-                    break
-            if nxt is None:
-                break
-            node = nxt
-        cnt = sp.point_count(K, node.interval)
-        if cnt == 2:
-            return (node.interval.lo, node.interval.hi)
-        if not node.children:
-            raise InsufficientMaterialization(
-                f"node {node.id} spans the query but is an unexpanded frontier"
-            )
-        a, b = (tree.nodes[c].interval for c in node.children)
-        w = a.hi if sp.point_key(K, a.lo) < sp.point_key(K, b.lo) else b.hi
-        if mark is not None:
-            return (mark, w)
-        mark = w
-        cur = w
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    ok: bool
-    e_size: int
-    f_size: int
-    g_size: int
-    mins_nondecreasing: bool
-    maxes_nonincreasing: bool
-    union_covers: bool
-    f_ids: tuple[int, ...]
-    g_ids: tuple[int, ...]
-
-
-def chain_order_types(tree: PartitionTree, node_ids) -> ChainReport:
-    """Split a chain of nodes by which endpoint moves.
-
-    E is the whole chain root-down; F collects members whose minimum
-    strictly rose, G those whose maximum strictly fell (both keep the
-    first member). In an admissible tree E = F union G.
-    """
-    K = tree.space
-    ids = list(dict.fromkeys(node_ids))
-    if not ids:
-        raise DomainError("empty chain")
-    for i in ids:
-        if i not in tree.nodes:
-            raise DomainError(f"unknown node {i}")
-    ids.sort(key=lambda i: (tree.nodes[i].level, i))
-    for above, below in zip(ids, ids[1:]):
-        a = tree.nodes[below].parent
-        while a is not None and a != above:
-            a = tree.nodes[a].parent
-        if a != above:
-            raise DomainError(f"nodes {above} and {below} are not comparable")
-
-    seq = [tree.nodes[i] for i in ids]
-    mins_ok = all(
-        sp.compare_points(K, a.interval.lo, b.interval.lo) != "greater"
-        for a, b in zip(seq, seq[1:])
-    )
-    maxes_ok = all(
-        sp.compare_points(K, a.interval.hi, b.interval.hi) != "less"
-        for a, b in zip(seq, seq[1:])
-    )
-    f_ids = [seq[0].id]
-    g_ids = [seq[0].id]
-    for a, b in zip(seq, seq[1:]):
-        if sp.compare_points(K, b.interval.lo, a.interval.lo) == "greater":
-            f_ids.append(b.id)
-        if sp.compare_points(K, b.interval.hi, a.interval.hi) == "less":
-            g_ids.append(b.id)
-    union_covers = set(f_ids) | set(g_ids) == set(ids)
-    ok = mins_ok and maxes_ok and union_covers
-    return ChainReport(
-        ok, len(ids), len(f_ids), len(g_ids), mins_ok, maxes_ok, union_covers,
-        tuple(f_ids), tuple(g_ids),
-    )
-
-
 # -- staged trees -------------------------------------------------------------
 
 
@@ -786,7 +674,7 @@ class StagedTree:
                     raise bad[i][0] or bad[i][1]
                 if lo[i] > hi[i]:
                     raise DomainError(f"payload of {i} out of order")
-                cnt = sp._count(K, self.payload[i].lo, self.payload[i].hi)
+                cnt = K.count(self.payload[i].lo, self.payload[i].hi)
                 if cnt is not sp.INFINITE and cnt < 2:
                     raise DomainError(f"payload of {i} is trivial")
                 p = self.parent[i]
@@ -867,6 +755,8 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
                     )
     if not by_level[0]:
         raise DomainError("tree has no root at level 0")
+    if not by_level[m]:
+        raise DomainError(f"tree has no node at the top level {m}")
 
     fresh: dict[int, int] = {}
     nid = 0

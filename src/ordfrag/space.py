@@ -1,11 +1,20 @@
 """Compact linear orders with explicit, comparable points.
 
-Four descriptor kinds:
+One frozen descriptor class per kind of space:
 
 * FiniteChain(n): points 0..n-1.
 * OrdinalInterval(alpha): points are ordinals 0..alpha inclusive.
 * SplitChain(n): each of n slots doubled into (i,-) < (i,+).
 * OrderSum(parts): concatenation; points are (part_index, inner).
+
+Each descriptor implements the primitives of its kind as methods:
+`validate`, `key`, `minimum`, `maximum`, `adjacency`, `count`, `split`,
+`render`, `parse` and `to_json`. FiniteChain and SplitChain share the
+integer-key arithmetic of a finite chain; a split chain is a labelling
+of the chain of twice its size. Apart from `validate` and `parse`, the
+methods assume valid points. The module functions below are the
+package's interface: they validate what enters and then call the
+methods.
 
 Every space has a minimum and maximum, every point except the maximum
 has an immediate successor, and predecessors are missing only at the
@@ -39,17 +48,117 @@ class _Infinite:
 
 INFINITE = _Infinite()
 
+MINUS, PLUS = 0, 1
+
+
+class _Chain:
+    """A finite chain whose points are labelled by their keys 0..length-1
+    through `key` and its inverse `point_at`."""
+
+    def minimum(self):
+        return self.point_at(0)
+
+    def maximum(self):
+        return self.point_at(self.length - 1)
+
+    def adjacency(self, p):
+        k = self.key(p)
+        pred = self.point_at(k - 1) if k > 0 else None
+        succ = self.point_at(k + 1) if k + 1 < self.length else None
+        return pred, succ
+
+    def count(self, lo, hi):
+        return self.key(hi) - self.key(lo) + 1
+
+    def split(self, lo, hi, cnt):
+        return self.point_at(self.key(lo) + (cnt - 1) // 2)
+
+
+def _is_index(x, n: int) -> bool:
+    """x is a plain int in 0..n-1."""
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+
+
+def _check_size(size, what: str) -> None:
+    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+        raise DomainError(f"{what} size must be a positive int, got {size!r}")
+
 
 @dataclass(frozen=True)
-class FiniteChain:
+class FiniteChain(_Chain):
     size: int
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 1:
-            raise DomainError(f"chain size must be a positive int, got {self.size!r}")
+        _check_size(self.size, "chain")
         if self.labels is not None and len(self.labels) != self.size:
             raise DomainError("labels must match size")
+
+    @property
+    def length(self) -> int:
+        return self.size
+
+    def validate(self, p) -> None:
+        if not _is_index(p, self.size):
+            raise DomainError(f"{p!r} is not a point of {self}")
+
+    def key(self, p):
+        return p
+
+    def point_at(self, k):
+        return k
+
+    def render(self, p) -> str:
+        return str(p)
+
+    def parse(self, text: str):
+        s = text.strip()
+        if not s.isdecimal():
+            raise DomainError(f"bad chain point {text!r}")
+        return int(s)
+
+    def to_json(self) -> dict:
+        d = {"kind": "finite", "size": self.size}
+        if self.labels is not None:
+            d["labels"] = list(self.labels)
+        return d
+
+
+@dataclass(frozen=True)
+class SplitChain(_Chain):
+    size: int
+
+    def __post_init__(self):
+        _check_size(self.size, "split chain")
+
+    @property
+    def length(self) -> int:
+        return 2 * self.size
+
+    def validate(self, p) -> None:
+        if not (isinstance(p, tuple) and len(p) == 2 and _is_index(p[0], self.size) and p[1] in (MINUS, PLUS)):
+            raise DomainError(f"{p!r} is not a point of {self}")
+
+    def key(self, p):
+        return 2 * p[0] + p[1]
+
+    def point_at(self, k):
+        return divmod(k, 2)
+
+    def render(self, p) -> str:
+        return f"({p[0]},{'+' if p[1] == PLUS else '-'})"
+
+    def parse(self, text: str):
+        s = text.strip()
+        if not (s.startswith("(") and s.endswith(")")):
+            raise DomainError(f"bad split point {text!r}")
+        body = s[1:-1].split(",")
+        if len(body) != 2 or not body[0].strip().isdecimal() or body[1].strip() not in ("+", "-"):
+            raise DomainError(f"bad split point {text!r}")
+        return (int(body[0]), PLUS if body[1].strip() == "+" else MINUS)
+
+    def to_json(self) -> dict:
+        return {"kind": "split", "size": self.size}
 
 
 @dataclass(frozen=True)
@@ -60,14 +169,43 @@ class OrdinalInterval:
         if not isinstance(self.alpha, Ordinal):
             raise DomainError(f"alpha must be an Ordinal, got {self.alpha!r}")
 
+    def validate(self, p) -> None:
+        if not isinstance(p, Ordinal) or p > self.alpha:
+            raise DomainError(f"{p!r} is not a point of {self}")
 
-@dataclass(frozen=True)
-class SplitChain:
-    size: int
+    def key(self, p):
+        return p
 
-    def __post_init__(self):
-        if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 1:
-            raise DomainError(f"split chain size must be a positive int, got {self.size!r}")
+    def minimum(self):
+        return ord_.ZERO
+
+    def maximum(self):
+        return self.alpha
+
+    def adjacency(self, p):
+        pred = p.predecessor() if p.kind == "successor" else None
+        succ = ord_.add(p, ord_.ONE) if p < self.alpha else None
+        return pred, succ
+
+    def count(self, lo, hi):
+        gap = ord_.left_subtract(lo, hi)
+        return gap.as_int() + 1 if gap.is_finite() else INFINITE
+
+    def split(self, lo, hi, cnt):
+        for e in range(ord_.degree(hi), -1, -1):
+            w = ord_.add(lo, ord_.omega_power(e))
+            if w < hi:
+                return w
+        raise DomainError("no splitting exponent found")  # unreachable for >= 3 points
+
+    def render(self, p) -> str:
+        return ord_.render(p)
+
+    def parse(self, text: str):
+        return ord_.parse(text.strip())
+
+    def to_json(self) -> dict:
+        return {"kind": "ordinal", "alpha": ord_.render(self.alpha)}
 
 
 @dataclass(frozen=True)
@@ -81,90 +219,117 @@ class OrderSum:
             if not isinstance(p, (FiniteChain, OrdinalInterval, SplitChain, OrderSum)):
                 raise DomainError(f"bad summand {p!r}")
 
+    def validate(self, p) -> None:
+        if not (isinstance(p, tuple) and len(p) == 2 and _is_index(p[0], len(self.parts))):
+            raise DomainError(f"{p!r} is not a point of an order sum with {len(self.parts)} parts")
+        self.parts[p[0]].validate(p[1])
+
+    def key(self, p):
+        return (p[0], self.parts[p[0]].key(p[1]))
+
+    def minimum(self):
+        return (0, self.parts[0].minimum())
+
+    def maximum(self):
+        return (len(self.parts) - 1, self.parts[-1].maximum())
+
+    def adjacency(self, p):
+        idx, inner = p
+        part = self.parts[idx]
+        ipred, isucc = part.adjacency(inner)
+        pred = None if ipred is None else (idx, ipred)
+        if pred is None and idx > 0 and inner == part.minimum():
+            pred = (idx - 1, self.parts[idx - 1].maximum())
+        succ = None if isucc is None else (idx, isucc)
+        if succ is None and idx + 1 < len(self.parts):
+            succ = (idx + 1, self.parts[idx + 1].minimum())
+        return pred, succ
+
+    def _part_counts(self, lo, hi):
+        """(k, number of points of [lo, hi] in part k) for each part
+        from lo's to hi's."""
+        (i, a), (j, b) = lo, hi
+        for k in range(i, j + 1):
+            part = self.parts[k]
+            yield k, part.count(a if k == i else part.minimum(), b if k == j else part.maximum())
+
+    def count(self, lo, hi):
+        total = 0
+        for _, c in self._part_counts(lo, hi):
+            if c is INFINITE:
+                return INFINITE
+            total += c
+        return total
+
+    def split(self, lo, hi, cnt):
+        """A part boundary near the middle: the part holding the lower
+        median point, or the middle part index when counting is
+        impossible."""
+        i, j = lo[0], hi[0]
+        if i == j:
+            return (i, self.parts[i].split(lo[1], hi[1], cnt))
+        if cnt is INFINITE:
+            mid = (i + j) // 2
+        else:
+            seen = 0
+            for mid, c in self._part_counts(lo, hi):
+                seen += c
+                if seen > (cnt - 1) // 2:
+                    break
+        if mid == j:
+            return (j, self.parts[j].minimum())
+        w = (mid, self.parts[mid].maximum())
+        if self.key(w) == self.key(lo):
+            return (mid + 1, self.parts[mid + 1].minimum())
+        return w
+
+    def render(self, p) -> str:
+        return f"part{p[0]}:{self.parts[p[0]].render(p[1])}"
+
+    def parse(self, text: str):
+        s = text.strip()
+        if not s.startswith("part"):
+            raise DomainError(f"bad sum point {text!r}")
+        head, _, rest = s[4:].partition(":")
+        if not head.isdecimal() or not rest:
+            raise DomainError(f"bad sum point {text!r}")
+        idx = int(head)
+        if not 0 <= idx < len(self.parts):
+            raise DomainError(f"part index out of range in {text!r}")
+        return (idx, self.parts[idx].parse(rest))
+
+    def to_json(self) -> dict:
+        return {"kind": "sum", "parts": [p.to_json() for p in self.parts]}
+
 
 SpaceDescriptor = FiniteChain | OrdinalInterval | SplitChain | OrderSum
 
-MINUS, PLUS = 0, 1
-
 
 def validate_point(space, p) -> None:
-    if isinstance(space, FiniteChain):
-        if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < space.size:
-            raise DomainError(f"{p!r} is not a point of {space}")
-    elif isinstance(space, OrdinalInterval):
-        if not isinstance(p, Ordinal) or p > space.alpha:
-            raise DomainError(f"{p!r} is not a point of {space}")
-    elif isinstance(space, SplitChain):
-        ok = (
-            isinstance(p, tuple)
-            and len(p) == 2
-            and isinstance(p[0], int)
-            and not isinstance(p[0], bool)
-            and 0 <= p[0] < space.size
-            and p[1] in (MINUS, PLUS)
-        )
-        if not ok:
-            raise DomainError(f"{p!r} is not a point of {space}")
-    elif isinstance(space, OrderSum):
-        ok = (
-            isinstance(p, tuple)
-            and len(p) == 2
-            and isinstance(p[0], int)
-            and not isinstance(p[0], bool)
-            and 0 <= p[0] < len(space.parts)
-        )
-        if not ok:
-            raise DomainError(f"{p!r} is not a point of an order sum with {len(space.parts)} parts")
-        validate_point(space.parts[p[0]], p[1])
-    else:
-        raise DomainError(f"unknown space descriptor {space!r}")
+    space.validate(p)
 
 
 def point_key(space, p):
     """A sort key implementing the space order. Keys of one space are
     mutually comparable; keys of different spaces are not."""
-    if isinstance(space, FiniteChain):
-        return p
-    if isinstance(space, OrdinalInterval):
-        return p
-    if isinstance(space, SplitChain):
-        return 2 * p[0] + p[1]
-    if isinstance(space, OrderSum):
-        return (p[0], point_key(space.parts[p[0]], p[1]))
-    raise DomainError(f"unknown space descriptor {space!r}")
+    return space.key(p)
 
 
 def compare_points(space, p, q) -> str:
     validate_point(space, p)
     validate_point(space, q)
-    kp, kq = point_key(space, p), point_key(space, q)
+    kp, kq = space.key(p), space.key(q)
     if kp == kq:
         return "equal"
     return "less" if kp < kq else "greater"
 
 
 def minimum(space):
-    if isinstance(space, FiniteChain):
-        return 0
-    if isinstance(space, OrdinalInterval):
-        return ord_.ZERO
-    if isinstance(space, SplitChain):
-        return (0, MINUS)
-    if isinstance(space, OrderSum):
-        return (0, minimum(space.parts[0]))
-    raise DomainError(f"unknown space descriptor {space!r}")
+    return space.minimum()
 
 
 def maximum(space):
-    if isinstance(space, FiniteChain):
-        return space.size - 1
-    if isinstance(space, OrdinalInterval):
-        return space.alpha
-    if isinstance(space, SplitChain):
-        return (space.size - 1, PLUS)
-    if isinstance(space, OrderSum):
-        return (len(space.parts) - 1, maximum(space.parts[-1]))
-    raise DomainError(f"unknown space descriptor {space!r}")
+    return space.maximum()
 
 
 def adjacency(space, p):
@@ -172,37 +337,7 @@ def adjacency(space, p):
     the space order. Successors are missing only at the maximum;
     predecessors also at interior limits of ordinal intervals."""
     validate_point(space, p)
-    if isinstance(space, FiniteChain):
-        pred = p - 1 if p > 0 else None
-        succ = p + 1 if p + 1 < space.size else None
-        return pred, succ
-    if isinstance(space, OrdinalInterval):
-        pred = p.predecessor() if p.kind == "successor" else None
-        succ = ord_.add(p, ord_.ONE) if p < space.alpha else None
-        return pred, succ
-    if isinstance(space, SplitChain):
-        lin = 2 * p[0] + p[1]
-        pred = _split_decode(lin - 1) if lin > 0 else None
-        succ = _split_decode(lin + 1) if lin + 1 < 2 * space.size else None
-        return pred, succ
-    if isinstance(space, OrderSum):
-        idx, inner = p
-        part = space.parts[idx]
-        ipred, isucc = adjacency(part, inner)
-        if inner == minimum(part):
-            pred = (idx - 1, maximum(space.parts[idx - 1])) if idx > 0 else None
-        else:
-            pred = (idx, ipred) if ipred is not None else None
-        if inner == maximum(part):
-            succ = (idx + 1, minimum(space.parts[idx + 1])) if idx + 1 < len(space.parts) else None
-        else:
-            succ = (idx, isucc) if isucc is not None else None
-        return pred, succ
-    raise DomainError(f"unknown space descriptor {space!r}")
-
-
-def _split_decode(lin: int):
-    return (lin // 2, lin % 2)
+    return space.adjacency(p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,59 +355,20 @@ def make_interval(space, lo, hi) -> ClosedInterval:
 
 
 def whole_interval(space) -> ClosedInterval:
-    return ClosedInterval(minimum(space), maximum(space))
-
-
-def interval_contains_point(space, iv: ClosedInterval, p) -> bool:
-    return (
-        compare_points(space, iv.lo, p) != "greater"
-        and compare_points(space, p, iv.hi) != "greater"
-    )
-
-
-def intervals_overlap_nontrivially(space, a: ClosedInterval, b: ClosedInterval) -> bool:
-    """True when the intersection has at least two points: max of the lows
-    strictly below min of the highs."""
-    lo = a.lo if compare_points(space, a.lo, b.lo) != "less" else b.lo
-    hi = a.hi if compare_points(space, a.hi, b.hi) != "greater" else b.hi
-    return compare_points(space, lo, hi) == "less"
+    return ClosedInterval(space.minimum(), space.maximum())
 
 
 def point_count(space, iv: ClosedInterval):
     """Number of points in [lo, hi]; INFINITE when uncountable by walking."""
     validate_point(space, iv.lo)
     validate_point(space, iv.hi)
-    if point_key(space, iv.lo) > point_key(space, iv.hi):
+    if space.key(iv.lo) > space.key(iv.hi):
         raise DomainError("interval endpoints out of order")
-    return _count(space, iv.lo, iv.hi)
-
-
-def _count(space, lo, hi):
-    if isinstance(space, FiniteChain):
-        return hi - lo + 1
-    if isinstance(space, OrdinalInterval):
-        gap = ord_.left_subtract(lo, hi)
-        return gap.as_int() + 1 if gap.is_finite() else INFINITE
-    if isinstance(space, SplitChain):
-        return (2 * hi[0] + hi[1]) - (2 * lo[0] + lo[1]) + 1
-    if isinstance(space, OrderSum):
-        (i, a), (j, b) = lo, hi
-        if i == j:
-            return _count(space.parts[i], a, b)
-        total = 0
-        pieces = [_count(space.parts[i], a, maximum(space.parts[i]))]
-        pieces += [space_size(space.parts[k]) for k in range(i + 1, j)]
-        pieces.append(_count(space.parts[j], minimum(space.parts[j]), b))
-        for c in pieces:
-            if c is INFINITE:
-                return INFINITE
-            total += c
-        return total
-    raise DomainError(f"unknown space descriptor {space!r}")
+    return space.count(iv.lo, iv.hi)
 
 
 def space_size(space):
-    return _count(space, minimum(space), maximum(space))
+    return space.count(space.minimum(), space.maximum())
 
 
 def is_finite_space(space) -> bool:
@@ -288,7 +384,7 @@ def enumerate_interval(space, iv: ClosedInterval) -> list:
     out = [iv.lo]
     p = iv.lo
     for _ in range(n - 1):
-        p = adjacency(space, p)[1]
+        p = space.adjacency(p)[1]
         out.append(p)
     return out
 
@@ -311,7 +407,7 @@ def canonical_split(space, iv: ClosedInterval):
     cnt = point_count(space, iv)
     if cnt is not INFINITE and cnt < 3:
         raise DomainError("need at least three points to split")
-    w = _split_point(space, iv, cnt)
+    w = space.split(iv.lo, iv.hi, cnt)
     if compare_points(space, iv.lo, w) != "less" or compare_points(space, w, iv.hi) != "less":
         raise DomainError(
             f"split point {render_point(space, w)} not strictly inside "
@@ -320,99 +416,18 @@ def canonical_split(space, iv: ClosedInterval):
     return w
 
 
-def _split_point(space, iv, cnt):
-    """`canonical_split` for a valid interval of cnt points, cnt >= 3,
-    without validating or checking the result."""
-    if isinstance(space, FiniteChain):
-        return iv.lo + (cnt - 1) // 2
-    if isinstance(space, SplitChain):
-        lin = 2 * iv.lo[0] + iv.lo[1]
-        return _split_decode(lin + (cnt - 1) // 2)
-    if isinstance(space, OrdinalInterval):
-        for e in range(ord_.degree(iv.hi), -1, -1):
-            w = ord_.add(iv.lo, ord_.omega_power(e))
-            if w < iv.hi:
-                return w
-        raise DomainError("no splitting exponent found")  # unreachable for >= 3 points
-    if isinstance(space, OrderSum):
-        p_lo, p_hi = iv.lo[0], iv.hi[0]
-        if p_lo == p_hi:
-            return (p_lo, _split_point(space.parts[p_lo], ClosedInterval(iv.lo[1], iv.hi[1]), cnt))
-        mid = _median_part(space, iv, cnt, p_lo, p_hi)
-        if mid == p_hi:
-            return (p_hi, minimum(space.parts[p_hi]))
-        w = (mid, maximum(space.parts[mid]))
-        if point_key(space, w) == point_key(space, iv.lo):
-            return (mid + 1, minimum(space.parts[mid + 1]))
-        return w
-    raise DomainError(f"unknown space descriptor {space!r}")
-
-
-def _median_part(space, iv, cnt, p_lo, p_hi) -> int:
-    """Index of the part holding the lower-median point, or the index
-    median when counting is impossible."""
-    if cnt is INFINITE:
-        return (p_lo + p_hi) // 2
-    target = (cnt - 1) // 2
-    seen = 0
-    for k in range(p_lo, p_hi + 1):
-        part = space.parts[k]
-        lo = iv.lo[1] if k == p_lo else minimum(part)
-        hi = iv.hi[1] if k == p_hi else maximum(part)
-        c = _count(part, lo, hi)
-        if c is INFINITE:
-            return (p_lo + p_hi) // 2
-        if seen + c > target:
-            return k
-        seen += c
-    raise DomainError("median location failed")  # unreachable
-
-
 # -- rendering and parsing points -------------------------------------------
 
 
 def render_point(space, p) -> str:
     validate_point(space, p)
-    if isinstance(space, FiniteChain):
-        return str(p)
-    if isinstance(space, OrdinalInterval):
-        return ord_.render(p)
-    if isinstance(space, SplitChain):
-        return f"({p[0]},{'+' if p[1] == PLUS else '-'})"
-    if isinstance(space, OrderSum):
-        return f"part{p[0]}:{render_point(space.parts[p[0]], p[1])}"
-    raise DomainError(f"unknown space descriptor {space!r}")
+    return space.render(p)
 
 
 def parse_point(space, text: str):
     if not isinstance(text, str):
         raise DomainError(f"expected a string, got {text!r}")
-    s = text.strip()
-    if isinstance(space, FiniteChain):
-        if not s.isdigit():
-            raise DomainError(f"bad chain point {text!r}")
-        p = int(s)
-    elif isinstance(space, OrdinalInterval):
-        p = ord_.parse(s)
-    elif isinstance(space, SplitChain):
-        if not (s.startswith("(") and s.endswith(")")):
-            raise DomainError(f"bad split point {text!r}")
-        body = s[1:-1].split(",")
-        if len(body) != 2 or not body[0].strip().isdigit() or body[1].strip() not in ("+", "-"):
-            raise DomainError(f"bad split point {text!r}")
-        p = (int(body[0]), PLUS if body[1].strip() == "+" else MINUS)
-    elif isinstance(space, OrderSum):
-        if not s.startswith("part"):
-            raise DomainError(f"bad sum point {text!r}")
-        head, _, rest = s[4:].partition(":")
-        if not head.isdigit() or not rest:
-            raise DomainError(f"bad sum point {text!r}")
-        idx = int(head)
-        if not 0 <= idx < len(space.parts):
-            raise DomainError(f"part index out of range in {text!r}")
-        p = (idx, parse_point(space.parts[idx], rest))
-    else:
-        raise DomainError(f"unknown space descriptor {space!r}")
+    p = space.parse(text)
     validate_point(space, p)
     return p
 
@@ -421,18 +436,7 @@ def parse_point(space, text: str):
 
 
 def space_to_json(space) -> dict:
-    if isinstance(space, FiniteChain):
-        d = {"kind": "finite", "size": space.size}
-        if space.labels is not None:
-            d["labels"] = list(space.labels)
-        return d
-    if isinstance(space, OrdinalInterval):
-        return {"kind": "ordinal", "alpha": ord_.render(space.alpha)}
-    if isinstance(space, SplitChain):
-        return {"kind": "split", "size": space.size}
-    if isinstance(space, OrderSum):
-        return {"kind": "sum", "parts": [space_to_json(p) for p in space.parts]}
-    raise DomainError(f"unknown space descriptor {space!r}")
+    return space.to_json()
 
 
 @document_decoder

@@ -12,7 +12,6 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import bruteforce as bf
 from . import generators as gen
@@ -32,7 +31,6 @@ from .ordinal import Ordinal, degree, parse
 from .ptree import build_tree, to_staged, verify_admissible
 from .simple import (
     NoRoom,
-    NotSimple,
     NotSimpleError,
     RegressiveMap,
     Simple,

@@ -191,7 +191,8 @@ class TestStaged:
         ("-1", "0", "natural number"),
         ("3", "0,3", "strictly below the top level 3"),
         ("3", "0,x", "--pool takes comma-separated levels"),
-    ], ids=["negative-level", "pool-at-the-top", "pool-not-a-number"])
+        ("30", "0", "tree has no node at the top level 30"),
+    ], ids=["negative-level", "pool-at-the-top", "pool-not-a-number", "below-the-deepest-level"])
     def test_bad_cut_is_exit_2(self, tmp_path, capsys, level, pool, message):
         tree = tmp_path / "tree.json"
         assert cli.main(["tree", "build", "--space", SPACE8, "--budget", "20",

@@ -1,5 +1,6 @@
-"""Arbitrary JSON through `--in`: every subcommand that reads a document
-must answer with exit 0, 1 or 2, and never let an exception escape.
+"""Arbitrary JSON through `--in` and `--space`: every subcommand that
+reads a document or an inline space must answer with exit 0, 1 or 2,
+and never let an exception escape.
 
 Runs `cli.main` in-process, so an escaping exception fails the test
 with its own traceback. Documents are either arbitrary JSON values or
@@ -110,6 +111,36 @@ def test_documents_never_escape_the_triage(documents, capsys, data):
     path = where / "input.json"
     path.write_text(json.dumps(doc))
     code = cli.main([*argv, "--in", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, doc, err)
+    assert "Traceback" not in err
+
+
+# every subcommand that takes an inline --space; `space show` lists every
+# point of a finite space, so generated sizes stay small
+SPACE_COMMANDS = [["space", "show"], ["space", "sample"], ["tree", "build", "--budget", "9"]]
+
+space_leaves = (
+    hst.builds(lambda n: {"kind": "finite", "size": n}, hst.integers(1, 16))
+    | hst.builds(lambda n: {"kind": "finite", "size": n, "labels": [f"x{i}" for i in range(n)]},
+                 hst.integers(1, 4))
+    | hst.builds(lambda a: {"kind": "ordinal", "alpha": a},
+                 hst.sampled_from(["0", "3", "w", "w*2+1", "w^2", "w^3*2+w+3"]))
+    | hst.builds(lambda n: {"kind": "split", "size": n}, hst.integers(1, 8))
+)
+space_docs = hst.recursive(
+    space_leaves,
+    lambda kids: hst.lists(kids, min_size=1, max_size=3).map(lambda ps: {"kind": "sum", "parts": ps}),
+    max_leaves=6,
+)
+
+
+@given(data=hst.data())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_inline_spaces_never_escape_the_triage(capsys, data):
+    argv = data.draw(hst.sampled_from(SPACE_COMMANDS))
+    doc = data.draw(space_docs | space_docs.flatmap(near_misses) | json_values)
+    code = cli.main([*argv, f"--space={json.dumps(doc)}"])  # "=": the JSON may start with "-"
     err = capsys.readouterr().err
     assert code in (0, 1, 2), (argv, doc, err)
     assert "Traceback" not in err

@@ -8,16 +8,12 @@ from ordfrag import generators as gen
 from ordfrag import space as sp
 from ordfrag.errors import DomainError
 from ordfrag.frag import (
-    MetricTable,
     cb_degree,
-    chain_from_partition,
     delta_pairs,
     fragment_check,
     levels_from_json,
     levels_to_json,
     ln_decomposition,
-    metric_from_json,
-    metric_to_json,
     shift_derivative,
     verify_decomposition,
     verify_delta_identity,
@@ -231,68 +227,6 @@ class TestWeightBound:
             rep = weight_bound(st)
             if rep.simple:
                 assert rep.margin >= 0, seed
-
-
-class TestChainFromPartition:
-    def test_comb_segment_is_extracted(self):
-        st = gen.gen_comb(5, teeth=3, room=3)
-        p = partition_open(st)
-        seg = chain_from_partition(st, p)
-        t = min(st.pool)
-        assert [st.level[v] for v in seg] == list(range(t + 1, st.top_level + 1))
-        assert seg[-1] in st.tops()
-        anchors = {min(p.cell_of(y), key=lambda v: (st.level[v], v)) for y in st.tops()}
-        assert seg[0] == min(anchors)
-
-    def test_discrete_partition_gives_one_node(self):
-        st, p = chain_stage(8, m=2)
-        seg = chain_from_partition(st, p)
-        assert len(seg) == 1 and seg[0] in st.tops()
-
-    def test_partition_is_checked_first(self):
-        st = gen.gen_comb(1)
-        with pytest.raises(DomainError, match="partition rejected"):
-            chain_from_partition(st, OpenPartition((frozenset((0,)),)))
-
-
-class TestMetricTable:
-    def table(self):
-        half = Fraction(1, 2)
-        rows = (
-            (Fraction(0), half, Fraction(1)),
-            (half, Fraction(0), half),
-            (Fraction(1), half, Fraction(0)),
-        )
-        return MetricTable((0, 2, 4), rows)
-
-    def test_lookup_and_fragmenting(self):
-        K = FiniteChain(5)
-        mt = self.table()
-        d = mt.metric(K)
-        assert d(0, 4) == 1 and d(4, 0) == 1 and d(2, 2) == 0
-        w = fragment_check(K, mt.points, d, Fraction(3, 4))
-        assert w.inside == (0,)
-
-    def test_json_round_trip(self):
-        K = FiniteChain(5)
-        mt = self.table()
-        doc = metric_to_json(K, mt)
-        assert doc["d"][0][1] == "1/2"
-        back = metric_from_json(K, doc)
-        assert back == mt
-        with pytest.raises(DomainError):
-            metric_from_json(K, {"kind": "other"})
-
-    def test_shape_validation(self):
-        with pytest.raises(DomainError, match="square"):
-            MetricTable((0, 1), ((Fraction(0),),))
-        with pytest.raises(DomainError, match="symmetric"):
-            MetricTable((0, 1), ((Fraction(0), Fraction(1)), (Fraction(2), Fraction(0))))
-        with pytest.raises(DomainError, match="zero"):
-            MetricTable((0, 1), ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))))
-        K = FiniteChain(5)
-        with pytest.raises(DomainError, match="not tabulated"):
-            self.table().index(K, 3)
 
 
 class TestLevelsJson:

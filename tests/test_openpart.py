@@ -12,11 +12,9 @@ from ordfrag.openpart import (
     OpenPartition,
     partition_from_json,
     partition_open,
-    partition_stages,
     partition_to_json,
     rank,
     verify_open_partition,
-    verify_stage_nesting,
 )
 from ordfrag.ptree import staged_to_dot
 from ordfrag.simple import RegressiveMap, disjoint_intervals, verify_hall_violator
@@ -88,6 +86,19 @@ class TestPartitionOpen:
     def test_seeded_combs_verify(self, seed):
         st = gen.gen_comb(seed)
         assert verify_open_partition(st, partition_open(st)) == []
+
+    def test_cell_relation_is_an_equivalence(self):
+        st = comb(seed=2, teeth=4, room=2)
+        assert len(st.nodes()) <= 60
+        p = partition_open(st)
+        nodes = st.nodes()
+        same = {(a, b) for a in nodes for b in nodes if p.index_of(a) == p.index_of(b)}
+        assert all((a, a) in same for a in nodes)
+        assert all((b, a) in same for a, b in same)
+        for a, b in same:
+            for c in nodes:
+                if (b, c) in same:
+                    assert (a, c) in same
 
 
 class TestRefusalSoundness:
@@ -233,48 +244,6 @@ class TestRank:
         st = comb()
         with pytest.raises(DomainError):
             rank(st, partition_open(st), 10_000)
-
-
-class TestStages:
-    def test_family_shape_on_a_comb(self):
-        st = comb()
-        stages = partition_stages(st)
-        assert len(stages) == st.top_level + 1
-        assert verify_stage_nesting(st, stages) == []
-        for n, stage in enumerate(stages[:-1]):
-            assert all(len(c) == 1 for c in stage.cells)
-            assert {min(c) for c in stage.cells} == {
-                v for v in st.nodes() if st.level[v] <= n
-            }
-        assert stages[-1] == partition_open(st)
-
-    def test_nesting_catches_tampering(self):
-        st = comb()
-        stages = partition_stages(st)
-        swapped = [stages[-1] if n == 0 else s for n, s in enumerate(stages)]
-        assert any("does not cover" in msg for msg in verify_stage_nesting(st, swapped))
-        wrong_len = stages[:-1]
-        assert verify_stage_nesting(st, wrong_len)
-        # splitting the final glue must be reported, not crash
-        discrete = OpenPartition(tuple(frozenset((v,)) for v in sorted(st.nodes())))
-        split_tail = stages[:-1] + [discrete]
-        assert verify_stage_nesting(st, split_tail) == []  # singletons still nest
-        shrunk = [OpenPartition(s.cells[:-1]) if n == len(stages) - 1 else s for n, s in enumerate(stages)]
-        out = verify_stage_nesting(st, shrunk)
-        assert any("split later" in msg or "does not cover" in msg for msg in out)
-
-    def test_cell_relation_is_an_equivalence(self):
-        st = comb(seed=2, teeth=4, room=2)
-        assert len(st.nodes()) <= 60
-        p = partition_stages(st)[-1]
-        nodes = st.nodes()
-        same = {(a, b) for a in nodes for b in nodes if p.index_of(a) == p.index_of(b)}
-        assert all((a, a) in same for a in nodes)
-        assert all((b, a) in same for a, b in same)
-        for a, b in same:
-            for c in nodes:
-                if (b, c) in same:
-                    assert (a, c) in same
 
 
 class TestExport:

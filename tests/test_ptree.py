@@ -18,9 +18,6 @@ from ordfrag.ptree import (
     StagedTree,
     TreeNode,
     build_tree,
-    chain_order_types,
-    endpoints,
-    find_separating_pair,
     make_tree,
     staged_from_json,
     staged_to_dot,
@@ -37,9 +34,6 @@ from ordfrag.space import (
     OrderSum,
     OrdinalInterval,
     SplitChain,
-    compare_points,
-    interval_contains_point,
-    point_key,
     render_point,
 )
 
@@ -314,90 +308,6 @@ class TestVerifyMemory:
         assert peak < 64 * 2**20
 
 
-class TestEndpoints:
-    def test_omega_two_levels(self):
-        t = build_tree(OrdinalInterval(W), 5)
-        K = t.space
-        assert [render_point(K, p) for p in endpoints(t)] == ["0", "1", "2", "w"]
-
-    def test_sorted_unique(self):
-        t = build_tree(FiniteChain(16), 1000)
-        pts = endpoints(t)
-        keys = [point_key(t.space, p) for p in pts]
-        assert keys == sorted(set(keys))
-
-
-class TestSeparatingPair:
-    def test_omega_inside_budget(self):
-        t = build_tree(OrdinalInterval(W), 20)
-        K = t.space
-        x, y = find_separating_pair(t, from_int(3), W)
-        assert compare_points(K, from_int(3), x) != "greater"
-        assert compare_points(K, x, y) == "less"
-        assert compare_points(K, y, W) != "greater"
-        eps = {point_key(K, p) for p in endpoints(t)}
-        assert point_key(K, x) in eps and point_key(K, y) in eps
-
-    def test_insufficient_materialization(self):
-        t = build_tree(OrdinalInterval(W2), 3)
-        with pytest.raises(InsufficientMaterialization):
-            find_separating_pair(t, parse("w+1"), parse("w*3"))
-
-    def test_exhaustive_postcondition_finite(self):
-        t = build_tree(FiniteChain(16), 1000)
-        K = t.space
-        eps = {point_key(K, p) for p in endpoints(t)}
-        for u in range(16):
-            for v in range(u + 1, 16):
-                x, y = find_separating_pair(t, u, v)
-                assert u <= x < y <= v
-                assert point_key(K, x) in eps and point_key(K, y) in eps
-
-    def test_requires_order(self):
-        t = build_tree(FiniteChain(4), 100)
-        with pytest.raises(DomainError):
-            find_separating_pair(t, 2, 2)
-
-
-class TestChainOrderTypes:
-    def test_right_combs_grow_mins(self):
-        t = build_tree(OrdinalInterval(W), 7)
-        # chain [0,w] > [1,w] > [2,w]
-        ids = [
-            n.id
-            for n in t.nodes.values()
-            if render_point(t.space, n.interval.hi) == "w"
-        ]
-        rep = chain_order_types(t, ids)
-        assert rep.ok
-        assert rep.e_size == 4 and rep.f_size == 4 and rep.g_size == 1
-
-    def test_mixed_chain(self):
-        t = build_tree(FiniteChain(8), 1000)
-        # walk a root-to-leaf branch, alternating sides
-        path = [t.root_id]
-        node = t.nodes[t.root_id]
-        side = 0
-        while node.children:
-            node = t.nodes[node.children[side]]
-            path.append(node.id)
-            side = 1 - side
-        rep = chain_order_types(t, path)
-        assert rep.ok
-        assert set(rep.f_ids) | set(rep.g_ids) == set(path)
-
-    def test_non_chain_rejected(self):
-        t = build_tree(FiniteChain(8), 1000)
-        kids = t.nodes[t.root_id].children
-        with pytest.raises(DomainError):
-            chain_order_types(t, [kids[0], kids[1]])
-
-    def test_duplicates_collapse(self):
-        t = build_tree(FiniteChain(4), 100)
-        rep = chain_order_types(t, [t.root_id, t.root_id])
-        assert rep.e_size == 1
-
-
 class TestStaging:
     def test_finite_chain_stage(self):
         t = build_tree(FiniteChain(8), 100)
@@ -431,6 +341,15 @@ class TestStaging:
         with pytest.raises(DomainError) as err:
             to_staged(PartitionTree(t.space, nodes, t.root_id), m, set(range(m)))
         assert str(err.value) == f"parent {node.parent} of node {node.id} lies outside the cut at level {m}"
+
+    def test_top_level_without_nodes_is_refused(self):
+        t = build_tree(FiniteChain(16), 64)
+        deepest = max(n.level for n in t.nodes.values()).as_int()
+        assert len(to_staged(t, deepest, {0}).tops()) > 0
+        for m in (deepest + 1, 30):
+            with pytest.raises(DomainError) as err:
+                to_staged(t, m, {0})
+            assert str(err.value) == f"tree has no node at the top level {m}"
 
     def test_unexpanded_frontier_blocks_staging(self):
         t = build_tree(OrdinalInterval(W), 5)

@@ -281,7 +281,7 @@ def test_each_endpoint_is_validated_once(monkeypatch, kind, split):
         return validate(space, p)
 
     monkeypatch.setattr(sp, "validate_point", counting)
-    rule = None if split is None else (lambda space, iv: sp._split_point(space, iv, sp._count(space, iv.lo, iv.hi)))
+    rule = None if split is None else (lambda space, iv: space.split(iv.lo, iv.hi, space.count(iv.lo, iv.hi)))
     tree = build_tree(K, 301, split=rule)
     assert verify_admissible(tree).ok
     n = len(tree.nodes)

@@ -25,7 +25,6 @@ from ordfrag.space import (
     enumerate_points,
     interval_from_json,
     interval_to_json,
-    intervals_overlap_nontrivially,
     is_finite_space,
     make_interval,
     maximum,
@@ -51,6 +50,19 @@ SMALL_SPACES = [
     OrderSum((FiniteChain(3), SplitChain(2), FiniteChain(1))),
     OrderSum((OrderSum((FiniteChain(2), FiniteChain(2))), FiniteChain(3))),
 ]
+
+
+def sample_interval(rng, space, min_points=1) -> ClosedInterval:
+    """A random interval of the space with at least `min_points` points."""
+    for _ in range(200):
+        p, q = gen.sample_point(rng, space), gen.sample_point(rng, space)
+        if compare_points(space, p, q) == "greater":
+            p, q = q, p
+        iv = ClosedInterval(p, q)
+        cnt = point_count(space, iv)
+        if cnt is INFINITE or cnt >= min_points:
+            return iv
+    raise DomainError(f"could not sample an interval with {min_points} points from {space}")
 
 
 def test_descriptor_validation():
@@ -174,7 +186,7 @@ class TestCounting:
     def test_enumerate_matches_count(self):
         rng = random.Random(31)
         for K in SMALL_SPACES:
-            iv = gen.sample_interval(rng, K)
+            iv = sample_interval(rng, K)
             pts = enumerate_interval(K, iv)
             assert len(pts) == point_count(K, iv)
 
@@ -182,26 +194,6 @@ class TestCounting:
         K = OrdinalInterval(W)
         with pytest.raises(DomainError):
             enumerate_interval(K, whole_interval(K))
-
-
-class TestOverlap:
-    def test_nontrivial_iff_two_points(self):
-        rng = random.Random(8899)
-        for K in SMALL_SPACES:
-            pts = enumerate_points(K)
-            for _ in range(60):
-                a = gen.sample_interval(rng, K)
-                b = gen.sample_interval(rng, K)
-                common = [
-                    p
-                    for p in pts
-                    if all(
-                        compare_points(K, iv.lo, p) != "greater"
-                        and compare_points(K, p, iv.hi) != "greater"
-                        for iv in (a, b)
-                    )
-                ]
-                assert intervals_overlap_nontrivially(K, a, b) == (len(common) >= 2)
 
 
 class TestCanonicalSplit:
@@ -234,7 +226,7 @@ class TestCanonicalSplit:
         for _ in range(2_000):
             K = rng.choice(menu)
             try:
-                iv = gen.sample_interval(rng, K, min_points=3)
+                iv = sample_interval(rng, K, min_points=3)
             except DomainError:
                 continue  # one-point space
             w = canonical_split(K, iv)
@@ -283,6 +275,18 @@ class TestRendering:
             K = gen.sample_space(rng)
             p = gen.sample_point(rng, K)
             assert parse_point(K, render_point(K, p)) == p
+
+    @pytest.mark.parametrize("K, text", [
+        (FiniteChain(3), "\u00b2"),
+        (SplitChain(2), "(\u00b2,+)"),
+        (OrderSum((FiniteChain(2),)), "part\u00b2:0"),
+        (OrdinalInterval(W), "\u00b2"),
+        (OrdinalInterval(W2), "w+\u00b2"),
+    ])
+    def test_digits_int_cannot_read_are_bad_points(self, K, text):
+        # "\u00b2" (superscript two) passes str.isdigit but not int()
+        with pytest.raises(DomainError):
+            parse_point(K, text)
 
     def test_reject_bad_points(self):
         with pytest.raises(DomainError):
