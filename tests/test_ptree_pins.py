@@ -8,12 +8,13 @@ exceptions raised for endpoints outside the space.
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from ordfrag import space as sp
 from ordfrag.errors import DomainError
-from ordfrag.ordinal import ZERO, from_int, parse
+from ordfrag.ordinal import ZERO, add, from_int, parse
 from ordfrag.ptree import StagedTree, build_tree, make_tree, to_staged, tree_to_json, verify_admissible
 from ordfrag.space import ClosedInterval, FiniteChain, OrderSum, OrdinalInterval, SplitChain
 
@@ -270,7 +271,9 @@ def test_bad_split_callbacks_raise_pinned_errors(split, finite, ordinal):
 def test_each_endpoint_is_validated_once(monkeypatch, kind, split):
     """Building and verifying an n-node tree validates at most 2n points
     of its space plus a constant: one per endpoint in the verifier, and
-    none in the builder unless a split callback returns the point."""
+    none in the builder unless a split callback returns the point. The
+    verifier alone makes at least 2n calls, so it cannot validate
+    endpoints without going through `sp.validate_point`."""
     K = SPACES[kind]
     calls = []
     validate = sp.validate_point
@@ -283,8 +286,180 @@ def test_each_endpoint_is_validated_once(monkeypatch, kind, split):
     monkeypatch.setattr(sp, "validate_point", counting)
     rule = None if split is None else (lambda space, iv: space.split(iv.lo, iv.hi, space.count(iv.lo, iv.hi)))
     tree = build_tree(K, 301, split=rule)
+    built = len(calls)
     assert verify_admissible(tree).ok
     n = len(tree.nodes)
     assert n == 301
     expanded = sum(1 for node in tree.nodes.values() if node.children)
     assert len(calls) <= 2 * n + (expanded if split else 0) + 8
+    assert len(calls) - built >= 2 * n
+
+
+# -- seeded mutants ------------------------------------------------------------
+
+MUTANT_SPACES = {
+    "finite": FiniteChain(23),
+    "split": SplitChain(11),
+    "ordinal": OrdinalInterval(parse("w^2*2+w+3")),
+    "sum": OrderSum((FiniteChain(4), OrdinalInterval(parse("w^2+1")), SplitChain(3))),
+}
+LIMITS = (W, parse("w+1"), parse("w*2"), parse("w^2"), parse("w^2+w"))
+MUTANT_KINDS = ("level-step", "binary-split", "linkage", "root", "swap", "whole", "equal",
+                "one-point", "reversed", "limit-level", "level-shift", "limit-subtree", "limit-meet")
+MUTANTS_PER_CASE = 8
+
+
+def _depths(rows, root):
+    """Depth of each row reachable from `root` through parent links."""
+    kids = {}
+    for i, r in rows.items():
+        kids.setdefault(r[4], []).append(i)
+    depth, todo = {root: 0}, [root]
+    while todo:
+        i = todo.pop()
+        for c in kids.get(i, ()):
+            if c not in depth:
+                depth[c] = depth[i] + 1
+                todo.append(c)
+    return depth, kids
+
+
+def _mutate(rng, rows, root, kind):
+    """Apply one mutation in place, as `mutated_trees` in test_ptree does,
+    plus `level-shift` (every non-root level up by one, so the root's
+    children miss level 1), `limit-subtree` (a limit level L on a node
+    at depth 2 or more, and L + k on its descendants k levels down) and
+    `limit-meet` (a limit node at depth 2 or more under a parent widened
+    to the whole space, given its grandparent's interval or the whole
+    space: the meet of all its ancestors differs from its parent's)."""
+    ids = sorted(rows)
+    a, b = rng.choice(ids), rng.choice(ids)
+    parent = rows[a][4]
+    if kind == "level-step" and parent is not None:
+        rows[a][3] = add(rows[parent][3], from_int(2))
+    elif kind == "binary-split" and parent is not None:
+        rows[a][2] = rows[parent][2]
+    elif kind == "linkage":
+        rows[a][4] = b
+    elif kind == "root":
+        rows[a][3] = ZERO
+    elif kind == "swap":
+        rows[a][1:3], rows[b][1:3] = rows[b][1:3], rows[a][1:3]
+    elif kind == "whole":
+        rows[a][1:3] = rows[root][1:3]
+    elif kind == "equal":
+        rows[b][1:3] = rows[a][1:3]
+    elif kind == "one-point":
+        rows[a][2] = rows[a][1]
+    elif kind == "reversed":
+        rows[a][1], rows[a][2] = rows[a][2], rows[a][1]
+    elif kind == "limit-level":
+        rows[a][3] = rng.choice(LIMITS)
+    elif kind == "level-shift":
+        for i, r in rows.items():
+            if r[4] is not None:
+                r[3] = add(r[3], ONE)
+    elif kind == "limit-subtree":
+        depth, kids = _depths(rows, root)
+        deep = sorted(i for i, d in depth.items() if d >= 2) or sorted(depth)
+        top = rng.choice(deep)
+        limit = rng.choice(LIMITS[::2])
+        todo = [(top, 0)]
+        while todo:
+            i, k = todo.pop()
+            rows[i][3] = add(limit, from_int(k))
+            todo.extend((c, k + 1) for c in kids.get(i, ()) if depth.get(c) == depth[i] + 1)
+    elif kind == "limit-meet":
+        depth, _ = _depths(rows, root)
+        deep = sorted(i for i, d in depth.items() if d >= 2)
+        if deep:
+            v = rng.choice(deep)
+            u = rows[v][4]
+            rows[u][1:3] = rows[root][1:3]
+            rows[v][1:3] = rows[rows[u][4]][1:3] if rng.random() < 0.5 else rows[root][1:3]
+            rows[v][3] = rng.choice(LIMITS[::2])
+
+
+def seeded_mutants(space_name, kind):
+    """MUTANTS_PER_CASE built trees, each with the named mutation (twice
+    for limit-subtree, so limits sit under limits) and up to two more
+    drawn from every kind."""
+    K = MUTANT_SPACES[space_name]
+    for seed in range(MUTANTS_PER_CASE):
+        rng = random.Random(f"{space_name}:{kind}:{seed}")
+        tree = build_tree(K, rng.randint(3, 61))
+        rows = {i: [i, n.interval.lo, n.interval.hi, n.level, n.parent] for i, n in tree.nodes.items()}
+        kinds = [kind] * (2 if kind == "limit-subtree" else 1)
+        kinds += [rng.choice(MUTANT_KINDS) for _ in range(rng.randint(0, 2))]
+        for k in kinds:
+            _mutate(rng, rows, tree.root_id, k)
+        yield make_tree(K, [tuple(r) for r in rows.values()], tree.budget)
+
+
+def verdict_digest(v) -> str:
+    """sha256 of a whole verdict: ok, the violations in order and the
+    counts in order."""
+    whole = (v.ok, [(x.clause, x.nodes, x.detail) for x in v.violations], list(v.counts.items()))
+    return hashlib.sha256(repr(whole).encode()).hexdigest()
+
+
+MUTANT_DIGESTS = {
+    ('finite', 'binary-split'): "392bda6cc20ebc1050e03736d7f4e61105bf891bb189da9fc602914175c0e5fd",
+    ('finite', 'equal'): "1fb7e2c3c02f80cef251f6397f4fff89020bcc9a7fd1d27db5457dc99be44e74",
+    ('finite', 'level-shift'): "fbf39c9a5609a628fad3bb0b65e561b7c52858499e2584f104a0f14584acff2c",
+    ('finite', 'level-step'): "e024084ede5e27a5b8de4dcf3b0d0a5dba9c447c3ba099e32a4fd8ad19108c7d",
+    ('finite', 'limit-level'): "9103429d4558c6035787a7bf7fe2077a5bb80262a673647abfeed82e86757d8f",
+    ('finite', 'limit-meet'): "ef15c0bc2388a33ef37b5a690fb0ed2235ddb52503522266f80cc026eb61efe4",
+    ('finite', 'limit-subtree'): "fca30e8dc3c0c82e115355e180dc971baaf8751112aa8519e9dc0c24a26497fe",
+    ('finite', 'linkage'): "d77e4612c0ad30f3b631f3ebc20530292b29d62e27cd8492968796a2b803bda4",
+    ('finite', 'one-point'): "b40ce7f79046ee155a316200cbb2296741e0448b32b8d7588633a70ba368b30c",
+    ('finite', 'reversed'): "1dbabe0c0e78574ebe9a97a5c87756bd5b16ea3f1c3c0bd1440a2f9432d2e747",
+    ('finite', 'root'): "6ba8692ffc86c2c5bc113dcbf7bba22ebe6a9e2b02dcde30c61f43c481c13e59",
+    ('finite', 'swap'): "82c4b7ae5436ed3c46e3097ca14b954b588ddba08a5acee3ac495ecfb1610213",
+    ('finite', 'whole'): "4b6e4867e76fb764894591c43978f77489d154d062e5afc9e8a548f5a34b4f40",
+    ('ordinal', 'binary-split'): "0351288166ae9773ad725d5f3048f31246cea71932cf83ccc8451d87cd413fd1",
+    ('ordinal', 'equal'): "cc7e4b26977ed7ab00da6ec4b7fa42ed72a83f452c54fcc4ef14bc48d88d1d86",
+    ('ordinal', 'level-shift'): "6eb01f0eb35a7bb41d13f1b60cf9fd95152d59197c99a85cc77e7a4d02a81dff",
+    ('ordinal', 'level-step'): "c6fa15df4b2d3c7a44f183749c9a04fe14145b5ba1b72853a638e2afc6148012",
+    ('ordinal', 'limit-level'): "edd021ca5bf9137aa8cca25d3c60a7edb932dc6dca8541cc430279dc51e5bb98",
+    ('ordinal', 'limit-meet'): "690553539c7eb2610e75c2993f36c67794e531c866b090f3d3070eed6c6630c8",
+    ('ordinal', 'limit-subtree'): "538cb018e88c066104b0e4d37aaa23835faa0d587a611a1d8f6e003959bf7f9f",
+    ('ordinal', 'linkage'): "ed199fcfbea7ff1b045b2ba0a0b347cb0f792b5d13baa979f7d82bdb7f8de183",
+    ('ordinal', 'one-point'): "14de3f3a692f4d76c33808f66575aa7cd59e55d5a982707b8fea9ce7aaaf7938",
+    ('ordinal', 'reversed'): "a9b414d4c6e325e7aa2353681cc0610a26b4bfe0512864107b553d3096264f72",
+    ('ordinal', 'root'): "971b676acdc5b729fc99806f24ad7dff0dc92baedb6ecf87d8c6b44ba0f5382f",
+    ('ordinal', 'swap'): "087eaec84b61a0f54ff98c949b509c1c25de63f2df8cb439d9227fca1ecead97",
+    ('ordinal', 'whole'): "580dbb3bf59f1000d4511d8bd1ae02f9620aa8886bddeefca770e22d4b73598b",
+    ('split', 'binary-split'): "8312980790dfd447a622c77846eb5dfa2941bd07780900c8e747d3d6fb896f48",
+    ('split', 'equal'): "06e9599da579672abea2bc6cb7b343718c810abcb9c1f0280bf66f07b37e6c0c",
+    ('split', 'level-shift'): "7f8adb56fc1d1228ae545c6a9255f995d48b5f3192602b489d0b53b4336fb582",
+    ('split', 'level-step'): "6787a46d9eb068f9515b294d88dc665e7a23dcba3253027076a6623529f2a24e",
+    ('split', 'limit-level'): "539c228a7fde24114896d9ec15e1fd125ebe315d6f85e9e157ee163eedbdd625",
+    ('split', 'limit-meet'): "0876959d298c39a046f250e5634bfb46177b354159894b780dcdf32fe9c2e3cb",
+    ('split', 'limit-subtree'): "28d54aaa3c72d7e8ce4a1c1d8b827636b639b8a8f486c42387e5ab31b9322dae",
+    ('split', 'linkage'): "f360f4c76c7521b12bd58dee5db8daecceccd60543d5a1452823b4d466a17535",
+    ('split', 'one-point'): "41ab6ac1cdbf198d9d920800ac4bfb92c8007343e55a29970eb87ac23fd8758c",
+    ('split', 'reversed'): "c163a8848e8f88e6644689943ca7917f7560c0dd8806cb75bef3804bf9d36e86",
+    ('split', 'root'): "895690624818239e13a34d009fdb00911ab7c6d94418cba90448d7f73d7f045f",
+    ('split', 'swap'): "8d2a611709246af2f55dd4a836460b70bcc6b35d2db021104a065e50c62748e3",
+    ('split', 'whole'): "3137f1c68d701791c42ba1e30af89786ac30874e62bcd02ce85815ffe28666fc",
+    ('sum', 'binary-split'): "3186b69c4873c57791d5be73da2d35edbd89a74253ddf2dd4420739b7e86efc4",
+    ('sum', 'equal'): "7d55a0d1a5542826389b3ce1831d22effe9a3300489c64a1e52cc71d8043023b",
+    ('sum', 'level-shift'): "0093c979ed098e394a17c342cb32dd24fce4e21dfbc5b0d43c16e2e7c1a720d6",
+    ('sum', 'level-step'): "f4be78d7bfeff4903fcd7cb6dc3183bd27aeab715125e0892b1e0be2329414ef",
+    ('sum', 'limit-level'): "7fb40676664f4a621494d1df5fb5d09ded1eb789e03988fffb73123e57e48195",
+    ('sum', 'limit-meet'): "7cb0a57df896e09ee47ae7a679d2ecb74e079a8a1148e1c970ada9af9d3fdcff",
+    ('sum', 'limit-subtree'): "9065be824720af9c045ea660c11c7cd73ec79419c9695e48694369ee17657fb9",
+    ('sum', 'linkage'): "7ad7e7342f3d3829186e023bbc3b713cbe1e423f05be0012c6a8ecc263028e49",
+    ('sum', 'one-point'): "c666b7192427b493fc5875f842e3e4360530ee7632ba48ed964f76d672e297b7",
+    ('sum', 'reversed'): "524ee23c754bcfabc21ea63bfed57a735d4a7ddd381002d373929097f683bafb",
+    ('sum', 'root'): "a0d9640a83a1cb3d067c6bd3a20b5c13992ac398d6af2380817fb83af7e3236c",
+    ('sum', 'swap'): "8991ac8a9a48b8e7c0cbbe5949dba005d9c2c9f2487b824f1af4ac7e7a145b27",
+    ('sum', 'whole'): "7b49da50b5ed45252f19062e36822a88ff01ba1401dcc93402d6a006aaa5d47c",
+}
+
+
+@pytest.mark.parametrize("space_name, kind", sorted(MUTANT_DIGESTS))
+def test_seeded_mutant_verdicts_are_pinned(space_name, kind):
+    got = [verdict_digest(verify_admissible(t)) for t in seeded_mutants(space_name, kind)]
+    assert hashlib.sha256(" ".join(got).encode()).hexdigest() == MUTANT_DIGESTS[space_name, kind]
