@@ -2,10 +2,10 @@
 
 These are the slow, obviously-correct counterparts of the constructions
 in `simple` and `openpart`, of the pairwise clauses of
-`ptree.verify_admissible`, and of the indexed pseudo-metric and
-separation sweep of `rnwit`. Tests and the acceptance suite compare fast
-answers against them on small instances; nothing here may call the fast
-paths.
+`ptree.verify_admissible`, of the indexed pseudo-metric and separation
+sweep of `rnwit`, and of the point count of an ordinal interval. Tests
+and the acceptance suite compare fast answers against them on small
+instances; nothing here may call the fast paths.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import itertools
 from fractions import Fraction
 
 from . import space as sp
+from .errors import DomainError
+from .ordinal import Ordinal
 from .ptree import _PAIR_REPORT_CAP, PAIR_CLAUSES, PartitionTree, StagedTree, Verdict, check_tree
 
 
@@ -48,6 +50,24 @@ def dense_pair_clauses(lo, hi, lvl, par, tin, tout) -> dict:
             if overlap and not (anc_rc or anc_cr):
                 hit("comparability", r, c)
     return {clause: tuple(entry) for clause, entry in found.items()}
+
+
+def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
+    """The unique g with a + g = b, for a <= b: `OrdinalInterval.count`
+    of [a, b] is g + 1 when g is finite."""
+    if a > b:
+        raise DomainError(f"cannot left-subtract {a} from smaller {b}")
+    k = 0
+    while k < len(a.terms) and k < len(b.terms) and a.terms[k] == b.terms[k]:
+        k += 1
+    if k == len(a.terms):
+        return Ordinal(b.terms[k:])
+    ea, ca = a.terms[k]
+    eb, cb = b.terms[k]
+    # first difference: b's term must dominate, else a > b was caught above
+    if ea == eb and cb > ca:
+        return Ordinal(((ea, cb - ca),) + b.terms[k + 1 :])
+    return Ordinal(b.terms[k:])
 
 
 def _pool_ancestors(st: StagedTree, x: int) -> list[int]:

@@ -23,7 +23,7 @@ from . import generators as gen
 from . import rnwit as rn
 from . import space as sp
 from . import suite as acceptance
-from .errors import InternalInconsistency, NoRoom, NoSubsequence, NotSimpleError, OrdfragError
+from .errors import InternalInconsistency, NoRoom, NoSubsequence, NotSimpleError, OrdfragError, RangeError
 from .frag import (
     delta_pairs,
     fragment_check,
@@ -35,6 +35,7 @@ from .frag import (
 )
 from .openpart import partition_open, partition_to_json, verify_open_partition
 from .ptree import (
+    NODE_CAP,
     build_tree,
     staged_from_json,
     staged_to_dot,
@@ -154,15 +155,19 @@ def _seeded_pairs(K, pts, seed, count):
 
 def cmd_space_show(args) -> int:
     K = _space_of(args)
+    size = sp.space_size(K)
+    finite = size is not sp.INFINITE
+    if finite and size > NODE_CAP:
+        raise RangeError(f"space show lists every point: {size} points exceed the cap {NODE_CAP}")
     doc = {
         "v": 1,
         "kind": "space-summary",
         "space": sp.space_to_json(K),
-        "finite": sp.is_finite_space(K),
+        "finite": finite,
         "min": sp.render_point(K, sp.minimum(K)),
         "max": sp.render_point(K, sp.maximum(K)),
     }
-    if sp.is_finite_space(K):
+    if finite:
         pts = sp.enumerate_points(K)
         doc["points"] = [sp.render_point(K, p) for p in pts]
         doc["size"] = len(pts)

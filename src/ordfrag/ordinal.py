@@ -6,8 +6,10 @@ as a tuple of (exponent, coefficient) pairs. The empty tuple is zero.
 
 Only what the order spaces need is provided: comparison, (non-
 commutative) addition, successor/limit classification, fundamental
-sequences for limits, the leading exponent, and left subtraction for
-interval counting. Multiplication and exponentiation stay out.
+sequences for limits and the leading exponent. Ordinal intervals count
+and split their points on the term tuples themselves; left subtraction,
+the oracle for that count, lives in `bruteforce`. Multiplication and
+exponentiation stay out.
 """
 
 from __future__ import annotations
@@ -100,10 +102,6 @@ def from_int(n: int) -> Ordinal:
     return ZERO if n == 0 else Ordinal(((0, n),))
 
 
-def omega_power(e: int, coeff: int = 1) -> Ordinal:
-    return Ordinal(((e, coeff),))
-
-
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal sum a + b.
 
@@ -145,27 +143,6 @@ def fundamental_sequence(a: Ordinal, i: int) -> Ordinal:
     if i == 0:
         return Ordinal(prefix)
     return Ordinal(prefix + ((e - 1, i),))
-
-
-def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
-    """The unique g with a + g = b, for a <= b.
-
-    Used for counting points of ordinal intervals; not part of the
-    public arithmetic surface.
-    """
-    if a > b:
-        raise DomainError(f"cannot left-subtract {a} from smaller {b}")
-    k = 0
-    while k < len(a.terms) and k < len(b.terms) and a.terms[k] == b.terms[k]:
-        k += 1
-    if k == len(a.terms):
-        return Ordinal(b.terms[k:])
-    ea, ca = a.terms[k]
-    eb, cb = b.terms[k]
-    # first difference: b's term must dominate, else a > b was caught above
-    if ea == eb and cb > ca:
-        return Ordinal(((ea, cb - ca),) + b.terms[k + 1 :])
-    return Ordinal(b.terms[k:])
 
 
 _TERM = re.compile(r"^w(?:\^(\d+))?(?:\*(\d+))?$")

@@ -214,112 +214,115 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
     if broken:
         return Verdict(False, tuple(violations), counts)
 
+    # levels by rank, keyed by their term tuples: rank order is the
+    # ordinal order. Per distinct level, whether it is a limit and the
+    # rank of level + 1 (-1 when no node has it).
+    row = [nodes[i] for i in ids]
+    pos = {i: p for p, i in enumerate(ids)}
+    lvl_keys = sorted({n.level.terms: n.level for n in row}.values())
+    lvl_rank = {l.terms: r for r, l in enumerate(lvl_keys)}
+    lvl = [lvl_rank[n.level.terms] for n in row]
+    limit = [l.kind == "limit" for l in lvl_keys]
+    step = [lvl_rank.get(ord_.add(l, ord_.ONE).terms, -1) for l in lvl_keys]
+    zero = lvl_rank.get(ord_.ZERO.terms, -1)
+    par = [-1 if n.parent is None else pos[n.parent] for n in row]
+
     root = roots[0]
-    if nodes[root].level != ord_.ZERO:
-        report("root", (root,), f"root level is {nodes[root].level}, not 0")
-    if nodes[root].interval != sp.whole_interval(K):
+    rp = pos[root]
+    if lvl[rp] != zero:
+        report("root", (root,), f"root level is {row[rp].level}, not 0")
+    if row[rp].interval != sp.whole_interval(K):
         report("root", (root,), "root interval is not the whole space")
-    for i in ids:
-        if i != root and nodes[i].level == ord_.ZERO:
+    for p, i in enumerate(ids):
+        if lvl[p] == zero and p != rp:
             report("root", (i,), "non-root node at level 0")
 
     # reachability (cycles would hide below a fake root)
-    tin: dict[int, int] = {}
-    tout: dict[int, int] = {}
+    tin = [-1] * len(ids)
+    tout = [-1] * len(ids)
     clock = 0
-    stack: list[tuple[int, bool]] = [(root, False)]
+    stack = [rp]  # a position to enter, or ~position to leave
     while stack:
-        i, done = stack.pop()
-        if done:
-            tout[i] = clock
+        p = stack.pop()
+        if p < 0:
+            tout[~p] = clock
             clock += 1
             continue
-        if i in tin:  # listed twice among its parent's children
+        if tin[p] >= 0:  # listed twice among its parent's children
             continue
-        tin[i] = clock
+        tin[p] = clock
         clock += 1
-        stack.append((i, True))
-        for c in sorted(nodes[i].children, reverse=True):
-            stack.append((c, False))
-    unreachable = [i for i in ids if i not in tin]
+        stack.append(~p)
+        for c in sorted(row[p].children, reverse=True):
+            stack.append(pos[c])
+    unreachable = [i for p, i in enumerate(ids) if tin[p] < 0]
     if unreachable:
         report("linkage", tuple(unreachable[:8]), f"{len(unreachable)} nodes unreachable from root")
         return Verdict(False, tuple(violations), counts)
 
-    # one validation and one key per endpoint; every later step reads
-    # these. An endpoint outside the space keeps its key while that key
-    # orders with the others, so the verdict can rank it; otherwise its
-    # DomainError is raised here.
-    ivs = [nodes[i].interval for i in ids]
+    # one validation and one key per endpoint, and the keys' ranks, which
+    # every later step reads. An endpoint outside the space keeps its key
+    # while that key orders with the others, so the verdict can rank it;
+    # otherwise its DomainError is raised here.
+    ivs = [n.interval for n in row]
     bad = [_invalid(K, iv.lo) or _invalid(K, iv.hi) for iv in ivs]
     try:
         klo = [sp.point_key(K, iv.lo) for iv in ivs]
         khi = [sp.point_key(K, iv.hi) for iv in ivs]
         rank = {k: r for r, k in enumerate(sorted(set(klo) | set(khi)))}
-    except (LookupError, TypeError):
+    except (AttributeError, LookupError, TypeError):
         raise next(err for err in bad if err) from None
-    pos = {i: p for p, i in enumerate(ids)}
-    succ: dict[Ordinal, Ordinal] = {}  # level -> level + 1, once per level
-    for p, i in enumerate(ids):
-        n = nodes[i]
-        if bad[p] or klo[p] > khi[p]:
+    lo = [rank[k] for k in klo]
+    hi = [rank[k] for k in khi]
+    del klo, khi, rank
+    for p, (i, n) in enumerate(zip(ids, row)):
+        kids = n.children
+        if bad[p] or lo[p] > hi[p]:
             report("nontrivial", (i,), "interval endpoints out of order")
             cnt = 0
         else:
             cnt = K.count(n.interval.lo, n.interval.hi)
         if cnt is not sp.INFINITE and cnt < 2:
             report("nontrivial", (i,), f"interval has {cnt} points")
-        if cnt == 2 and n.children:
+        if cnt == 2 and kids:
             report("two-point-leaf", (i,), "two-point interval has children")
-        if len(n.children) == 1:
+        if len(kids) == 1:
             report("binary-split", (i,), "exactly one child")
-        if len(n.children) > 2:
-            report("binary-split", (i,), f"{len(n.children)} children")
-        if len(n.children) == 2:
-            a, b = (pos[c] for c in n.children)
-            if klo[a] > klo[b]:
+        elif len(kids) > 2:
+            report("binary-split", (i,), f"{len(kids)} children")
+        elif kids:
+            a, b = pos[kids[0]], pos[kids[1]]
+            if lo[a] > lo[b]:
                 a, b = b, a
-            if klo[a] == klo[p] and khi[a] == klo[b] and khi[b] == khi[p]:
+            if lo[a] == lo[p] and hi[a] == lo[b] and hi[b] == hi[p]:
                 # an invalid child endpoint is an error here, not a verdict
-                shape_ok = _ordered(bad[a], klo[a], khi[a]) and _ordered(bad[b], klo[b], khi[b])
+                shape_ok = _ordered(bad[a], lo[a], hi[a]) and _ordered(bad[b], lo[b], hi[b])
             else:
                 shape_ok = False
             if not shape_ok:
                 report("binary-split", (i, ids[a], ids[b]), "children do not split at a single interior point")
-        if n.parent is not None:
-            plvl = nodes[n.parent].level
-            if n.level.kind == "limit":
-                if not n.level > plvl:
-                    report("level-step", (i,), f"limit level {n.level} not above parent level {plvl}")
-            else:
-                if plvl not in succ:
-                    succ[plvl] = ord_.add(plvl, ord_.ONE)
-                if n.level != succ[plvl]:
-                    report("level-step", (i,), f"level {n.level} is not parent level {plvl} + 1")
-        if n.level.kind == "limit":
-            lo_best, hi_best = None, None
-            a = n.parent
-            while a is not None:
-                if lo_best is None or klo[pos[a]] > lo_best:
-                    lo_best = klo[pos[a]]
-                if hi_best is None or khi[pos[a]] < hi_best:
-                    hi_best = khi[pos[a]]
-                a = nodes[a].parent
-            if lo_best is not None and (lo_best != klo[p] or hi_best != khi[p]):
+        q = par[p]
+        if q < 0:
+            continue
+        r = lvl[p]
+        if limit[r]:
+            if not r > lvl[q]:
+                report("level-step", (i,), f"limit level {n.level} not above parent level {row[q].level}")
+            lo_best, hi_best = lo[q], hi[q]
+            while q >= 0:
+                lo_best, hi_best = max(lo_best, lo[q]), min(hi_best, hi[q])
+                q = par[q]
+            if lo_best != lo[p] or hi_best != hi[p]:
                 report(
                     "limit-intersection",
                     (i,),
                     "limit-level interval differs from the intersection of its ancestors",
                 )
+        elif r != step[lvl[q]]:
+            report("level-step", (i,), f"level {n.level} is not parent level {row[q].level} + 1")
 
     # pairwise clauses on endpoint ranks
-    lo = [rank[k] for k in klo]
-    hi = [rank[k] for k in khi]
-    lvl_keys = sorted({nodes[i].level for i in ids})
-    lvl_rank = {l: r for r, l in enumerate(lvl_keys)}
-    lvl = [lvl_rank[nodes[i].level] for i in ids]
-    par = [-1 if nodes[i].parent is None else pos[nodes[i].parent] for i in ids]
-    found = pairwise(lo, hi, lvl, par, [tin[i] for i in ids], [tout[i] for i in ids])
+    found = pairwise(lo, hi, lvl, par, tin, tout)
     for clause, detail in PAIR_CLAUSES.items():
         count, first = found[clause]
         if count:

@@ -170,11 +170,12 @@ class OrdinalInterval:
             raise DomainError(f"alpha must be an Ordinal, got {self.alpha!r}")
 
     def validate(self, p) -> None:
-        if not isinstance(p, Ordinal) or p > self.alpha:
+        if not isinstance(p, Ordinal) or p.terms > self.alpha.terms:
             raise DomainError(f"{p!r} is not a point of {self}")
 
     def key(self, p):
-        return p
+        # term tuples order as the ordinals do, and hash and compare in C
+        return p.terms
 
     def minimum(self):
         return ord_.ZERO
@@ -188,14 +189,34 @@ class OrdinalInterval:
         return pred, succ
 
     def count(self, lo, hi):
-        gap = ord_.left_subtract(lo, hi)
-        return gap.as_int() + 1 if gap.is_finite() else INFINITE
+        """g + 1 for the gap g with lo + g = hi, read off the terms: past
+        their common prefix, g is finite only when hi's next term is its
+        finite part, and then g is that coefficient less lo's."""
+        a, b = lo.terms, hi.terms
+        if a > b:
+            raise DomainError(f"cannot left-subtract {lo} from smaller {hi}")
+        k = 0
+        while k < len(a) and a[k] == b[k]:
+            k += 1
+        if k == len(b):  # lo == hi
+            return 1
+        e, c = b[k]
+        if e:
+            return INFINITE
+        return c - (a[k][1] if k < len(a) else 0) + 1
 
     def split(self, lo, hi, cnt):
-        for e in range(ord_.degree(hi), -1, -1):
-            w = ord_.add(lo, ord_.omega_power(e))
-            if w < hi:
-                return w
+        """lo + w^e for the largest e that stays below hi, on term tuples:
+        lo's terms above e, then w^e with lo's coefficient at e plus one."""
+        a, b = lo.terms, hi.terms
+        k = 0
+        for e in range(b[0][0] if b else 0, -1, -1):
+            while k < len(a) and a[k][0] > e:
+                k += 1
+            c = a[k][1] + 1 if k < len(a) and a[k][0] == e else 1
+            w = a[:k] + ((e, c),)
+            if w < b:
+                return Ordinal(w)
         raise DomainError("no splitting exponent found")  # unreachable for >= 3 points
 
     def render(self, p) -> str:
@@ -254,6 +275,8 @@ class OrderSum:
             yield k, part.count(a if k == i else part.minimum(), b if k == j else part.maximum())
 
     def count(self, lo, hi):
+        if lo[0] == hi[0]:
+            return self.parts[lo[0]].count(lo[1], hi[1])
         total = 0
         for _, c in self._part_counts(lo, hi):
             if c is INFINITE:

@@ -3,8 +3,9 @@
 Everything here shells out for real: the exit-code triage and the
 byte-level output contract are part of the interface. The exceptions
 call `cli.main` in-process: one replaces a command with one that fails,
-and the others check that the parser built once per process dispatches
-every subcommand by name and gives the console's bytes. The heavyweight
+some time a refusal that a subprocess's start-up would blur, and the
+others check that the parser built once per process dispatches every
+subcommand by name and gives the console's bytes. The heavyweight
 suite command is exercised in test_acceptance instead.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -74,6 +76,19 @@ class TestSpace:
         assert a.stdout == b.stdout
         c = run_cli("space", "sample", "--space", SPACE8, "--seed", "10")
         assert c.stdout != a.stdout
+
+    @pytest.mark.parametrize("space", [
+        '{"kind":"finite","size":100000000}',
+        '{"kind":"sum","parts":[{"kind":"finite","size":100000000},{"kind":"finite","size":100000000}]}',
+    ], ids=["finite", "sum"])
+    def test_show_refuses_more_points_than_the_cap(self, capsys, space):
+        start = time.perf_counter()
+        assert cli.main(["space", "show", "--space", space]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ordfrag: error: space show lists every point: ")
+        assert "Traceback" not in captured.err
 
     def test_bad_space_json_is_exit_2(self):
         proc = run_cli("space", "show", "--space", '{"kind":')

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordfrag.bruteforce import left_subtract
 from ordfrag.errors import DomainError, RangeError
 from ordfrag.ordinal import (
     EXPONENT_BOUND,
@@ -22,11 +23,10 @@ from ordfrag.ordinal import (
     degree,
     from_int,
     fundamental_sequence,
-    left_subtract,
-    omega_power,
     parse,
     render,
 )
+from ordfrag.space import INFINITE, OrdinalInterval
 
 
 def absorb_sum(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -83,9 +83,9 @@ class TestConstruction:
             Ordinal(((-1, 2),))
 
     def test_exponent_bound_enforced(self):
-        omega_power(EXPONENT_BOUND)  # at the bound: fine
+        Ordinal(((EXPONENT_BOUND, 1),))  # at the bound: fine
         with pytest.raises(RangeError):
-            omega_power(EXPONENT_BOUND + 1)
+            Ordinal(((EXPONENT_BOUND + 1, 1),))
         with pytest.raises(RangeError):
             parse("w^9")
 
@@ -245,6 +245,57 @@ class TestLeftSubtract:
     def test_total_on_ordered_pairs(self, a, b):
         lo, hi = (a, b) if a <= b else (b, a)
         assert add(lo, left_subtract(lo, hi)) == hi
+
+
+def exponent_scan(lo, hi):
+    """The split point as ordinal arithmetic: lo + w^e for the largest e
+    with lo + w^e < hi, or None."""
+    for e in range(degree(hi), -1, -1):
+        w = add(lo, Ordinal(((e, 1),)))
+        if w < hi:
+            return w
+    return None
+
+
+class TestIntervalTermsAgainstArithmetic:
+    """`OrdinalInterval.count` and `split` read the CNF term tuples;
+    these hold them to left subtraction and the exponent scan below w^4."""
+
+    K = OrdinalInterval(parse("w^4"))
+
+    @given(ordinals(max_exp=3), ordinals(max_exp=3))
+    @settings(max_examples=400)
+    def test_count_matches_left_subtract(self, a, b):
+        if a > b:
+            with pytest.raises(DomainError) as want:
+                left_subtract(a, b)
+            with pytest.raises(DomainError) as got:
+                self.K.count(a, b)
+            assert str(got.value) == str(want.value)
+        else:
+            g = left_subtract(a, b)
+            assert self.K.count(a, b) == (g.as_int() + 1 if g.is_finite() else INFINITE)
+
+    @given(ordinals(max_exp=3))
+    def test_count_of_equal_endpoints(self, a):
+        assert self.K.count(a, a) == 1 == left_subtract(a, a).as_int() + 1
+
+    @given(ordinals(max_exp=3), ordinals(max_exp=3))
+    @settings(max_examples=400)
+    def test_split_matches_exponent_scan(self, a, b):
+        lo, hi = (a, b) if a <= b else (b, a)
+        try:
+            got = self.K.split(lo, hi, self.K.count(lo, hi))
+        except DomainError:
+            got = None
+        assert got == exponent_scan(lo, hi)
+
+    def test_pinned(self):
+        assert self.K.count(parse("w+3"), parse("w+5")) == 3
+        assert self.K.count(parse("w"), parse("w+5")) == 6
+        assert self.K.count(from_int(2), OMEGA) is INFINITE
+        assert self.K.split(parse("w^2+w*3+1"), parse("w^3"), INFINITE) == parse("w^2*2")
+        assert self.K.split(parse("w+1"), parse("w+4"), 4) == parse("w+2")
 
 
 class TestParseRender:
