@@ -24,9 +24,11 @@ def dense_verify_admissible(tree: PartitionTree) -> Verdict:
     return check_tree(tree, dense_pair_clauses)
 
 
-def dense_pair_clauses(lo, hi, lvl, par, tin, tout) -> dict:
+def dense_pair_clauses(lo, hi, lvl, par, times) -> dict:
     """The pairwise clauses of `ptree.check_tree` over all n(n-1)/2 pairs,
-    in position order: O(n^2) time."""
+    in position order: O(n^2) time. Ancestry is read off the DFS times,
+    so the tree is always walked, admissible or not."""
+    tin, tout = times()
     found = {clause: [0, []] for clause in PAIR_CLAUSES}
 
     def hit(clause, r, c):

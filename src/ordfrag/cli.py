@@ -630,11 +630,23 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# flags that count work to do; 0 or fewer would make a check vacuous
+_COUNT_FLAGS = ("samples", "subsets")
+
+
+def _check_counts(args) -> None:
+    for flag in _COUNT_FLAGS:
+        value = getattr(args, flag, None)
+        if value is not None and not 1 <= value <= NODE_CAP:
+            raise CliError(f"--{flag} must lie in 1..{NODE_CAP}, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # looked up at call time, so a replaced handler is the one that runs
     handler = globals()[f"cmd_{args.group}_{args.cmd.replace('-', '_')}"]
     try:
+        _check_counts(args)
         return handler(args)
     except NotSimpleError as err:
         _emit({

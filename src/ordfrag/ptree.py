@@ -28,13 +28,30 @@ from .space import ClosedInterval
 NODE_CAP = 200_000
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TreeNode:
+    """One node of a partition tree. The explicit `__init__` fills the
+    slots through their descriptors, as `ClosedInterval`'s does."""
+
     id: int
     interval: ClosedInterval
     level: Ordinal
     parent: int | None
     children: tuple[int, ...] = ()
+
+    def __init__(self, id, interval, level, parent, children=()):
+        _set_id(self, id)
+        _set_interval(self, interval)
+        _set_level(self, level)
+        _set_parent(self, parent)
+        _set_children(self, children)
+
+
+_set_id = TreeNode.id.__set__
+_set_interval = TreeNode.interval.__set__
+_set_level = TreeNode.level.__set__
+_set_parent = TreeNode.parent.__set__
+_set_children = TreeNode.children.__set__
 
 
 @dataclass(frozen=True)
@@ -67,7 +84,7 @@ def build_tree(space, budget: int, split=None) -> PartitionTree:
 
     whole = sp.whole_interval(space)
     # (id, interval, level, parent, key of lo, key of hi)
-    queue = deque([(0, whole, ord_.ZERO, None, sp.point_key(space, whole.lo), sp.point_key(space, whole.hi))])
+    queue = deque([(0, whole, ord_.ZERO, None, space.key(whole.lo), space.key(whole.hi))])
     nodes: dict[int, TreeNode] = {}
     level, succ = None, None
     next_id = 1
@@ -82,7 +99,7 @@ def build_tree(space, budget: int, split=None) -> PartitionTree:
         else:
             w = split(space, iv)
             sp.validate_point(space, w)
-        kw = sp.point_key(space, w)
+        kw = space.key(w)
         if not klo < kw < khi:
             raise DomainError(f"split callback returned {sp.render_point(space, w)}, not strictly inside")
         if lvl is not level:  # breadth-first: levels arrive in runs
@@ -171,12 +188,18 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
 def check_tree(tree: PartitionTree, pairwise) -> Verdict:
     """`verify_admissible` with the pairwise clauses left to `pairwise`.
 
-    `pairwise(lo, hi, lvl, par, tin, tout)` gets one entry per node, in
-    sorted id order: endpoint and level ranks, the parent's position
-    (-1 at the root) and the DFS entry and exit times. It returns, per
-    name in PAIR_CLAUSES, the number of violating unordered pairs and
-    the first _PAIR_REPORT_CAP of them as position pairs (r, c), r < c,
-    in increasing order.
+    `pairwise(lo, hi, lvl, par, times)` gets one entry per node, in
+    sorted id order: endpoint and level ranks and the parent's position
+    (-1 at the root). `times()` returns the DFS entry and exit times
+    (tin, tout), walking the tree on its first call only. It returns,
+    per name in PAIR_CLAUSES, the number of violating unordered pairs
+    and the first _PAIR_REPORT_CAP of them as position pairs (r, c),
+    r < c, in increasing order.
+
+    The walk also decides reachability, so it runs up front only when
+    some non-root node's level is not above its parent's. Otherwise,
+    with the links mirrored and one root, parent steps lower the level
+    and so end at the root: no node can be cut off.
     """
     violations: list[Violation] = []
     counts: dict[str, int] = {}
@@ -194,20 +217,22 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
         return Verdict(False, tuple(violations), counts)
 
     # linkage first; later passes assume a coherent parent structure
+    row = [nodes[i] for i in ids]
     broken = False
-    for i in ids:
-        n = nodes[i]
-        if n.parent is not None and n.parent not in nodes:
-            report("linkage", (i,), f"parent {n.parent} missing")
+    for i, n in zip(ids, row):
+        q = n.parent
+        missing = q is not None and q not in nodes
+        if missing:
+            report("linkage", (i,), f"parent {q} missing")
             broken = True
         for c in n.children:
             if c not in nodes or nodes[c].parent != i:
                 report("linkage", (i, c), "child link not mirrored")
                 broken = True
-        if n.parent is not None and i not in nodes[n.parent].children:
+        if q is not None and not missing and i not in nodes[q].children:
             report("linkage", (i,), "not listed among parent's children")
             broken = True
-    roots = [i for i in ids if nodes[i].parent is None]
+    roots = [i for i, n in zip(ids, row) if n.parent is None]
     if len(roots) != 1:
         report("root", tuple(roots), f"expected exactly one root, found {len(roots)}")
         broken = True
@@ -217,8 +242,7 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
     # levels by rank, keyed by their term tuples: rank order is the
     # ordinal order. Per distinct level, whether it is a limit and the
     # rank of level + 1 (-1 when no node has it).
-    row = [nodes[i] for i in ids]
-    pos = {i: p for p, i in enumerate(ids)}
+    pos = _positions(ids, row)
     lvl_keys = sorted({n.level.terms: n.level for n in row}.values())
     lvl_rank = {l.terms: r for r, l in enumerate(lvl_keys)}
     lvl = [lvl_rank[n.level.terms] for n in row]
@@ -233,42 +257,45 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
         report("root", (root,), f"root level is {row[rp].level}, not 0")
     if row[rp].interval != sp.whole_interval(K):
         report("root", (root,), "root interval is not the whole space")
-    for p, i in enumerate(ids):
-        if lvl[p] == zero and p != rp:
-            report("root", (i,), "non-root node at level 0")
+    if lvl.count(zero) > (lvl[rp] == zero):
+        for p, i in enumerate(ids):
+            if lvl[p] == zero and p != rp:
+                report("root", (i,), "non-root node at level 0")
+
+    walked = None
+
+    def times():
+        nonlocal walked
+        if walked is None:
+            walked = _walk(row, pos, rp)
+        return walked
 
     # reachability (cycles would hide below a fake root)
-    tin = [-1] * len(ids)
-    tout = [-1] * len(ids)
-    clock = 0
-    stack = [rp]  # a position to enter, or ~position to leave
-    while stack:
-        p = stack.pop()
-        if p < 0:
-            tout[~p] = clock
-            clock += 1
-            continue
-        if tin[p] >= 0:  # listed twice among its parent's children
-            continue
-        tin[p] = clock
-        clock += 1
-        stack.append(~p)
-        for c in sorted(row[p].children, reverse=True):
-            stack.append(pos[c])
-    unreachable = [i for p, i in enumerate(ids) if tin[p] < 0]
-    if unreachable:
-        report("linkage", tuple(unreachable[:8]), f"{len(unreachable)} nodes unreachable from root")
-        return Verdict(False, tuple(violations), counts)
+    if not all(q < 0 or lvl[q] < r for q, r in zip(par, lvl)):
+        tin, _ = times()
+        unreachable = [i for p, i in enumerate(ids) if tin[p] < 0]
+        if unreachable:
+            report("linkage", tuple(unreachable[:8]), f"{len(unreachable)} nodes unreachable from root")
+            return Verdict(False, tuple(violations), counts)
 
     # one validation and one key per endpoint, and the keys' ranks, which
-    # every later step reads. An endpoint outside the space keeps its key
-    # while that key orders with the others, so the verdict can rank it;
-    # otherwise its DomainError is raised here.
+    # every later step reads; an invalid low end leaves its high end
+    # unvalidated. An endpoint outside the space keeps its key while that
+    # key orders with the others, so the verdict can rank it; otherwise
+    # its DomainError is raised here.
     ivs = [n.interval for n in row]
-    bad = [_invalid(K, iv.lo) or _invalid(K, iv.hi) for iv in ivs]
+    bad: list[DomainError | None] = [None] * len(ivs)
+    validate = sp.validate_point
+    for p, iv in enumerate(ivs):
+        try:
+            validate(K, iv.lo)
+            validate(K, iv.hi)
+        except DomainError as err:
+            bad[p] = err
+    key = K.key
     try:
-        klo = [sp.point_key(K, iv.lo) for iv in ivs]
-        khi = [sp.point_key(K, iv.hi) for iv in ivs]
+        klo = [key(iv.lo) for iv in ivs]
+        khi = [key(iv.hi) for iv in ivs]
         rank = {k: r for r, k in enumerate(sorted(set(klo) | set(khi)))}
     except (AttributeError, LookupError, TypeError):
         raise next(err for err in bad if err) from None
@@ -277,20 +304,16 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
     del klo, khi, rank
     for p, (i, n) in enumerate(zip(ids, row)):
         kids = n.children
+        # distinct valid endpoints span at least two points; only a node
+        # with children needs to know whether exactly two
         if bad[p] or lo[p] > hi[p]:
             report("nontrivial", (i,), "interval endpoints out of order")
-            cnt = 0
-        else:
-            cnt = K.count(n.interval.lo, n.interval.hi)
-        if cnt is not sp.INFINITE and cnt < 2:
-            report("nontrivial", (i,), f"interval has {cnt} points")
-        if cnt == 2 and kids:
+            report("nontrivial", (i,), "interval has 0 points")
+        elif lo[p] == hi[p]:
+            report("nontrivial", (i,), "interval has 1 points")
+        elif kids and K.count(n.interval.lo, n.interval.hi) == 2:
             report("two-point-leaf", (i,), "two-point interval has children")
-        if len(kids) == 1:
-            report("binary-split", (i,), "exactly one child")
-        elif len(kids) > 2:
-            report("binary-split", (i,), f"{len(kids)} children")
-        elif kids:
+        if len(kids) == 2:
             a, b = pos[kids[0]], pos[kids[1]]
             if lo[a] > lo[b]:
                 a, b = b, a
@@ -301,6 +324,8 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
                 shape_ok = False
             if not shape_ok:
                 report("binary-split", (i, ids[a], ids[b]), "children do not split at a single interior point")
+        elif kids:
+            report("binary-split", (i,), "exactly one child" if len(kids) == 1 else f"{len(kids)} children")
         q = par[p]
         if q < 0:
             continue
@@ -322,7 +347,7 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
             report("level-step", (i,), f"level {n.level} is not parent level {row[q].level} + 1")
 
     # pairwise clauses on endpoint ranks
-    found = pairwise(lo, hi, lvl, par, tin, tout)
+    found = pairwise(lo, hi, lvl, par, times)
     for clause, detail in PAIR_CLAUSES.items():
         count, first = found[clause]
         if count:
@@ -330,6 +355,43 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
             violations.extend(Violation(clause, (ids[r], ids[c]), detail) for r, c in first)
 
     return Verdict(not violations and not counts, tuple(violations), counts)
+
+
+def _positions(ids, row):
+    """The map from node id to position: range(n) itself when the ids,
+    parents and children are exactly the ints 0..n-1, as in every built
+    tree, and a dict otherwise (an id such as 1.0 equals 1 but cannot
+    index a range)."""
+    n = len(ids)
+    if (ids[0] == 0 and ids[-1] == n - 1
+            and {type(i) for i in ids}
+            | {type(x.parent) for x in row}
+            | {type(c) for x in row for c in x.children} <= {int, type(None)}):
+        return range(n)
+    return {i: p for p, i in enumerate(ids)}
+
+
+def _walk(row, pos, root):
+    """DFS entry and exit times (tin, tout) by position from the root's
+    position, children in id order; -1 for a node the walk misses."""
+    tin = [-1] * len(row)
+    tout = [-1] * len(row)
+    clock = 0
+    stack = [root]  # a position to enter, or ~position to leave
+    while stack:
+        p = stack.pop()
+        if p < 0:
+            tout[~p] = clock
+            clock += 1
+            continue
+        if tin[p] >= 0:  # listed twice among its parent's children
+            continue
+        tin[p] = clock
+        clock += 1
+        stack.append(~p)
+        for c in sorted(row[p].children, reverse=True):
+            stack.append(pos[c])
+    return tin, tout
 
 
 def _invalid(K, p) -> DomainError | None:
@@ -369,7 +431,7 @@ class _PairLog:
         return self.count, sorted((-a, -b) for a, b in self._heap)
 
 
-def _pair_clauses(lo, hi, lvl, par, tin, tout) -> dict:
+def _pair_clauses(lo, hi, lvl, par, times) -> dict:
     """The pairwise clauses by sorting and sweeping (see `check_tree`).
 
     With u an ancestor of v (tin/tout nest), `reverse-inclusion` wants
@@ -381,26 +443,37 @@ def _pair_clauses(lo, hi, lvl, par, tin, tout) -> dict:
     Admissible trees take the fast path: every edge strictly nested
     with levels rising, all intervals proper, and a stack sweep in
     (lo, -hi) order showing that each node's innermost open interval is
-    its parent's. Then every violating count is zero. Otherwise the
-    violating pairs are enumerated, each once, without visiting the
-    ancestor pairs that are in order.
+    its parent's. Then every violating count is zero, and the tree is
+    not walked. Two equal intervals fail the sweep in either order, so
+    it needs no tie-break. Otherwise the violating pairs are
+    enumerated, each once, without visiting the ancestor pairs that are
+    in order; that sweep breaks ties by DFS entry time.
     """
     n = len(lo)
     logs = {clause: _PairLog() for clause in PAIR_CLAUSES}
-    sweep = sorted(range(n), key=lambda v: (lo[v], -hi[v], tin[v]))
     laminar = (
-        all(p < 0 or _strictly_inside(lo, hi, p, v) for v, p in enumerate(par))
+        all(q < 0 or (lo[q] <= a and b <= hi[q] and (lo[q] < a or b < hi[q]))
+            for q, a, b in zip(par, lo, hi))
         and all(a < b for a, b in zip(lo, hi))
-        and _stack_follows_tree(sweep, lo, hi, par)
+        and _stack_follows_tree(_sweep_order(lo, hi), lo, hi, par)
     )
     if not laminar:
+        tin, tout = times()
+        sweep = sorted(range(n), key=lambda v: (lo[v], -hi[v], tin[v]))
         _ancestor_pairs(lo, hi, par, tin, logs["reverse-inclusion"])
         _crossing_pairs(lo, hi, tin, tout, sweep, logs["reverse-inclusion"], logs["comparability"])
-    if not (laminar and all(p < 0 or lvl[p] < lvl[v] for v, p in enumerate(par))):
+    if not (laminar and all(q < 0 or lvl[q] < r for q, r in zip(par, lvl))):
         # with nested intervals and rising levels, same-level nodes are
         # incomparable and so already share at most a point
         _level_overlaps(lo, hi, lvl, logs["level-overlap"])
     return {clause: log.result() for clause, log in logs.items()}
+
+
+def _sweep_order(lo, hi) -> list[int]:
+    """Positions in (lo, -hi) order, sorted on one int per node."""
+    width = max(hi) + 1
+    order = [a * width - b for a, b in zip(lo, hi)]
+    return sorted(range(len(lo)), key=order.__getitem__)
 
 
 def _strictly_inside(lo, hi, u, v) -> bool:

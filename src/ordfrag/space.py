@@ -363,12 +363,25 @@ def adjacency(space, p):
     return space.adjacency(p)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ClosedInterval:
-    """Endpoint pair; validity against a space is checked at use sites."""
+    """Endpoint pair; validity against a space is checked at use sites.
+
+    The explicit `__init__` fills the slots through their descriptors,
+    which is cheaper than the generated one's `object.__setattr__` per
+    field; everything else is the generated frozen dataclass.
+    """
 
     lo: object
     hi: object
+
+    def __init__(self, lo, hi):
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+
+
+_set_lo = ClosedInterval.lo.__set__
+_set_hi = ClosedInterval.hi.__set__
 
 
 def make_interval(space, lo, hi) -> ClosedInterval:

@@ -22,6 +22,13 @@ from ordfrag.errors import InternalInconsistency
 
 SPACE8 = '{"kind":"finite","size":8}'
 
+# the decomposition `frag ln` writes for the cut of a w^2 tree at level 3
+# with pool 0,1 and --no-limit-top
+W2_LEVELS = {"v": 1, "kind": "decomposition", "space": {"kind": "ordinal", "alpha": "w^2"},
+             "levels": [["0", "w^2"], ["0", "w^2"], ["0", "w", "w^2"],
+                        ["0", "1", "w", "w*2", "w^2"],
+                        ["0", "1", "2", "w", "w+1", "w*2", "w*3", "w^2"]]}
+
 
 def run_cli(*argv, stdin=None):
     return subprocess.run(
@@ -370,6 +377,40 @@ class TestTriage:
         assert proc.returncode == 2
         assert proc.stderr.startswith("ordfrag: error: ")
         assert message in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["space", "sample", "--space", SPACE8, "--samples", "-3"],
+        ["space", "sample", "--space", SPACE8, "--samples", "200001"],
+        ["frag", "density", "--in", "W2", "--samples", "0"],
+        ["frag", "density", "--in", "W2", "--samples", "-4"],
+        ["frag", "density", "--in", "/no/such/file.json", "--samples", "0"],
+        ["rn", "check", "--in", "W2", "--samples", "-1"],
+        ["rn", "check", "--in", "W2", "--samples", "200001"],
+        ["rn", "check", "--in", "W2", "--subsets", "0"],
+        ["rn", "check", "--in", "W2", "--subsets", "200001"],
+    ], ids=["sample-negative", "sample-past-cap", "density-zero", "density-negative",
+            "density-unread", "check-samples-negative", "check-samples-past-cap",
+            "check-subsets-zero", "check-subsets-past-cap"])
+    def test_count_flags_outside_one_to_the_cap_are_exit_2(self, tmp_path, capsys, argv):
+        """A count of 0 or less used to pass a check on no pairs at all
+        (`frag density` printed ok with pairs_checked 0 on [0, w^2]).
+        The flag is refused before any input is read."""
+        path = tmp_path / "w2.json"
+        path.write_text(json.dumps(W2_LEVELS))
+        argv = [str(path) if a == "W2" else a for a in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        flag, value = argv[-2:]
+        assert captured.err == f"ordfrag: error: {flag} must lie in 1..200000, got {value}\n"
+
+    def test_count_flags_accept_one(self, tmp_path, capsys):
+        path = tmp_path / "w2.json"
+        path.write_text(json.dumps(W2_LEVELS))
+        assert cli.main(["space", "sample", "--space", SPACE8, "--samples", "1"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["points"]) == 1
+        assert cli.main(["frag", "density", "--in", str(path), "--samples", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["pairs_checked"] == 1
 
     def test_internal_inconsistency_is_exit_3(self, monkeypatch, capsys):
         def broken(args):

@@ -1,6 +1,8 @@
 """Partition tree construction, verification and staging."""
 
+import dataclasses
 import itertools
+import pickle
 import random
 import time
 import tracemalloc
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ordfrag import generators as gen
+from ordfrag import ptree
 from ordfrag.bruteforce import dense_verify_admissible
 from ordfrag.errors import DomainError, InsufficientMaterialization
 from ordfrag.ordinal import ZERO, add, from_int, parse
@@ -17,6 +20,8 @@ from ordfrag.ptree import (
     PartitionTree,
     StagedTree,
     TreeNode,
+    Verdict,
+    Violation,
     build_tree,
     make_tree,
     staged_from_json,
@@ -102,6 +107,47 @@ class TestBuild:
             build_tree(FiniteChain(6), 100, split=lambda K, iv: iv.lo)
 
 
+class TestTreeNodeRecord:
+    """TreeNode is a frozen value: these pin its record semantics."""
+
+    NODE = TreeNode(1, ClosedInterval(ZERO, W), from_int(1), 0, (3, 4))
+
+    @pytest.mark.parametrize("name", ["id", "interval", "level", "parent", "children"])
+    def test_fields_cannot_be_assigned(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(self.NODE, name, None)
+        assert self.NODE.children == (3, 4)
+
+    def test_equal_values_compare_and_hash_equal(self):
+        twin = TreeNode(id=1, interval=ClosedInterval(ZERO, parse("w")), level=add(ZERO, from_int(1)),
+                        parent=0, children=(3, 4))
+        assert twin == self.NODE and hash(twin) == hash(self.NODE)
+        assert TreeNode(1, ClosedInterval(ZERO, W), from_int(1), 0) != self.NODE
+        assert len({self.NODE, twin}) == 1
+
+    def test_repr(self):
+        assert repr(self.NODE) == (
+            "TreeNode(id=1, interval=ClosedInterval(lo=Ordinal(terms=()), hi=Ordinal(terms=((1, 1),))), "
+            "level=Ordinal(terms=((0, 1),)), parent=0, children=(3, 4))")
+        built = build_tree(OrdinalInterval(W2), 3).nodes[0]
+        assert repr(built) == (
+            "TreeNode(id=0, interval=ClosedInterval(lo=Ordinal(terms=()), hi=Ordinal(terms=((2, 1),))), "
+            "level=Ordinal(terms=()), parent=None, children=(1, 2))")
+
+    def test_replace_pickle_default_and_match(self):
+        leaf = TreeNode(2, ClosedInterval(0, 1), ZERO, None)
+        assert leaf.children == ()
+        assert dataclasses.replace(self.NODE, children=()) == TreeNode(1, ClosedInterval(ZERO, W),
+                                                                       from_int(1), 0)
+        assert pickle.loads(pickle.dumps(self.NODE)) == self.NODE
+        tree = build_tree(FiniteChain(9), 15)
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        match self.NODE:
+            case TreeNode(i, iv, level, parent, kids):
+                assert (i, iv.hi, level, parent, kids) == (1, W, from_int(1), 0, (3, 4))
+        assert not hasattr(self.NODE, "__dict__")
+
+
 class TestVerify:
     def test_builder_output_admissible(self):
         rng = random.Random(515)
@@ -159,6 +205,21 @@ class TestVerify:
         v = verify_admissible(t)
         assert not v.ok and "root" in v.counts
 
+    @pytest.mark.parametrize("root_level, child_levels, at_zero", [
+        (ZERO, (from_int(1), ZERO), [2]),
+        (from_int(1), (ZERO, from_int(2)), [1]),
+        (from_int(1), (ZERO, ZERO), [1, 2]),
+        (from_int(1), (from_int(2), from_int(2)), []),
+    ])
+    def test_non_root_nodes_at_level_zero(self, root_level, child_levels, at_zero):
+        rows = [(0, 0, 4, root_level, None), (1, 0, 2, child_levels[0], 0),
+                (2, 2, 4, child_levels[1], 0)]
+        t = make_tree(FiniteChain(5), rows)
+        v = verify_admissible(t)
+        assert [x.nodes for x in v.violations
+                if x.detail == "non-root node at level 0"] == [(i,) for i in at_zero]
+        assert v == dense_verify_admissible(t)
+
     def test_level_step_clause(self):
         t = make_tree(
             FiniteChain(5),
@@ -200,6 +261,91 @@ class TestVerify:
         assert v.counts == {"binary-split": 1}
         assert v == dense_verify_admissible(PartitionTree(t.space, nodes, 0))
 
+    def test_two_node_cycle_below_the_root_is_unreachable(self, monkeypatch):
+        # 3 and 4 are each other's parent and child: the links are
+        # mirrored and 0 is the only root, but the walk from it misses both
+        rows = [(0, 0, 4, ZERO, None), (1, 0, 2, from_int(1), 0), (2, 2, 4, from_int(1), 0),
+                (3, 0, 1, from_int(2), 4), (4, 1, 2, from_int(2), 3)]
+        t = make_tree(FiniteChain(5), rows)
+        assert (t.nodes[3].children, t.nodes[4].children) == ((4,), (3,))
+        walks = _count_walks(monkeypatch)
+        want = Verdict(False, (Violation("linkage", (3, 4), "2 nodes unreachable from root"),),
+                       {"linkage": 1})
+        assert verify_admissible(t) == want
+        assert dense_verify_admissible(t) == want
+        assert walks == [5, 5]
+
+    @pytest.mark.parametrize("mutation", ["swap", "whole", "equal", "reversed", "one-point"])
+    def test_rising_levels_walk_only_when_the_intervals_ask(self, monkeypatch, mutation):
+        """Levels rise on every edge, so reachability needs no walk; the
+        pairwise sweep walks the tree once, and only when the intervals
+        are not laminar."""
+        tree = build_tree(FiniteChain(9), 15)
+        walks = _count_walks(monkeypatch)
+        assert verify_admissible(tree).ok and walks == []
+        rows = {i: [i, n.interval.lo, n.interval.hi, n.level, n.parent] for i, n in tree.nodes.items()}
+        if mutation == "swap":  # same level, different parents
+            rows[3][1:3], rows[5][1:3] = rows[5][1:3], rows[3][1:3]
+        elif mutation == "whole":
+            rows[4][1:3] = rows[0][1:3]
+        elif mutation == "equal":
+            rows[6][1:3] = rows[5][1:3]
+        elif mutation == "reversed":
+            rows[2][1], rows[2][2] = rows[2][2], rows[2][1]
+        else:
+            rows[7][2] = rows[7][1]
+        mutant = make_tree(tree.space, [tuple(r) for r in rows.values()])
+        assert all(n.parent is None or n.level > mutant.nodes[n.parent].level
+                   for n in mutant.nodes.values())
+        fast = verify_admissible(mutant)
+        assert walks == [15]
+        dense = dense_verify_admissible(mutant)
+        assert not fast.ok
+        assert fast.violations == dense.violations
+        assert list(fast.counts.items()) == list(dense.counts.items())
+
+    @pytest.mark.parametrize("change", ["float-id", "float-parent", "bool-id", "float-child"])
+    def test_ids_that_only_equal_positions_keep_their_verdicts(self, change):
+        """Node ids 0..n-1 index their positions directly; an id, parent
+        or child such as 1.0 or True equals a position without being an
+        int, and keeps the id map and the verdict it had."""
+        tree = build_tree(FiniteChain(6), 9)
+        assert ptree._positions(sorted(tree.nodes), [tree.nodes[i] for i in sorted(tree.nodes)]) == range(9)
+        for swap in (False, True):
+            doc = tree_to_json(tree)
+            if swap:  # intervals of two same-level nodes under different parents
+                a, b = doc["nodes"][3], doc["nodes"][5]
+                a["interval"], b["interval"] = b["interval"], a["interval"]
+            if change == "float-id":
+                doc["nodes"][1]["id"] = 1.0
+            elif change == "float-parent":
+                doc["nodes"][3]["parent"] = float(doc["nodes"][3]["parent"])
+            elif change == "bool-id":
+                doc["nodes"][1]["id"] = True
+            t = tree_from_json(doc)
+            if change == "float-child":
+                root = t.nodes[0]
+                nodes = dict(t.nodes)
+                nodes[0] = TreeNode(0, root.interval, root.level, None, (1.0, 2))
+                t = PartitionTree(t.space, nodes, 0)
+            ids = sorted(t.nodes)
+            assert isinstance(ptree._positions(ids, [t.nodes[i] for i in ids]), dict)
+            fast, dense = verify_admissible(t), dense_verify_admissible(t)
+            assert fast == dense
+            assert fast.ok != swap
+
+    def test_missing_parent_is_a_linkage_violation(self):
+        # make_tree refuses such rows, so the tree is assembled by hand
+        t = build_tree(FiniteChain(5), 3)
+        nodes = dict(t.nodes)
+        n = nodes[1]
+        nodes[1] = TreeNode(1, n.interval, n.level, 99)
+        t = PartitionTree(t.space, nodes, 0)
+        want = Verdict(False, (Violation("linkage", (0, 1), "child link not mirrored"),
+                               Violation("linkage", (1,), "parent 99 missing")), {"linkage": 2})
+        assert verify_admissible(t) == want
+        assert dense_verify_admissible(t) == want
+
     def test_linkage_violations_short_circuit(self):
         t = PartitionTree(FiniteChain(3), {}, 0)
         assert not verify_admissible(t).ok
@@ -218,6 +364,19 @@ class TestVerify:
         assert [x.clause for x in v.violations][1::100] == ["reverse-inclusion", "level-overlap",
                                                             "comparability"]
         assert v == dense_verify_admissible(t)
+
+
+def _count_walks(monkeypatch) -> list[int]:
+    """Record the node count of every DFS walk `check_tree` makes."""
+    walks = []
+    walk = ptree._walk
+
+    def counting(row, pos, root):
+        walks.append(len(row))
+        return walk(row, pos, root)
+
+    monkeypatch.setattr(ptree, "_walk", counting)
+    return walks
 
 
 SMALL_SPACES = (

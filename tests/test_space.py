@@ -1,5 +1,7 @@
 """Order space semantics: comparison, adjacency, counting, splitting."""
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -321,6 +323,36 @@ class TestJson:
             space_from_json({"kind": "mystery"})
         with pytest.raises(DomainError):
             space_from_json(["finite", 3])
+
+
+class TestClosedIntervalRecord:
+    """ClosedInterval is a frozen value: these pin its record semantics."""
+
+    IV = ClosedInterval(W, (1, PLUS))
+
+    @pytest.mark.parametrize("name", ["lo", "hi"])
+    def test_fields_cannot_be_assigned(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(self.IV, name, 3)
+        assert self.IV.lo == W and self.IV.hi == (1, PLUS)
+
+    def test_equal_values_compare_and_hash_equal(self):
+        twin = ClosedInterval(parse("w"), (1, PLUS))
+        assert twin == self.IV and hash(twin) == hash(self.IV)
+        assert ClosedInterval(W, (1, MINUS)) != self.IV
+        assert len({self.IV, twin, ClosedInterval(lo=W, hi=(1, PLUS))}) == 1
+
+    def test_repr(self):
+        assert repr(self.IV) == "ClosedInterval(lo=Ordinal(terms=((1, 1),)), hi=(1, 1))"
+        assert repr(ClosedInterval(3, 5)) == "ClosedInterval(lo=3, hi=5)"
+
+    def test_replace_pickle_and_match(self):
+        assert dataclasses.replace(self.IV, hi=W2) == ClosedInterval(W, W2)
+        assert pickle.loads(pickle.dumps(self.IV)) == self.IV
+        match self.IV:
+            case ClosedInterval(lo, hi):
+                assert (lo, hi) == (W, (1, PLUS))
+        assert not hasattr(self.IV, "__dict__")
 
 
 @given(st.integers(0, 2**32 - 1))
