@@ -138,7 +138,7 @@ def _render_pair(K, pair):
 
 
 def _seeded_pairs(K, pts, seed, count):
-    keyed = sorted(pts, key=lambda p: sp.point_key(K, p))
+    keyed = sorted(pts, key=K.key)
     if len(keyed) < 2:
         raise CliError("need at least two points to form pairs")
     rng = random.Random(f"{seed}:pairs")
@@ -248,12 +248,17 @@ def cmd_staged_gen(args) -> int:
     return 0
 
 
+def _level_list(text: str, flag: str) -> list[int]:
+    """The levels of a comma-separated flag; blank parts are skipped."""
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError as err:
+        raise CliError(f"{flag} takes comma-separated levels, got {text!r}") from err
+
+
 def cmd_staged_cut(args) -> int:
     tree = tree_from_json(_read_doc(args))
-    try:
-        pool = [int(part) for part in args.pool.split(",") if part.strip()]
-    except ValueError as err:
-        raise CliError(f"--pool takes comma-separated levels, got {args.pool!r}") from err
+    pool = _level_list(args.pool, "--pool")
     _emit(staged_to_json(to_staged(tree, args.level, pool, limit_top=args.limit_top)), args)
     return 0
 
@@ -275,11 +280,15 @@ def _construct(st, op, args):
     if op == "disjoint":
         return witness_to_json(disjoint_intervals(st, members))
     if op == "cofinal":
+        targets = _level_list(args.levels, "--levels") if args.levels else sorted(st.pool)
+        if args.levels and not targets:
+            raise CliError(f"--levels takes comma-separated levels, got {args.levels!r}")
         rm = disjoint_intervals(st, members)
-        targets = [int(t) for t in args.levels.split(",")] if args.levels else sorted(st.pool)
         return witness_to_json(transfer_cofinal(st, rm, targets))
     if op == "compose":
-        tips = sorted(members, key=lambda v: sp.point_key(st.space, st.payload[v].lo))
+        if not st.pool:
+            raise CliError("compose needs a nonempty pool")
+        tips = sorted(members, key=st.payload_keys[0].__getitem__)
         t = min(st.pool)
         pi = RegressiveMap({x: st.ancestor_at(x, t) for x in tips})
         fibre_maps = {pi[x]: RegressiveMap({x: pi[x]}) for x in tips}
@@ -336,8 +345,7 @@ def cmd_staged_partition(args) -> int:
                "problems": problems}, args)
         return 1
     if args.dot:
-        cell_of = {node: idx for idx, cell in enumerate(p.cells) for node in cell}
-        _write_text(staged_to_dot(st, cell_of), args.dot)
+        _write_text(staged_to_dot(st, p.as_cell_index()), args.dot)
     _emit(partition_to_json(p), args)
     return 0
 
@@ -397,7 +405,7 @@ def cmd_frag_check(args) -> int:
     elif sp.is_finite_space(K):
         members = sp.enumerate_points(K)
     else:
-        members = sorted(levels[-1], key=lambda p: sp.point_key(K, p))
+        members = sorted(levels[-1], key=K.key)
     metric = rn.pseudo_metric(rn.separating_family(K, levels))
     wit = fragment_check(K, members, metric.distance, eps)
     _emit({
@@ -474,7 +482,7 @@ def cmd_rn_check(args) -> int:
     fam = rn.separating_family(K, levels)
     kwargs = {}
     if not sp.is_finite_space(K):
-        final = sorted(levels[-1], key=lambda p: sp.point_key(K, p))
+        final = sorted(levels[-1], key=K.key)
         kwargs["pairs"] = _seeded_pairs(K, final, args.seed, args.samples)
         kwargs["sample_points"] = final
     rep = rn.namioka_check(K, fam, levels, subsets=args.subsets,

@@ -53,23 +53,18 @@ def ln_decomposition(st: StagedTree, p: OpenPartition) -> list[tuple]:
     if bad:
         raise DomainError("partition rejected: " + "; ".join(bad[:3]))
     K = st.space
-    ranks = {v: rank(st, p, v) for v in sorted(st.parent)}
-    top = max(ranks.values())
-    base = (sp.minimum(K), sp.maximum(K))
+    lo, hi = st.payload_keys
+    by_rank: dict[int, list[int]] = {}
+    for v in sorted(st.parent):
+        by_rank.setdefault(rank(st, p, v), []).append(v)
+    pts = {K.key(q): q for q in (sp.minimum(K), sp.maximum(K))}
     levels = []
-    for n in range(top + 1):
-        pts = {sp.point_key(K, q): q for q in base}
-        for v, r in sorted(ranks.items()):
-            if r <= n:
-                iv = st.payload[v]
-                pts[sp.point_key(K, iv.lo)] = iv.lo
-                pts[sp.point_key(K, iv.hi)] = iv.hi
+    for n in range(max(by_rank) + 1):
+        for v in by_rank.get(n, ()):
+            pts[lo[v]] = st.payload[v].lo
+            pts[hi[v]] = st.payload[v].hi
         levels.append(tuple(pts[k] for k in sorted(pts)))
     return levels
-
-
-def _keys(K, pts) -> list:
-    return [sp.point_key(K, q) for q in pts]
 
 
 def verify_decomposition(K, levels) -> list[str]:
@@ -77,40 +72,44 @@ def verify_decomposition(K, levels) -> list[str]:
     problems = []
     if not levels:
         return ["no levels at all"]
-    for n, pts in enumerate(levels):
-        ks = _keys(K, pts)
+    keys = [[K.key(q) for q in pts] for pts in levels]
+    for n, ks in enumerate(keys):
         if ks != sorted(set(ks)):
             problems.append(f"level {n} is not strictly sorted")
-    base = {sp.point_key(K, sp.minimum(K)), sp.point_key(K, sp.maximum(K))}
-    if set(_keys(K, levels[0])) != base:
+    if set(keys[0]) != {K.key(sp.minimum(K)), K.key(sp.maximum(K))}:
         problems.append("level 0 is not the pair of extremes")
-    for n in range(len(levels) - 1):
-        if not set(_keys(K, levels[n])) <= set(_keys(K, levels[n + 1])):
+    for n in range(len(keys) - 1):
+        if not set(keys[n]) <= set(keys[n + 1]):
             problems.append(f"level {n} escapes level {n + 1}")
     return problems
 
 
 def delta_pairs(K, pts) -> tuple:
     """Consecutive pairs of the sorted point set: its gap intervals."""
-    order = sorted(set(_keys(K, pts)))
-    by_key = {sp.point_key(K, q): q for q in pts}
+    by_key = {K.key(q): q for q in pts}
+    order = sorted(by_key)
     return tuple((by_key[a], by_key[b]) for a, b in zip(order, order[1:]))
 
 
 def verify_delta_identity(K, levels) -> list[str]:
     """Each new point must sit strictly inside a gap of the level below,
-    and the gaps must jointly account for every new point."""
+    and the gaps must jointly account for every new point.
+
+    A key not in level n lies inside one of its gaps exactly when it
+    lies strictly between the least and the greatest key of level n.
+    Once `verify_decomposition` is clean, every level holds both
+    extremes of the space, so this check cannot fail on its own.
+    """
     problems = []
+    keys = [[K.key(q) for q in pts] for pts in levels]
     for n in range(len(levels) - 1):
-        old = set(_keys(K, levels[n]))
-        new = [q for q in levels[n + 1] if sp.point_key(K, q) not in old]
-        covered = set()
-        for x, y in delta_pairs(K, levels[n]):
-            kx, ky = sp.point_key(K, x), sp.point_key(K, y)
-            covered.update(
-                sp.point_key(K, q) for q in new if kx < sp.point_key(K, q) < ky
-            )
-        leftover = [q for q in new if sp.point_key(K, q) not in covered]
+        old = set(keys[n])
+        first, last = min(old, default=None), max(old, default=None)
+        leftover = [
+            q
+            for k, q in zip(keys[n + 1], levels[n + 1])
+            if k not in old and not (old and first < k < last)
+        ]
         if leftover:
             problems.append(
                 f"level {n + 1} points {[sp.render_point(K, q) for q in leftover[:4]]} "
@@ -125,9 +124,9 @@ def verify_density(K, pts, pairs):
     The least point at or above u and its successor are the canonical
     candidates; if they do not fit inside [u, v], nothing does.
     """
-    ks = sorted(set(_keys(K, pts)))
+    ks = sorted({K.key(q) for q in pts})
     for u, v in pairs:
-        ku, kv = sp.point_key(K, u), sp.point_key(K, v)
+        ku, kv = K.key(u), K.key(v)
         if not ku < kv:
             raise DomainError("density pairs must be strictly increasing")
         i = bisect_left(ks, ku)
@@ -152,7 +151,7 @@ def verify_scattered_closed(K, pts) -> ScatterReport:
     is also why the set is closed: no point of the space accumulates
     against finitely many others.
     """
-    remaining = sorted(set(_keys(K, pts)))
+    remaining = sorted({K.key(q) for q in pts})
     rounds = 0
     while remaining:
         isolated = []
@@ -203,25 +202,15 @@ def fragment_check(K, members, d, eps) -> FragmentWitness:
     """
     if not eps > 0:
         raise DomainError("eps must be positive")
-    order = sorted(set(_keys(K, members)))
-    by_key = {sp.point_key(K, q): q for q in members}
-    pts = [by_key[k] for k in order]
+    by_key = {K.key(q): q for q in members}
+    pts = [by_key[k] for k in sorted(by_key)]
     if not pts:
         raise DomainError("nothing to fragment")
     cuts = [None] + pts + [None]
     for width in range(2, len(cuts)):
         for i in range(0, len(cuts) - width):
             j = i + width
-            klo = None if cuts[i] is None else sp.point_key(K, cuts[i])
-            khi = None if cuts[j] is None else sp.point_key(K, cuts[j])
-            inside = [
-                q
-                for q in pts
-                if (klo is None or sp.point_key(K, q) > klo)
-                and (khi is None or sp.point_key(K, q) < khi)
-            ]
-            if not inside:
-                continue
+            inside = pts[i : j - 1]  # the members strictly between the two cuts
             diam = max(
                 (d(u, v) for a_i, u in enumerate(inside) for v in inside[a_i + 1 :]),
                 default=0,

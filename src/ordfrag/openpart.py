@@ -82,8 +82,11 @@ def partition_open(st: StagedTree, witness: RegressiveMap | None = None) -> Open
     With a designated limit on top, a disjoint-segment map is built (or
     the supplied one is verified) and each top node's cell becomes its
     closed branch segment down to the image; everything untouched stays
-    a singleton. Raises NotSimpleError or NoRoom exactly when no such
-    map exists.
+    a singleton. Raises NotSimpleError when the top level is not
+    simple, a proof that no such map exists. Raises NoRoom when
+    `disjoint_intervals` finds no room under its strict level bound,
+    which can happen although a disjoint-segment map exists (e.g.
+    `gen_broom(1)`), so NoRoom alone proves nothing.
 
     Refusals follow the closed-segment convention: when the level just
     below the top is itself pooled, a discrete partition may still be

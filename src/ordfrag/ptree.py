@@ -18,6 +18,7 @@ import bisect
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import ordinal as ord_
 from . import space as sp
@@ -645,12 +646,20 @@ class StagedTree:
 
     def __post_init__(self):
         self.pool = frozenset(self.pool)
-        self._children: dict[int, tuple[int, ...]] = {i: () for i in self.parent}
         kids: dict[int, list[int]] = {i: [] for i in self.parent}
         for i, p in self.parent.items():
             if p is not None and p in kids:
                 kids[p].append(i)
         self._children = {i: tuple(sorted(c)) for i, c in kids.items()}
+
+    @cached_property
+    def payload_keys(self) -> tuple[dict, dict]:
+        """(lo, hi): the order key of each node's payload ends, by node."""
+        if self.payload is None or self.space is None:
+            raise DomainError("the stage carries no payload intervals")
+        key = self.space.key
+        return ({i: key(iv.lo) for i, iv in self.payload.items()},
+                {i: key(iv.hi) for i, iv in self.payload.items()})
 
     @property
     def has_designated_limit(self) -> bool:
@@ -739,12 +748,12 @@ class StagedTree:
                 raise DomainError("payload table does not match node set")
             K = self.space
             whole = sp.whole_interval(K)
-            wlo, whi = sp.point_key(K, whole.lo), sp.point_key(K, whole.hi)
+            wlo, whi = K.key(whole.lo), K.key(whole.hi)
             # one validation per endpoint; each error is raised by the
             # check that first compares the endpoint, in node order
             bad = {i: (_invalid(K, iv.lo), _invalid(K, iv.hi)) for i, iv in self.payload.items()}
-            lo = {i: sp.point_key(K, iv.lo) for i, iv in self.payload.items() if bad[i][0] is None}
-            hi = {i: sp.point_key(K, iv.hi) for i, iv in self.payload.items() if bad[i][1] is None}
+            lo = {i: K.key(iv.lo) for i, iv in self.payload.items() if bad[i][0] is None}
+            hi = {i: K.key(iv.hi) for i, iv in self.payload.items() if bad[i][1] is None}
             for i in ids:
                 if bad[i][0] or bad[i][1]:
                     raise bad[i][0] or bad[i][1]

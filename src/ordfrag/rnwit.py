@@ -42,10 +42,10 @@ class StepFunction:
     tag: tuple
 
     def value(self, w):
-        k = sp.point_key(self.space, w)
+        k = self.space.key(w)
         total = _ZERO
         for _lo, hi, jump in self.cuts:
-            if k >= sp.point_key(self.space, hi):
+            if k >= self.space.key(hi):
                 total += jump
         return total
 
@@ -66,7 +66,7 @@ def _functions(family) -> tuple:
 
 def _tag_key(K, f: StepFunction):
     x, y, n = f.tag
-    return (n, sp.point_key(K, x), sp.point_key(K, y))
+    return (n, K.key(x), K.key(y))
 
 
 def verify_step_function(K, f: StepFunction) -> list:
@@ -75,7 +75,7 @@ def verify_step_function(K, f: StepFunction) -> list:
     x, y, n = f.tag
     if n < 1:
         problems.append(f"depth {n} is not positive")
-    kx, ky = sp.point_key(K, x), sp.point_key(K, y)
+    kx, ky = K.key(x), K.key(y)
     if not kx < ky:
         problems.append("gap endpoints are not increasing")
     last = None
@@ -84,7 +84,7 @@ def verify_step_function(K, f: StepFunction) -> list:
             problems.append(f"jump {jump} at {sp.render_point(K, lo)} is not positive")
         if sp.adjacency(K, lo)[1] != hi:
             problems.append(f"cut at {sp.render_point(K, lo)} is not an adjacent pair")
-        klo = sp.point_key(K, lo)
+        klo = K.key(lo)
         if not kx <= klo < ky:
             problems.append(f"cut at {sp.render_point(K, lo)} escapes the gap")
         if last is not None and not last < klo:
@@ -111,7 +111,7 @@ def separating_family(K, levels, deltas=None) -> tuple:
     for n in range(1, len(levels)):
         for x, y in deltas[n]:
             succ = sp.adjacency(K, x)[1]
-            if succ is None or sp.point_key(K, succ) > sp.point_key(K, y):
+            if succ is None or K.key(succ) > K.key(y):
                 raise DomainError(
                     f"no clopen cut inside [{sp.render_point(K, x)}, {sp.render_point(K, y)}]")
             out.append(StepFunction(K, ((x, succ, Fraction(1, n)),), (x, y, n)))
@@ -134,7 +134,7 @@ def check_separation(K, family, pairs):
     """
     metric = pseudo_metric(family)
     for u, v in pairs:
-        ku, kv = sp.point_key(K, u), sp.point_key(K, v)
+        ku, kv = K.key(u), K.key(v)
         if not ku < kv:
             raise DomainError("separation pairs must be strictly increasing")
         for f in metric.posted(ku, kv):
@@ -161,7 +161,7 @@ class PseudoMetric:
 
     @functools.cached_property
     def _posts(self) -> tuple:
-        posts = sorted(((sp.point_key(f.space, hi), f) for f in self.family
+        posts = sorted(((f.space.key(hi), f) for f in self.family
                         for _lo, hi, _jump in f.cuts), key=_first)
         return [k for k, _f in posts], [f for _k, f in posts]
 
@@ -172,7 +172,7 @@ class PseudoMetric:
             x, y, depth = f.tag
             if depth >= 1:
                 rows.setdefault(depth, []).append(
-                    (sp.point_key(f.space, x), sp.point_key(f.space, y), order, (x, y)))
+                    (f.space.key(x), f.space.key(y), order, (x, y)))
         gaps = {}
         for depth in sorted(rows):
             row = sorted(rows[depth], key=_first)
@@ -199,7 +199,7 @@ class PseudoMetric:
         if not self.family:
             return best
         K = self.family[0].space
-        ku, kv = sp.point_key(K, u), sp.point_key(K, v)
+        ku, kv = K.key(u), K.key(v)
         for f in self.posted(min(ku, kv), max(ku, kv)):
             d = abs(f.value(u) - f.value(v))
             if d > best:
@@ -287,7 +287,7 @@ class DenseSetRecord:
     _z: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        key = functools.partial(sp.point_key, self.space)
+        key = self.space.key
         object.__setattr__(self, "_keys", frozenset(map(key, self.points)))
         fence = {key(p): p for p in (sp.minimum(self.space), sp.maximum(self.space))}
         depths, fences = [], [_sorted_by_key(fence)]
@@ -310,7 +310,7 @@ class DenseSetRecord:
         return self.denominator_bound // 2
 
     def contains(self, w) -> bool:
-        return sp.point_key(self.space, w) in self._keys
+        return self.space.key(w) in self._keys
 
     def m_upto(self, n: int) -> tuple:
         """(keys, points) of the extremes and every m-set of depth <= n,
@@ -319,8 +319,7 @@ class DenseSetRecord:
         return fences[bisect_right(depths, n)]
 
     def z_for(self, level: int, gap):
-        return self._z.get((level, sp.point_key(self.space, gap[0]),
-                            sp.point_key(self.space, gap[1])))
+        return self._z.get((level, self.space.key(gap[0]), self.space.key(gap[1])))
 
 
 def _sorted_by_key(by_key: dict) -> tuple:
@@ -363,7 +362,7 @@ def dense_set(K, A, levels, denominator_bound: int = 16) -> DenseSetRecord:
         raise DomainError("denominator bound must be at least 4")
     if not levels:
         raise DomainError("a decomposition with at least the extremes is required")
-    key = functools.partial(sp.point_key, K)
+    key = K.key
     lo, hi = sp.minimum(K), sp.maximum(K)
     k_hi = key(hi)
 
@@ -463,7 +462,7 @@ def approximate(K, w, n: int, A, D: DenseSetRecord):
     if D.contains(w):
         return w
     metric = pseudo_metric(A)
-    key = functools.partial(sp.point_key, K)
+    key = K.key
     kw = key(w)
 
     M_keys, M = D.m_upto(n)

@@ -307,7 +307,10 @@ def compose_fibrewise(
 def disjoint_intervals(st: StagedTree, members) -> RegressiveMap:
     """A regressive map on a simple set whose closed segments are
     pairwise disjoint. Raises NotSimpleError with the Hall violator,
-    or NoRoom when the finite stage lacks the level headroom."""
+    or NoRoom when `compose_fibrewise`'s strict level bound finds no
+    pool level above some member's bound. That bound is sufficient,
+    not necessary: NoRoom can come on stages where such a map exists
+    (e.g. `gen_broom(1)`)."""
     members = _check_node_set(st, members)
     decision = is_simple(st, members)
     if isinstance(decision, NotSimple):
@@ -389,19 +392,13 @@ def bounded_regressive(st: StagedTree, members) -> BoundedRegressive:
     members = _check_node_set(st, members)
     if not members:
         return BoundedRegressive(RegressiveMap({}), {})
-    K = st.space
-
-    def lo(i):
-        return sp.point_key(K, st.payload[i].lo)
-
-    def hi(i):
-        return sp.point_key(K, st.payload[i].hi)
+    lo, hi = st.payload_keys
 
     b_star = members[0]
     for b in members[1:]:
-        if lo(b) > lo(b_star):
+        if lo[b] > lo[b_star]:
             b_star = b
-    anchor = lo(b_star)
+    anchor = lo[b_star]
 
     mapping: dict[int, int] = {}
     strict: set[int] = set()
@@ -409,8 +406,8 @@ def bounded_regressive(st: StagedTree, members) -> BoundedRegressive:
         cands = pool_ancestors(st, a)
         if not cands:
             raise NoRoom(a, None, "empty pool on this branch")
-        if hi(a) < anchor:
-            pick = next((c for c in cands if hi(c) < anchor), None)
+        if hi[a] < anchor:
+            pick = next((c for c in cands if hi[c] < anchor), None)
             if pick is None:
                 raise NoRoom(a, None, "no pool ancestor stays below the anchor minimum")
             mapping[a] = pick
@@ -425,18 +422,17 @@ def bounded_regressive(st: StagedTree, members) -> BoundedRegressive:
     for w, xs in sorted(fibres.items()):
         if any(x in strict for x in xs):
             cert = BoundCertificate(w, b_star, "strict")
-            if not hi(w) < anchor:
+            if not hi[w] < anchor:
                 raise InternalInconsistency(f"strict certificate at {w} fails its bound")
         else:
             cert = BoundCertificate(w, b_star, "trivial")
-            if any(lo(x) > anchor for x in xs):
+            if any(lo[x] > anchor for x in xs):
                 raise InternalInconsistency(f"trivial certificate at {w} fails its bound")
         certificates[w] = cert
     return BoundedRegressive(RegressiveMap(mapping), certificates)
 
 
 def verify_bound_certificates(st: StagedTree, br: BoundedRegressive) -> list[str]:
-    K = st.space
     problems = []
     fibres: dict[int, list[int]] = {}
     for a, w in br.map.mapping.items():
@@ -444,15 +440,16 @@ def verify_bound_certificates(st: StagedTree, br: BoundedRegressive) -> list[str
     if set(fibres) != set(br.certificates):
         problems.append("certificates do not cover exactly the fibre images")
         return problems
+    lo, hi = st.payload_keys
     for w, cert in br.certificates.items():
         b = cert.bound_member
-        bmin = sp.point_key(K, st.payload[b].lo)
+        bmin = lo[b]
         if cert.kind == "strict":
-            if not sp.point_key(K, st.payload[w].hi) < bmin:
+            if not hi[w] < bmin:
                 problems.append(f"strict fibre at {w} does not stay below min of {b}")
         elif cert.kind == "trivial":
             for a in fibres[w]:
-                if sp.point_key(K, st.payload[a].lo) > bmin:
+                if lo[a] > bmin:
                     problems.append(f"member {a} of trivial fibre at {w} exceeds min of {b}")
         else:
             problems.append(f"unknown certificate kind {cert.kind!r}")
@@ -476,28 +473,22 @@ def endpoint_LR(st: StagedTree, members, oracle=None):
     members = _check_node_set(st, members)
     if oracle is None:
         oracle = lambda tree, group: isinstance(is_simple(tree, group), Simple)
-    pts = sp.enumerate_points(K)
-    key_of = {sp.point_key(K, p): i for i, p in enumerate(pts)}
-
-    def lo(i):
-        return sp.point_key(K, st.payload[i].lo)
-
-    def hi(i):
-        return sp.point_key(K, st.payload[i].hi)
-
+    keys = [K.key(p) for p in sp.enumerate_points(K)]
+    index = {k: i for i, k in enumerate(keys)}
+    lo, hi = st.payload_keys
     left: set[int] = set()
     right: set[int] = set()
     for b in members:
         for anc in pool_ancestors(st, b):
-            if key_of[lo(anc)] > 0:
-                x = sp.point_key(K, pts[key_of[lo(anc)] - 1])
-                window = frozenset(a for a in members if lo(a) > x and hi(a) <= lo(b))
+            if index[lo[anc]] > 0:
+                x = keys[index[lo[anc]] - 1]
+                window = frozenset(a for a in members if lo[a] > x and hi[a] <= lo[b])
                 if oracle(st, window):
                     left.add(b)
                     break
         for anc in pool_ancestors(st, b):
-            if key_of[hi(anc)] < len(pts) - 1:
-                window = frozenset(a for a in members if lo(a) >= hi(b) and hi(a) <= hi(anc))
+            if index[hi[anc]] < len(keys) - 1:
+                window = frozenset(a for a in members if lo[a] >= hi[b] and hi[a] <= hi[anc])
                 if oracle(st, window):
                     right.add(b)
                     break
@@ -540,30 +531,22 @@ def condensation_core(st: StagedTree, members, oracle=None) -> CoreResult:
     core = frozenset(members) - left - right
     whole_simple = oracle(st, frozenset(members))
     K = st.space
-    pts = sp.enumerate_points(K)
-
-    def lo(i):
-        return sp.point_key(K, st.payload[i].lo)
-
-    def hi(i):
-        return sp.point_key(K, st.payload[i].hi)
-
+    keyed = [(K.key(p), p) for p in sp.enumerate_points(K)]
+    lo, hi = st.payload_keys
     checks: list[CoreCheck] = []
     if not whole_simple:
         for c in sorted(core):
-            xs = [p for p in pts if sp.point_key(K, p) < lo(c)]
-            ys = [p for p in pts if sp.point_key(K, p) > hi(c)]
+            xs = [(k, p) for k, p in keyed if k < lo[c]]
+            ys = [(k, p) for k, p in keyed if k > hi[c]]
             if not xs or not ys:
                 continue  # pinched against the boundary: vacuous
-            for x in xs:
-                xk = sp.point_key(K, x)
-                window = frozenset(a for a in core if lo(a) > xk and hi(a) <= lo(c))
+            for xk, x in xs:
+                window = frozenset(a for a in core if lo[a] > xk and hi[a] <= lo[c])
                 checks.append(
                     CoreCheck(c, sp.render_point(K, x), "left", len(window), oracle(st, window))
                 )
-            for y in ys:
-                yk = sp.point_key(K, y)
-                window = frozenset(a for a in core if lo(a) >= hi(c) and hi(a) <= yk)
+            for yk, y in ys:
+                window = frozenset(a for a in core if lo[a] >= hi[c] and hi[a] <= yk)
                 checks.append(
                     CoreCheck(c, sp.render_point(K, y), "right", len(window), oracle(st, window))
                 )

@@ -149,9 +149,7 @@ def criterion_3(seed=0) -> CriterionResult:
                         and verify_disjoint_segments(st, rm) == [])
             elif op == "compose":
                 st = gen.gen_comb(sub)
-                tips = sorted(
-                    st.tops(),
-                    key=lambda v: sp.point_key(st.space, st.payload[v].lo))
+                tips = sorted(st.tops(), key=st.payload_keys[0].__getitem__)
                 t = min(st.pool)
                 pi = RegressiveMap({x: st.ancestor_at(x, t) for x in tips})
                 fibre_maps = {pi[x]: RegressiveMap({x: pi[x]}) for x in tips}
@@ -242,8 +240,7 @@ def criterion_4(seed=0) -> CriterionResult:
 def _chain_instance(size: int):
     K = sp.FiniteChain(size)
     tree = build_tree(K, budget=6 * size)
-    m = max(int(str(n.level)) if isinstance(n.level, Ordinal) else n.level
-            for n in tree.nodes.values())
+    m = max(n.level.as_int() for n in tree.nodes.values())
     st = to_staged(tree, m, pool=range(max(m - 1, 1)), limit_top=False)
     return K, ln_decomposition(st, partition_open(st))
 
@@ -262,7 +259,7 @@ def _instances():
 
 
 def _seeded_level_pairs(K, pts, rng, count):
-    keyed = sorted(pts, key=lambda p: sp.point_key(K, p))
+    keyed = sorted(pts, key=K.key)
     out = []
     for _ in range(count):
         i = rng.randrange(len(keyed) - 1)

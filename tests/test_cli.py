@@ -224,6 +224,31 @@ class TestStaged:
         err = capsys.readouterr().err
         assert err.startswith("ordfrag: error: ") and message in err
 
+    @pytest.mark.parametrize("kind, reshape, argv, message", [
+        ("random", None, ["compose"], "the stage carries no payload intervals"),
+        ("comb", lambda doc: doc.update(pool=[]), ["compose"], "compose needs a nonempty pool"),
+        ("comb", None, ["cofinal", "--levels", "a,b"],
+         "--levels takes comma-separated levels, got 'a,b'"),
+        ("comb", None, ["cofinal", "--levels", ","],
+         "--levels takes comma-separated levels, got ','"),
+    ], ids=["compose-without-payload", "compose-empty-pool", "cofinal-levels-not-numbers",
+            "cofinal-levels-blank"])
+    def test_bad_construct_input_is_exit_2(self, tmp_path, capsys, kind, reshape, argv,
+                                           message):
+        """Each of these used to leave `staged construct` with a traceback
+        (TypeError, ValueError from min() and from int())."""
+        stage = tmp_path / "stage.json"
+        assert cli.main(["staged", "gen", "--kind", kind, "--seed", "3",
+                         "--out", str(stage)]) == 0
+        if reshape is not None:
+            doc = json.loads(stage.read_text())
+            reshape(doc)
+            stage.write_text(json.dumps(doc))
+        assert cli.main(["staged", "construct", argv[0], "--in", str(stage), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ordfrag: error: {message}\n"
+
     def test_partition_refusal_is_machine_readable(self, tmp_path):
         mini = tmp_path / "mini.json"
         run_cli("staged", "gen", "--kind", "miniature", "--depth", "3",

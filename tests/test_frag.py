@@ -83,12 +83,13 @@ class TestDecomposition:
         levels = ln_decomposition(st, p)
         assert verify_decomposition(K, [levels[2], levels[1]] + levels[2:])
         assert verify_decomposition(K, [(0, 5)] + levels[1:])
-        # a point landing ON a previous level breaks the gap identity
-        forged = levels[:2] + [tuple(sorted(set(levels[2]) | {1}))] + [levels[3]]
         assert verify_delta_identity(K, [levels[1], (0, 1, 7), (0, 1, 7)]) == []
         stray = [levels[0], (0, 7), (0, 7, 7)]
         assert verify_decomposition(K, stray)
-        assert forged  # silence unused warning paths deliberately exercised above
+        # a new point beyond the last point of the level below sits in no gap
+        assert verify_delta_identity(FiniteChain(8), [(0, 5), (0, 5, 7)]) == [
+            "level 1 points ['7'] fall outside every gap of level 0"
+        ]
 
 
 class TestDeltaPairs:
