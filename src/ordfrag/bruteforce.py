@@ -1,11 +1,10 @@
 """Exhaustive reference searches.
 
 These are the slow, obviously-correct counterparts of the constructions
-in `simple` and `openpart`, of the pairwise clauses of
-`ptree.verify_admissible`, of the indexed pseudo-metric and separation
-sweep of `rnwit`, and of the point count of an ordinal interval. Tests
-and the acceptance suite compare fast answers against them on small
-instances; nothing here may call the fast paths.
+in `simple` and `openpart`, of `ptree.verify_admissible`, of the indexed
+pseudo-metric and separation sweep of `rnwit`, and of the point count of
+an ordinal interval. Tests and the acceptance suite compare fast answers
+against them on small instances; nothing here may call the fast paths.
 """
 
 from __future__ import annotations
@@ -15,43 +14,155 @@ from fractions import Fraction
 
 from . import space as sp
 from .errors import DomainError
-from .ordinal import Ordinal
-from .ptree import _PAIR_REPORT_CAP, PAIR_CLAUSES, PartitionTree, StagedTree, Verdict, check_tree
+from .ordinal import ZERO, Ordinal
+from .ptree import PartitionTree, StagedTree, Verdict, Violation
+
+# the pairwise clauses of an admissible tree in report order, with their
+# details, and how many violations of one clause a verdict lists
+_PAIR_DETAILS = {
+    "reverse-inclusion": "tree order and reverse interval inclusion disagree",
+    "level-overlap": "distinct same-level intervals share more than a point",
+    "comparability": "overlapping intervals on incomparable nodes",
+}
+_REPORT_CAP = 100
 
 
-def dense_verify_admissible(tree: PartitionTree) -> Verdict:
-    """`verify_admissible` with every node pair checked one by one."""
-    return check_tree(tree, dense_pair_clauses)
+def definitional_verify_admissible(tree: PartitionTree) -> Verdict:
+    """`ptree.verify_admissible` read straight off its clauses, with the
+    same verdict: violations and counts in the same order and texts, at
+    most _REPORT_CAP listed per clause.
+
+    Levels are compared as `Ordinal` values and points through
+    `space.compare_points`, `point_count` and `whole_interval`; ancestry
+    comes from walking parent links, and the pairwise clauses visit all
+    n(n-1)/2 pairs in id order. An endpoint outside the space raises its
+    `DomainError` here, where `verify_admissible` may return a verdict.
+    """
+    K, nodes = tree.space, tree.nodes
+    violations: list[Violation] = []
+    counts: dict[str, int] = {}
+
+    def report(clause, ids, detail):
+        counts[clause] = counts.get(clause, 0) + 1
+        if counts[clause] <= _REPORT_CAP:
+            violations.append(Violation(clause, tuple(ids), detail))
+
+    def verdict():
+        return Verdict(not violations and not counts, tuple(violations), counts)
+
+    def cmp(p, q):
+        return sp.compare_points(K, p, q)
+
+    def extreme(points, want):
+        best = points[0]
+        for p in points[1:]:
+            if cmp(p, best) == want:
+                best = p
+        return best
+
+    ids = sorted(nodes)
+    if not ids:
+        report("root", (), "empty tree")
+        return verdict()
+    for i in ids:
+        q = nodes[i].parent
+        if q is not None and q not in nodes:
+            report("linkage", (i,), f"parent {q} missing")
+        for c in nodes[i].children:
+            if c not in nodes or nodes[c].parent != i:
+                report("linkage", (i, c), "child link not mirrored")
+        if q is not None and q in nodes and i not in nodes[q].children:
+            report("linkage", (i,), "not listed among parent's children")
+    roots = [i for i in ids if nodes[i].parent is None]
+    if len(roots) != 1:
+        report("root", tuple(roots), f"expected exactly one root, found {len(roots)}")
+    if counts:
+        return verdict()
+
+    root = roots[0]
+    whole, top = sp.whole_interval(K), nodes[root]
+    if top.level != ZERO:
+        report("root", (root,), f"root level is {top.level}, not 0")
+    if cmp(top.interval.lo, whole.lo) != "equal" or cmp(top.interval.hi, whole.hi) != "equal":
+        report("root", (root,), "root interval is not the whole space")
+    for i in ids:
+        if i != root and nodes[i].level == ZERO:
+            report("root", (i,), "non-root node at level 0")
+
+    above = {i: _ancestors(nodes, i) for i in ids}  # parent first; None on a cycle
+    lost = [i for i in ids if above[i] is None]
+    if lost:
+        report("linkage", tuple(lost[:8]), f"{len(lost)} nodes unreachable from root")
+        return verdict()
+
+    for i in ids:
+        n, iv = nodes[i], nodes[i].interval
+        kids = n.children
+        order = cmp(iv.lo, iv.hi)
+        if order == "greater":
+            report("nontrivial", (i,), "interval endpoints out of order")
+            report("nontrivial", (i,), "interval has 0 points")
+        elif order == "equal":
+            report("nontrivial", (i,), "interval has 1 points")
+        elif kids and sp.point_count(K, iv) == 2:
+            report("two-point-leaf", (i,), "two-point interval has children")
+        if len(kids) == 2:
+            a, b = kids
+            if cmp(nodes[a].interval.lo, nodes[b].interval.lo) == "greater":
+                a, b = b, a
+            left, right = nodes[a].interval, nodes[b].interval
+            if not (cmp(left.lo, iv.lo) == cmp(left.hi, right.lo) == cmp(right.hi, iv.hi) == "equal"
+                    and cmp(left.lo, left.hi) == cmp(right.lo, right.hi) == "less"):
+                report("binary-split", (i, a, b), "children do not split at a single interior point")
+        elif kids:
+            report("binary-split", (i,), "exactly one child" if len(kids) == 1 else f"{len(kids)} children")
+        if n.parent is None:
+            continue
+        up = nodes[n.parent].level
+        if n.level.kind == "limit":
+            if not n.level > up:
+                report("level-step", (i,), f"limit level {n.level} not above parent level {up}")
+            meet_lo = extreme([nodes[q].interval.lo for q in above[i]], "greater")
+            meet_hi = extreme([nodes[q].interval.hi for q in above[i]], "less")
+            if cmp(meet_lo, iv.lo) != "equal" or cmp(meet_hi, iv.hi) != "equal":
+                report("limit-intersection", (i,),
+                       "limit-level interval differs from the intersection of its ancestors")
+        elif n.level != up + 1:
+            report("level-step", (i,), f"level {n.level} is not parent level {up} + 1")
+
+    def inside(u, v):  # the interval of v lies within that of u
+        a, b = nodes[u].interval, nodes[v].interval
+        return cmp(a.lo, b.lo) != "greater" and cmp(b.hi, a.hi) != "greater"
+
+    found: dict[str, list] = {clause: [] for clause in _PAIR_DETAILS}
+    for u, v in itertools.combinations(ids, 2):
+        a, b = nodes[u].interval, nodes[v].interval
+        u_above, v_above = u in above[v], v in above[u]
+        overlap = cmp(extreme([a.lo, b.lo], "greater"), extreme([a.hi, b.hi], "less")) == "less"
+        if u_above != inside(u, v) or v_above != inside(v, u):
+            found["reverse-inclusion"].append((u, v))
+        if nodes[u].level == nodes[v].level and overlap:
+            found["level-overlap"].append((u, v))
+        if overlap and not (u_above or v_above):
+            found["comparability"].append((u, v))
+    for clause, detail in _PAIR_DETAILS.items():
+        if found[clause]:
+            counts[clause] = len(found[clause])
+            violations.extend(Violation(clause, pair, detail) for pair in found[clause][:_REPORT_CAP])
+    return verdict()
 
 
-def dense_pair_clauses(lo, hi, lvl, par, times) -> dict:
-    """The pairwise clauses of `ptree.check_tree` over all n(n-1)/2 pairs,
-    in position order: O(n^2) time. Ancestry is read off the DFS times,
-    so the tree is always walked, admissible or not."""
-    tin, tout = times()
-    found = {clause: [0, []] for clause in PAIR_CLAUSES}
-
-    def hit(clause, r, c):
-        entry = found[clause]
-        entry[0] += 1
-        if entry[0] <= _PAIR_REPORT_CAP:
-            entry[1].append((r, c))
-
-    n = len(lo)
-    for r in range(n):
-        for c in range(r + 1, n):
-            anc_rc = tin[r] <= tin[c] and tout[c] <= tout[r]
-            anc_cr = tin[c] <= tin[r] and tout[r] <= tout[c]
-            cont_rc = lo[r] <= lo[c] and hi[c] <= hi[r]
-            cont_cr = lo[c] <= lo[r] and hi[r] <= hi[c]
-            overlap = max(lo[r], lo[c]) < min(hi[r], hi[c])
-            if anc_rc != cont_rc or anc_cr != cont_cr:
-                hit("reverse-inclusion", r, c)
-            if lvl[r] == lvl[c] and overlap:
-                hit("level-overlap", r, c)
-            if overlap and not (anc_rc or anc_cr):
-                hit("comparability", r, c)
-    return {clause: tuple(entry) for clause, entry in found.items()}
+def _ancestors(nodes, i) -> list | None:
+    """The ids on the parent links above i, or None when they cycle
+    without reaching a root."""
+    out: list = []
+    q = nodes[i].parent
+    while q is not None:
+        if q in out:
+            return None
+        out.append(q)
+        q = nodes[q].parent
+    return out
 
 
 def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:

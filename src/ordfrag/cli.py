@@ -48,6 +48,7 @@ from .ptree import (
 )
 from .simple import (
     BoundedRegressive,
+    NotSimple,
     RegressiveMap,
     condensation_core,
     bounded_regressive,
@@ -162,10 +163,10 @@ def cmd_space_show(args) -> int:
     doc = {
         "v": 1,
         "kind": "space-summary",
-        "space": sp.space_to_json(K),
+        "space": K.to_json(),
         "finite": finite,
-        "min": sp.render_point(K, sp.minimum(K)),
-        "max": sp.render_point(K, sp.maximum(K)),
+        "min": sp.render_point(K, K.minimum()),
+        "max": sp.render_point(K, K.maximum()),
     }
     if finite:
         pts = sp.enumerate_points(K)
@@ -181,7 +182,7 @@ def cmd_space_sample(args) -> int:
     _emit({
         "v": 1,
         "kind": "points",
-        "space": sp.space_to_json(K),
+        "space": K.to_json(),
         "points": [sp.render_point(K, p) for p in pts],
     }, args)
     return 0
@@ -291,7 +292,15 @@ def _construct(st, op, args):
         tips = sorted(members, key=st.payload_keys[0].__getitem__)
         t = min(st.pool)
         pi = RegressiveMap({x: st.ancestor_at(x, t) for x in tips})
-        fibre_maps = {pi[x]: RegressiveMap({x: pi[x]}) for x in tips}
+        fibres: dict[int, list[int]] = {}
+        for x in tips:
+            fibres.setdefault(pi[x], []).append(x)
+        fibre_maps = {}
+        for w, fibre in fibres.items():
+            decision = is_simple(st, fibre)
+            if isinstance(decision, NotSimple):
+                raise NotSimpleError(decision.violator, level=st.top_level)
+            fibre_maps[w] = decision.witness
         return witness_to_json(compose_fibrewise(st, pi, fibre_maps))
     if op == "bounded":
         br: BoundedRegressive = bounded_regressive(st, members)
@@ -355,7 +364,7 @@ def cmd_staged_partition(args) -> int:
 
 def _emit_levels(K, levels, args) -> None:
     doc = levels_to_json(K, levels)
-    doc["space"] = sp.space_to_json(K)
+    doc["space"] = K.to_json()
     _emit(doc, args)
 
 
@@ -371,7 +380,7 @@ def cmd_frag_delta(args) -> int:
     _emit({
         "v": 1,
         "kind": "gap-pairs",
-        "space": sp.space_to_json(K),
+        "space": K.to_json(),
         "levels": [[_render_pair(K, pr) for pr in delta_pairs(K, pts)]
                    for pts in levels],
     }, args)
@@ -443,7 +452,7 @@ def cmd_rn_witness(args) -> int:
     fam = rn.separating_family(K, levels)
     D = rn.dense_set(K, fam, levels, args.denbound)
     doc = rn.witness_bundle_to_json(K, fam, D)
-    doc["space"] = sp.space_to_json(K)
+    doc["space"] = K.to_json()
     doc["levels"] = levels_to_json(K, levels)["levels"]
     _emit(doc, args)
     return 0
@@ -453,7 +462,7 @@ def cmd_rn_dense(args) -> int:
     K, levels = _levels_of(args)
     D = rn.dense_set(K, rn.separating_family(K, levels), levels, args.denbound)
     doc = rn.dense_to_json(K, D)
-    doc["space"] = sp.space_to_json(K)
+    doc["space"] = K.to_json()
     _emit(doc, args)
     return 0
 

@@ -50,15 +50,16 @@ class NoRoom(OrdfragError):
     """No pool node strictly above the required bound exists on a branch.
 
     Finite miniatures may lack the levels the infinite arguments take for
-    granted; this error names the node and the level bound that could not
-    be cleared.
+    granted; this error names the node and, when there is one, the level
+    bound that could not be cleared.
     """
 
     def __init__(self, node: int, bound_level: int | None, detail: str = ""):
         self.node = node
         self.bound_level = bound_level
         self.detail = detail
-        msg = f"no pool level available strictly above level {bound_level} on the branch of node {node}"
+        above = "" if bound_level is None else f" strictly above level {bound_level}"
+        msg = f"no pool level available{above} on the branch of node {node}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)

@@ -57,7 +57,7 @@ def ln_decomposition(st: StagedTree, p: OpenPartition) -> list[tuple]:
     by_rank: dict[int, list[int]] = {}
     for v in sorted(st.parent):
         by_rank.setdefault(rank(st, p, v), []).append(v)
-    pts = {K.key(q): q for q in (sp.minimum(K), sp.maximum(K))}
+    pts = {K.key(q): q for q in (K.minimum(), K.maximum())}
     levels = []
     for n in range(max(by_rank) + 1):
         for v in by_rank.get(n, ()):
@@ -76,7 +76,7 @@ def verify_decomposition(K, levels) -> list[str]:
     for n, ks in enumerate(keys):
         if ks != sorted(set(ks)):
             problems.append(f"level {n} is not strictly sorted")
-    if set(keys[0]) != {K.key(sp.minimum(K)), K.key(sp.maximum(K))}:
+    if set(keys[0]) != {K.key(K.minimum()), K.key(K.maximum())}:
         problems.append("level 0 is not the pair of extremes")
     for n in range(len(keys) - 1):
         if not set(keys[n]) <= set(keys[n + 1]):

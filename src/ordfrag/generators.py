@@ -19,35 +19,6 @@ def rng_of(seed) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
-def sample_space(seed, max_chain=64) -> sp.SpaceDescriptor:
-    """A small assorted space: chain, ordinal interval, split chain or a
-    two-level order sum."""
-    rng = rng_of(seed)
-    roll = rng.randrange(5)
-    if roll == 0:
-        return sp.FiniteChain(rng.randint(1, max_chain))
-    if roll == 1:
-        return sp.OrdinalInterval(ord_.parse(rng.choice(ALPHA_MENU)))
-    if roll == 2:
-        return sp.SplitChain(rng.randint(1, max_chain // 2 + 1))
-    parts = tuple(
-        sample_space(rng, max_chain=max(2, max_chain // 4))
-        if roll == 4 and d == 0 and rng.random() < 0.3
-        else _flat_space(rng, max_chain=max(2, max_chain // 4))
-        for d in range(rng.randint(1, 4))
-    )
-    return sp.OrderSum(parts)
-
-
-def _flat_space(rng, max_chain) -> sp.SpaceDescriptor:
-    roll = rng.randrange(3)
-    if roll == 0:
-        return sp.FiniteChain(rng.randint(1, max_chain))
-    if roll == 1:
-        return sp.OrdinalInterval(ord_.parse(rng.choice(ALPHA_MENU)))
-    return sp.SplitChain(rng.randint(1, max_chain // 2 + 1))
-
-
 def sample_ordinal_below(rng, alpha: Ordinal) -> Ordinal:
     """A uniform-ish ordinal in [0, alpha]: random coefficients under the
     leading term, occasionally alpha itself or a limit."""

@@ -18,7 +18,7 @@ import bisect
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import ordinal as ord_
 from . import space as sp
@@ -165,7 +165,7 @@ class Verdict:
 _PAIR_REPORT_CAP = 100
 
 # The pairwise clauses, in report order, with the detail of each violation.
-PAIR_CLAUSES = {
+_PAIR_CLAUSES = {
     "reverse-inclusion": "tree order and reverse interval inclusion disagree",
     "level-overlap": "distinct same-level intervals share more than a point",
     "comparability": "overlapping intervals on incomparable nodes",
@@ -182,25 +182,11 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
     admissible tree takes O(n log n) time; a broken one adds its
     violating pairs and, per node, a bisection for each non-nested edge
     above it.
-    """
-    return check_tree(tree, _pair_clauses)
 
-
-def check_tree(tree: PartitionTree, pairwise) -> Verdict:
-    """`verify_admissible` with the pairwise clauses left to `pairwise`.
-
-    `pairwise(lo, hi, lvl, par, times)` gets one entry per node, in
-    sorted id order: endpoint and level ranks and the parent's position
-    (-1 at the root). `times()` returns the DFS entry and exit times
-    (tin, tout), walking the tree on its first call only. It returns,
-    per name in PAIR_CLAUSES, the number of violating unordered pairs
-    and the first _PAIR_REPORT_CAP of them as position pairs (r, c),
-    r < c, in increasing order.
-
-    The walk also decides reachability, so it runs up front only when
-    some non-root node's level is not above its parent's. Otherwise,
-    with the links mirrored and one root, parent steps lower the level
-    and so end at the root: no node can be cut off.
+    The tree is walked at most once, up front only when some non-root
+    node's level is not above its parent's: otherwise, with the links
+    mirrored and one root, parent steps lower the level and so end at
+    the root, and no node can be cut off.
     """
     violations: list[Violation] = []
     counts: dict[str, int] = {}
@@ -263,13 +249,7 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
             if lvl[p] == zero and p != rp:
                 report("root", (i,), "non-root node at level 0")
 
-    walked = None
-
-    def times():
-        nonlocal walked
-        if walked is None:
-            walked = _walk(row, pos, rp)
-        return walked
+    times = cache(lambda: _walk(row, pos, rp))  # DFS (tin, tout), walked once
 
     # reachability (cycles would hide below a fake root)
     if not all(q < 0 or lvl[q] < r for q, r in zip(par, lvl)):
@@ -348,8 +328,8 @@ def check_tree(tree: PartitionTree, pairwise) -> Verdict:
             report("level-step", (i,), f"level {n.level} is not parent level {row[q].level} + 1")
 
     # pairwise clauses on endpoint ranks
-    found = pairwise(lo, hi, lvl, par, times)
-    for clause, detail in PAIR_CLAUSES.items():
+    found = _pair_clauses(lo, hi, lvl, par, times)
+    for clause, detail in _PAIR_CLAUSES.items():
         count, first = found[clause]
         if count:
             counts[clause] = count
@@ -433,7 +413,10 @@ class _PairLog:
 
 
 def _pair_clauses(lo, hi, lvl, par, times) -> dict:
-    """The pairwise clauses by sorting and sweeping (see `check_tree`).
+    """The pairwise clauses on ranks by position: per clause, the number
+    of violating unordered pairs and the first _PAIR_REPORT_CAP of them
+    as position pairs (r, c), r < c, in increasing order. `times()`
+    gives the DFS (tin, tout), walking the tree on its first call.
 
     With u an ancestor of v (tin/tout nest), `reverse-inclusion` wants
     [lo, hi] of v strictly inside that of u, and for incomparable nodes
@@ -451,7 +434,7 @@ def _pair_clauses(lo, hi, lvl, par, times) -> dict:
     in order; that sweep breaks ties by DFS entry time.
     """
     n = len(lo)
-    logs = {clause: _PairLog() for clause in PAIR_CLAUSES}
+    logs = {clause: _PairLog() for clause in _PAIR_CLAUSES}
     laminar = (
         all(q < 0 or (lo[q] <= a and b <= hi[q] and (lo[q] < a or b < hi[q]))
             for q, a, b in zip(par, lo, hi))
@@ -890,7 +873,7 @@ def tree_to_json(tree: PartitionTree) -> dict:
                 "interval": sp.interval_to_json(K, n.interval),
             }
         )
-    doc = {"v": 1, "kind": "tree", "space": sp.space_to_json(K), "nodes": rows}
+    doc = {"v": 1, "kind": "tree", "space": K.to_json(), "nodes": rows}
     if tree.budget is not None:
         doc["budget"] = tree.budget
     return doc
@@ -924,7 +907,7 @@ def staged_to_json(st: StagedTree) -> dict:
         "nodes": rows,
     }
     if st.space is not None:
-        doc["space"] = sp.space_to_json(st.space)
+        doc["space"] = st.space.to_json()
     return doc
 
 

@@ -289,7 +289,7 @@ class DenseSetRecord:
     def __post_init__(self):
         key = self.space.key
         object.__setattr__(self, "_keys", frozenset(map(key, self.points)))
-        fence = {key(p): p for p in (sp.minimum(self.space), sp.maximum(self.space))}
+        fence = {key(p): p for p in (self.space.minimum(), self.space.maximum())}
         depths, fences = [], [_sorted_by_key(fence)]
         for depth, pts in sorted(self.m_sets, key=_first):
             fence.update((key(p), p) for p in pts)
@@ -363,7 +363,7 @@ def dense_set(K, A, levels, denominator_bound: int = 16) -> DenseSetRecord:
     if not levels:
         raise DomainError("a decomposition with at least the extremes is required")
     key = K.key
-    lo, hi = sp.minimum(K), sp.maximum(K)
+    lo, hi = K.minimum(), K.maximum()
     k_hi = key(hi)
 
     by_level: dict = {}

@@ -13,8 +13,9 @@ Each descriptor implements the primitives of its kind as methods:
 integer-key arithmetic of a finite chain; a split chain is a labelling
 of the chain of twice its size. Apart from `validate` and `parse`, the
 methods assume valid points. The module functions below are the
-package's interface: they validate what enters and then call the
-methods.
+package's interface to points: they validate what enters and then
+call the methods. `minimum`, `maximum` and `to_json` take no point, so
+callers use those methods directly.
 
 Every space has a minimum and maximum, every point except the maximum
 has an immediate successor, and predecessors are missing only at the
@@ -347,14 +348,6 @@ def compare_points(space, p, q) -> str:
     return "less" if kp < kq else "greater"
 
 
-def minimum(space):
-    return space.minimum()
-
-
-def maximum(space):
-    return space.maximum()
-
-
 def adjacency(space, p):
     """(predecessor | None, successor | None), immediate neighbours in
     the space order. Successors are missing only at the maximum;
@@ -469,10 +462,6 @@ def parse_point(space, text: str):
 
 
 # -- JSON --------------------------------------------------------------------
-
-
-def space_to_json(space) -> dict:
-    return space.to_json()
 
 
 @document_decoder

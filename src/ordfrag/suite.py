@@ -310,7 +310,7 @@ def criterion_5(seed=0) -> CriterionResult:
 
 
 def _ordinal_samples(K, rng, count):
-    out = [sp.minimum(K), sp.maximum(K)]
+    out = [K.minimum(), K.maximum()]
     while len(out) < count:
         a = rng.randint(0, 30)
         b = rng.randint(0, 30)

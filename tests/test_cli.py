@@ -249,6 +249,37 @@ class TestStaged:
         assert captured.out == ""
         assert captured.err == f"ordfrag: error: {message}\n"
 
+    def test_compose_maps_tops_sharing_a_pool_ancestor(self, tmp_path, capsys):
+        """Several tops of a two-comb sit above each node of the lowest
+        pool level; compose gives each such fibre its own simple map."""
+        from ordfrag import simple
+        from ordfrag.ptree import staged_from_json
+
+        stage = tmp_path / "two.json"
+        assert cli.main(["staged", "gen", "--kind", "two-comb", "--seed", "0",
+                         "--out", str(stage)]) == 0
+        st = staged_from_json(json.loads(stage.read_text()))
+        lowest = [st.ancestor_at(x, min(st.pool)) for x in st.tops()]
+        assert len(set(lowest)) < len(lowest)
+        assert cli.main(["staged", "construct", "compose", "--in", str(stage)]) == 0
+        rm = simple.witness_from_json(json.loads(capsys.readouterr().out))
+        assert simple.verify_simple_witness(st, st.tops(), rm) == []
+        assert simple.verify_disjoint_segments(st, rm) == []
+
+    def test_miniature_refusals_name_the_violator_and_no_missing_bound(self, tmp_path, capsys):
+        mini = tmp_path / "mini.json"
+        assert cli.main(["staged", "gen", "--kind", "miniature", "--depth", "3",
+                         "--out", str(mini)]) == 0
+        capsys.readouterr()
+        assert cli.main(["staged", "construct", "compose", "--in", str(mini)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["kind"], doc["error"]) == ("refusal", "NotSimple")
+        assert doc["violator"] == {"members": [3, 4, 5, 6], "neighborhood": [0]}
+        assert cli.main(["staged", "construct", "bounded", "--in", str(mini)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["message"] == ("no pool level available on the branch of node 3 "
+                                  "(no pool ancestor stays below the anchor minimum)")
+
     def test_partition_refusal_is_machine_readable(self, tmp_path):
         mini = tmp_path / "mini.json"
         run_cli("staged", "gen", "--kind", "miniature", "--depth", "3",
@@ -366,7 +397,7 @@ class TestRn:
 
         K, levels = _chain_instance(8)
         doc = levels_to_json(K, levels)
-        doc["space"] = sp.space_to_json(K)
+        doc["space"] = K.to_json()
         lv = tmp_path / "sat.json"
         lv.write_text(json.dumps(doc))
         proc = run_cli("rn", "check", "--in", str(lv), "--subsets", "4")

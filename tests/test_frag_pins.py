@@ -71,8 +71,8 @@ SIMPLE = {
     "two_comb1": "b07cb962ca7e2fc9f0657e1c717a074b55eacca5394dc67a095f10072c3d7952",
     "two_comb2": "7621c24c2dae0abcbe5f18c7825a26b0437dd3c40da7b8ac4d8b17e69ed44294",
     "two_comb3": "b07cb962ca7e2fc9f0657e1c717a074b55eacca5394dc67a095f10072c3d7952",
-    "split3": "ef43b2780f3e5df4fe9e0cbfeb8bcf76825885fe810d98aa176a058966812324",
-    "split4": "634649f6f73e1a674fb33e1f4349c5ec5d75d508a6218cc74ab72b922ccb1cc6",
+    "split3": "f251da32352fe60b010a3f77f057503a127ee85b5b430a418840d477e274a4d6",
+    "split4": "ad1d64caea62868902af646aca470de07c31c743f03fdfd6c146165c40d06924",
 }
 
 

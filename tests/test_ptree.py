@@ -13,7 +13,7 @@ from hypothesis import strategies as hst
 
 from ordfrag import generators as gen
 from ordfrag import ptree
-from ordfrag.bruteforce import dense_verify_admissible
+from ordfrag.bruteforce import definitional_verify_admissible
 from ordfrag.errors import DomainError, InsufficientMaterialization
 from ordfrag.ordinal import ZERO, add, from_int, parse
 from ordfrag.ptree import (
@@ -218,7 +218,7 @@ class TestVerify:
         v = verify_admissible(t)
         assert [x.nodes for x in v.violations
                 if x.detail == "non-root node at level 0"] == [(i,) for i in at_zero]
-        assert v == dense_verify_admissible(t)
+        assert v == definitional_verify_admissible(t)
 
     def test_level_step_clause(self):
         t = make_tree(
@@ -259,7 +259,7 @@ class TestVerify:
         nodes[0] = TreeNode(0, root.interval, root.level, None, (1, 1, 2))
         v = verify_admissible(PartitionTree(t.space, nodes, 0))
         assert v.counts == {"binary-split": 1}
-        assert v == dense_verify_admissible(PartitionTree(t.space, nodes, 0))
+        assert v == definitional_verify_admissible(PartitionTree(t.space, nodes, 0))
 
     def test_two_node_cycle_below_the_root_is_unreachable(self, monkeypatch):
         # 3 and 4 are each other's parent and child: the links are
@@ -272,8 +272,8 @@ class TestVerify:
         want = Verdict(False, (Violation("linkage", (3, 4), "2 nodes unreachable from root"),),
                        {"linkage": 1})
         assert verify_admissible(t) == want
-        assert dense_verify_admissible(t) == want
-        assert walks == [5, 5]
+        assert definitional_verify_admissible(t) == want
+        assert walks == [5]
 
     @pytest.mark.parametrize("mutation", ["swap", "whole", "equal", "reversed", "one-point"])
     def test_rising_levels_walk_only_when_the_intervals_ask(self, monkeypatch, mutation):
@@ -299,10 +299,10 @@ class TestVerify:
                    for n in mutant.nodes.values())
         fast = verify_admissible(mutant)
         assert walks == [15]
-        dense = dense_verify_admissible(mutant)
+        oracle = definitional_verify_admissible(mutant)
         assert not fast.ok
-        assert fast.violations == dense.violations
-        assert list(fast.counts.items()) == list(dense.counts.items())
+        assert fast.violations == oracle.violations
+        assert list(fast.counts.items()) == list(oracle.counts.items())
 
     @pytest.mark.parametrize("change", ["float-id", "float-parent", "bool-id", "float-child"])
     def test_ids_that_only_equal_positions_keep_their_verdicts(self, change):
@@ -330,8 +330,8 @@ class TestVerify:
                 t = PartitionTree(t.space, nodes, 0)
             ids = sorted(t.nodes)
             assert isinstance(ptree._positions(ids, [t.nodes[i] for i in ids]), dict)
-            fast, dense = verify_admissible(t), dense_verify_admissible(t)
-            assert fast == dense
+            fast, oracle = verify_admissible(t), definitional_verify_admissible(t)
+            assert fast == oracle
             assert fast.ok != swap
 
     def test_missing_parent_is_a_linkage_violation(self):
@@ -344,7 +344,7 @@ class TestVerify:
         want = Verdict(False, (Violation("linkage", (0, 1), "child link not mirrored"),
                                Violation("linkage", (1,), "parent 99 missing")), {"linkage": 2})
         assert verify_admissible(t) == want
-        assert dense_verify_admissible(t) == want
+        assert definitional_verify_admissible(t) == want
 
     def test_linkage_violations_short_circuit(self):
         t = PartitionTree(FiniteChain(3), {}, 0)
@@ -363,11 +363,11 @@ class TestVerify:
             assert [x.nodes for x in v.violations if x.clause == clause] == pairs[:100]
         assert [x.clause for x in v.violations][1::100] == ["reverse-inclusion", "level-overlap",
                                                             "comparability"]
-        assert v == dense_verify_admissible(t)
+        assert v == definitional_verify_admissible(t)
 
 
 def _count_walks(monkeypatch) -> list[int]:
-    """Record the node count of every DFS walk `check_tree` makes."""
+    """Record the node count of every DFS walk `verify_admissible` makes."""
     walks = []
     walk = ptree._walk
 
@@ -388,15 +388,21 @@ SMALL_SPACES = (
     OrderSum((FiniteChain(3), OrdinalInterval(W), SplitChain(2))),
 )
 MUTATIONS = ("level-step", "binary-split", "linkage", "root", "swap", "whole",
-             "equal", "one-point", "reversed", "limit-level")
+             "equal", "one-point", "reversed", "limit-level", "level-shift", "limit-subtree",
+             "limit-meet")
+LIMITS = (W, parse("w+1"), parse("w*2"), W2, parse("w^2+w"))
 
 
 @hst.composite
 def mutated_trees(draw):
     """Small built trees with up to three seeded mutations, admissible
     ones included: the five kinds the benchmark applies (level-step,
-    binary-split, linkage, root, swapped or widened intervals) and
-    equal, one-point and reversed intervals and limit levels."""
+    binary-split, linkage, root, swapped or widened intervals), equal,
+    one-point and reversed intervals and limit levels, and the three
+    limit kinds of `test_ptree_pins.seeded_mutants`: every non-root
+    level shifted up by one, a limit level L on a node (and on its
+    parent too, drawn) and L + k on its descendants k levels down, and
+    a limit node under a parent widened to the whole space."""
     K = draw(hst.sampled_from(SMALL_SPACES))
     tree = build_tree(K, draw(hst.integers(1, 41)))
     rows = {i: [i, n.interval.lo, n.interval.hi, n.level, n.parent] for i, n in tree.nodes.items()}
@@ -424,17 +430,35 @@ def mutated_trees(draw):
             rows[a][1], rows[a][2] = rows[a][2], rows[a][1]
         elif kind == "limit-level":
             rows[a][3] = draw(hst.sampled_from([W, parse("w+1"), W2]))
+        elif kind == "level-shift":
+            for r in rows.values():
+                if r[4] is not None:
+                    r[3] = add(r[3], from_int(1))
+        elif kind == "limit-subtree":
+            limit, todo, seen = draw(hst.sampled_from(LIMITS)), [(a, 0)], set()
+            if parent is not None and draw(hst.booleans()):  # L repeats on the edge above a
+                rows[parent][3] = limit
+            while todo:
+                i, k = todo.pop()
+                if i not in seen:
+                    seen.add(i)
+                    rows[i][3] = add(limit, from_int(k))
+                    todo.extend((c, k + 1) for c, r in rows.items() if r[4] == i)
+        elif kind == "limit-meet" and parent is not None and rows[parent][4] is not None:
+            rows[parent][1:3] = rows[tree.root_id][1:3]
+            rows[a][1:3] = rows[draw(hst.sampled_from([rows[parent][4], tree.root_id]))][1:3]
+            rows[a][3] = draw(hst.sampled_from(LIMITS))
     return make_tree(K, [tuple(r) for r in rows.values()], tree.budget)
 
 
-class TestVerifyAgainstDenseReference:
+class TestVerifyAgainstDefinitionalOracle:
     @given(mutated_trees())
     @settings(max_examples=300, deadline=None)
     def test_whole_verdicts_agree(self, tree):
-        fast, dense = verify_admissible(tree), dense_verify_admissible(tree)
-        assert fast.ok == dense.ok
-        assert fast.violations == dense.violations
-        assert list(fast.counts.items()) == list(dense.counts.items())
+        fast, oracle = verify_admissible(tree), definitional_verify_admissible(tree)
+        assert fast.ok == oracle.ok
+        assert fast.violations == oracle.violations
+        assert list(fast.counts.items()) == list(oracle.counts.items())
 
 
 def comb_rows(n):

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from ordfrag import space as sp
+from ordfrag.bruteforce import definitional_verify_admissible
 from ordfrag.errors import DomainError
 from ordfrag.ordinal import ZERO, add, from_int, parse
 from ordfrag.ptree import StagedTree, build_tree, make_tree, to_staged, tree_to_json, verify_admissible
@@ -326,7 +327,7 @@ def _depths(rows, root):
 
 def _mutate(rng, rows, root, kind):
     """Apply one mutation in place, as `mutated_trees` in test_ptree does,
-    plus `level-shift` (every non-root level up by one, so the root's
+    including `level-shift` (every non-root level up by one, so the root's
     children miss level 1), `limit-subtree` (a limit level L on a node
     at depth 2 or more, and L + k on its descendants k levels down) and
     `limit-meet` (a limit node at depth 2 or more under a parent widened
@@ -463,3 +464,12 @@ MUTANT_DIGESTS = {
 def test_seeded_mutant_verdicts_are_pinned(space_name, kind):
     got = [verdict_digest(verify_admissible(t)) for t in seeded_mutants(space_name, kind)]
     assert hashlib.sha256(" ".join(got).encode()).hexdigest() == MUTANT_DIGESTS[space_name, kind]
+
+
+@pytest.mark.parametrize("space_name, kind", sorted(MUTANT_DIGESTS))
+def test_seeded_mutants_match_the_definitional_oracle(space_name, kind):
+    """Whole verdicts: ok, the violations in order and the counts in order."""
+    for tree in seeded_mutants(space_name, kind):
+        fast, oracle = verify_admissible(tree), definitional_verify_admissible(tree)
+        assert (fast.ok, fast.violations, list(fast.counts.items())) == (
+            oracle.ok, oracle.violations, list(oracle.counts.items()))

@@ -125,7 +125,7 @@ def test_deepest_gap_matches_the_oracle(case, data):
     members = data.draw(hst.permutations(picked)) if picked else []
     if members and data.draw(hst.booleans()):
         x, _y, depth = members[0].tag
-        members.append(rn.StepFunction(K, members[0].cuts, (x, sp.maximum(K), depth)))
+        members.append(rn.StepFunction(K, members[0].cuts, (x, K.maximum(), depth)))
     metric = rn.pseudo_metric(members)
     for w in data.draw(hst.lists(hst.sampled_from(points(K)), min_size=1, max_size=6)):
         n = data.draw(hst.integers(1, len(levels)))

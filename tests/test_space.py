@@ -29,14 +29,11 @@ from ordfrag.space import (
     interval_to_json,
     is_finite_space,
     make_interval,
-    maximum,
-    minimum,
     parse_point,
     point_count,
     point_key,
     render_point,
     space_from_json,
-    space_to_json,
     validate_point,
     whole_interval,
 )
@@ -52,6 +49,35 @@ SMALL_SPACES = [
     OrderSum((FiniteChain(3), SplitChain(2), FiniteChain(1))),
     OrderSum((OrderSum((FiniteChain(2), FiniteChain(2))), FiniteChain(3))),
 ]
+
+
+def sample_space(seed, max_chain=64):
+    """A small assorted space: chain, ordinal interval, split chain or a
+    two-level order sum."""
+    rng = gen.rng_of(seed)
+    roll = rng.randrange(5)
+    if roll == 0:
+        return FiniteChain(rng.randint(1, max_chain))
+    if roll == 1:
+        return OrdinalInterval(parse(rng.choice(gen.ALPHA_MENU)))
+    if roll == 2:
+        return SplitChain(rng.randint(1, max_chain // 2 + 1))
+    parts = tuple(
+        sample_space(rng, max_chain=max(2, max_chain // 4))
+        if roll == 4 and d == 0 and rng.random() < 0.3
+        else _flat_space(rng, max_chain=max(2, max_chain // 4))
+        for d in range(rng.randint(1, 4))
+    )
+    return OrderSum(parts)
+
+
+def _flat_space(rng, max_chain):
+    roll = rng.randrange(3)
+    if roll == 0:
+        return FiniteChain(rng.randint(1, max_chain))
+    if roll == 1:
+        return OrdinalInterval(parse(rng.choice(gen.ALPHA_MENU)))
+    return SplitChain(rng.randint(1, max_chain // 2 + 1))
 
 
 def sample_interval(rng, space, min_points=1) -> ClosedInterval:
@@ -129,8 +155,8 @@ class TestAdjacency:
 
     def test_endpoints(self):
         for K in SMALL_SPACES:
-            assert adjacency(K, minimum(K))[0] is None
-            assert adjacency(K, maximum(K))[1] is None
+            assert adjacency(K, K.minimum())[0] is None
+            assert adjacency(K, K.maximum())[1] is None
 
     def test_seam_crossing(self):
         K = OrderSum((FiniteChain(2), SplitChain(2)))
@@ -146,7 +172,7 @@ class TestAdjacency:
     def test_exhaustive_coherence_finite(self):
         for K in SMALL_SPACES:
             pts = enumerate_points(K)
-            assert pts[0] == minimum(K) and pts[-1] == maximum(K)
+            assert pts[0] == K.minimum() and pts[-1] == K.maximum()
             assert sorted(map(lambda p: point_key(K, p), pts)) == [point_key(K, p) for p in pts]
             for a, b in zip(pts, pts[1:]):
                 assert adjacency(K, a)[1] == b
@@ -274,7 +300,7 @@ class TestRendering:
     def test_roundtrip_random(self):
         rng = random.Random(112)
         for _ in range(1_000):
-            K = gen.sample_space(rng)
+            K = sample_space(rng)
             p = gen.sample_point(rng, K)
             assert parse_point(K, render_point(K, p)) == p
 
@@ -303,15 +329,15 @@ class TestJson:
     def test_space_roundtrip(self):
         rng = random.Random(900)
         for _ in range(300):
-            K = gen.sample_space(rng)
-            assert space_from_json(space_to_json(K)) == K
+            K = sample_space(rng)
+            assert space_from_json(K.to_json()) == K
 
     def test_pinned_documents(self):
-        assert space_to_json(OrdinalInterval(parse("w^2*3"))) == {"kind": "ordinal", "alpha": "w^2*3"}
-        assert space_to_json(FiniteChain(8)) == {"kind": "finite", "size": 8}
+        assert OrdinalInterval(parse("w^2*3")).to_json() == {"kind": "ordinal", "alpha": "w^2*3"}
+        assert FiniteChain(8).to_json() == {"kind": "finite", "size": 8}
         assert space_from_json({"kind": "split", "size": 4}) == SplitChain(4)
         doc = {"kind": "sum", "parts": [{"kind": "finite", "size": 2}, {"kind": "ordinal", "alpha": "w"}]}
-        assert space_to_json(space_from_json(doc)) == doc
+        assert space_from_json(doc).to_json() == doc
 
     def test_interval_roundtrip(self):
         K = OrdinalInterval(W2)
@@ -357,6 +383,6 @@ class TestClosedIntervalRecord:
 
 @given(st.integers(0, 2**32 - 1))
 def test_sampling_always_valid(seed):
-    K = gen.sample_space(seed)
+    K = sample_space(seed)
     p = gen.sample_point(seed + 1 if seed + 1 < 2**32 else 0, K)
     validate_point(K, p)

@@ -75,8 +75,8 @@ def transcript(K, points) -> str:
     """Every primitive's output on `points` (distinct, in the space order)
     and on every interval between two of them."""
     r = [sp.render_point(K, p) for p in points]
-    lines = [repr(sp.space_to_json(K)), repr(K), f"size {sp.space_size(K)}", f"finite {sp.is_finite_space(K)}"]
-    lines.append(f"min {sp.render_point(K, sp.minimum(K))} max {sp.render_point(K, sp.maximum(K))}")
+    lines = [repr(K.to_json()), repr(K), f"size {sp.space_size(K)}", f"finite {sp.is_finite_space(K)}"]
+    lines.append(f"min {sp.render_point(K, K.minimum())} max {sp.render_point(K, K.maximum())}")
     keys = [sp.point_key(K, p) for p in points]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     for i, p in enumerate(points):
@@ -98,8 +98,8 @@ def transcript(K, points) -> str:
 
 
 def seeded_points(K, n=30):
-    rng = random.Random(f"space-pins:{sp.space_to_json(K)}")
-    pts = [sp.minimum(K), sp.maximum(K)] + [gen.sample_point(rng, K) for _ in range(n)]
+    rng = random.Random(f"space-pins:{K.to_json()}")
+    pts = [K.minimum(), K.maximum()] + [gen.sample_point(rng, K) for _ in range(n)]
     by_key = {sp.point_key(K, p): p for p in pts}
     return [by_key[k] for k in sorted(by_key)]
 
