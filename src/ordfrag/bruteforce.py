@@ -35,8 +35,9 @@ def definitional_verify_admissible(tree: PartitionTree) -> Verdict:
     Levels are compared as `Ordinal` values and points through
     `space.compare_points`, `point_count` and `whole_interval`; ancestry
     comes from walking parent links, and the pairwise clauses visit all
-    n(n-1)/2 pairs in id order. An endpoint outside the space raises its
-    `DomainError` here, where `verify_admissible` may return a verdict.
+    n(n-1)/2 pairs in id order. Once linkage and the root count hold,
+    the first endpoint outside the space, in id order and low end
+    first, raises its `DomainError`, as in `verify_admissible`.
     """
     K, nodes = tree.space, tree.nodes
     violations: list[Violation] = []
@@ -78,6 +79,9 @@ def definitional_verify_admissible(tree: PartitionTree) -> Verdict:
         report("root", tuple(roots), f"expected exactly one root, found {len(roots)}")
     if counts:
         return verdict()
+    for i in ids:  # an endpoint outside the space is malformed input
+        sp.validate_point(K, nodes[i].interval.lo)
+        sp.validate_point(K, nodes[i].interval.hi)
 
     root = roots[0]
     whole, top = sp.whole_interval(K), nodes[root]

@@ -23,7 +23,15 @@ from . import generators as gen
 from . import rnwit as rn
 from . import space as sp
 from . import suite as acceptance
-from .errors import InternalInconsistency, NoRoom, NoSubsequence, NotSimpleError, OrdfragError, RangeError
+from .errors import (
+    DomainError,
+    InternalInconsistency,
+    NoRoom,
+    NoSubsequence,
+    NotSimpleError,
+    OrdfragError,
+    RangeError,
+)
 from .frag import (
     delta_pairs,
     fragment_check,
@@ -63,10 +71,6 @@ from .simple import (
 )
 
 
-class CliError(Exception):
-    """Operational failure: bad flags, unreadable files, malformed JSON."""
-
-
 # -- I/O plumbing --------------------------------------------------------------
 
 
@@ -74,7 +78,7 @@ def _load(text: str, where: str) -> dict:
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
-        raise CliError(
+        raise DomainError(
             f"malformed JSON in {where}: line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
 
@@ -82,14 +86,14 @@ def _load(text: str, where: str) -> dict:
 def _read_doc(args) -> dict:
     path = getattr(args, "infile", None)
     if path is None:
-        raise CliError("this subcommand needs --in FILE (use - for stdin)")
+        raise DomainError("this subcommand needs --in FILE (use - for stdin)")
     if path == "-":
         return _load(sys.stdin.read(), "stdin")
     try:
         with open(path, encoding="utf-8") as fh:
             return _load(fh.read(), path)
     except OSError as err:
-        raise CliError(f"cannot read {path}: {err.strerror}") from err
+        raise DomainError(f"cannot read {path}: {err.strerror}") from err
 
 
 def _emit(doc, args) -> None:
@@ -117,7 +121,7 @@ def _space_of(args, doc=None):
         return sp.space_from_json(_load(inline, "--space"))
     if isinstance(doc, dict) and "space" in doc:
         return sp.space_from_json(doc["space"])
-    raise CliError("no space given: pass --space or use a document embedding one")
+    raise DomainError("no space given: pass --space or use a document embedding one")
 
 
 def _staged_of(args):
@@ -141,7 +145,7 @@ def _render_pair(K, pair):
 def _seeded_pairs(K, pts, seed, count):
     keyed = sorted(pts, key=K.key)
     if len(keyed) < 2:
-        raise CliError("need at least two points to form pairs")
+        raise DomainError("need at least two points to form pairs")
     rng = random.Random(f"{seed}:pairs")
     out = []
     for _ in range(count):
@@ -254,7 +258,7 @@ def _level_list(text: str, flag: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError as err:
-        raise CliError(f"{flag} takes comma-separated levels, got {text!r}") from err
+        raise DomainError(f"{flag} takes comma-separated levels, got {text!r}") from err
 
 
 def cmd_staged_cut(args) -> int:
@@ -283,12 +287,12 @@ def _construct(st, op, args):
     if op == "cofinal":
         targets = _level_list(args.levels, "--levels") if args.levels else sorted(st.pool)
         if args.levels and not targets:
-            raise CliError(f"--levels takes comma-separated levels, got {args.levels!r}")
+            raise DomainError(f"--levels takes comma-separated levels, got {args.levels!r}")
         rm = disjoint_intervals(st, members)
         return witness_to_json(transfer_cofinal(st, rm, targets))
     if op == "compose":
         if not st.pool:
-            raise CliError("compose needs a nonempty pool")
+            raise DomainError("compose needs a nonempty pool")
         tips = sorted(members, key=st.payload_keys[0].__getitem__)
         t = min(st.pool)
         pi = RegressiveMap({x: st.ancestor_at(x, t) for x in tips})
@@ -337,6 +341,8 @@ def _construct(st, op, args):
 
 
 def cmd_staged_construct(args) -> int:
+    if args.op == "union" and args.infile is not None:
+        raise DomainError("construct union takes no --in: it builds its own two-part instance from --seed")
     st = None if args.op == "union" else _staged_of(args)
     doc = _construct(st, args.op, args)
     _emit(doc, args)
@@ -589,7 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "bounded", "lr", "core"])
     _add_io(p)
     p.add_argument("--seed", type=int, default=None,
-                   help="instance seed (union generates its own two-part instance)")
+                   help="instance seed for union, which takes no --in and builds its "
+                        "own two-part instance")
     p.add_argument("--levels", help="comma-separated target levels for cofinal")
     p = sub.add_parser("partition", help="open chain-interval partition")
     _add_io(p)
@@ -648,14 +655,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # flags that count work to do; 0 or fewer would make a check vacuous
-_COUNT_FLAGS = ("samples", "subsets")
+_COUNT_FLAGS = ("samples", "subsets", "nodes")
 
 
 def _check_counts(args) -> None:
     for flag in _COUNT_FLAGS:
         value = getattr(args, flag, None)
         if value is not None and not 1 <= value <= NODE_CAP:
-            raise CliError(f"--{flag} must lie in 1..{NODE_CAP}, got {value}")
+            raise DomainError(f"--{flag} must lie in 1..{NODE_CAP}, got {value}")
 
 
 def main(argv=None) -> int:
@@ -689,7 +696,7 @@ def main(argv=None) -> int:
     except InternalInconsistency as err:
         print(f"ordfrag: internal error: {err}", file=sys.stderr)
         return 3
-    except (CliError, OrdfragError, OSError) as err:
+    except (OrdfragError, OSError) as err:
         print(f"ordfrag: error: {err}", file=sys.stderr)
         return 2
 

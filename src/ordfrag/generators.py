@@ -9,7 +9,7 @@ import random
 
 from . import ordinal as ord_
 from . import space as sp
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .ordinal import Ordinal
 
 ALPHA_MENU = ("w", "w*2", "w^2", "w^2*3+5", "w^3")
@@ -53,7 +53,7 @@ def sample_point(seed, space):
 
 # -- staged tree corpora -------------------------------------------------------
 
-from .ptree import StagedTree  # noqa: E402
+from .ptree import NODE_CAP, StagedTree  # noqa: E402
 from .simple import RegressiveMap  # noqa: E402
 from .space import ClosedInterval, FiniteChain, SplitChain  # noqa: E402
 
@@ -99,6 +99,8 @@ def gen_comb(seed, teeth=None, room=None) -> StagedTree:
     rng = rng_of(seed)
     t = teeth if teeth is not None else rng.randint(3, 8)
     r = room if room is not None else rng.randint(2, 4)
+    if t > 0 and t + t * (t + r) - t * (t - 1) // 2 > NODE_CAP:  # spine plus teeth
+        raise RangeError(f"a comb with {t} teeth and room {r} exceeds the node cap {NODE_CAP}")
     m = t + r
     width = m + 2
     K = FiniteChain(t * width)
@@ -122,6 +124,9 @@ def gen_split_miniature(depth: int, pool_mode: str = "no_parent") -> StagedTree:
     outnumbers the pooled nodes, so the stage is never simple."""
     if depth < 2:
         raise DomainError("need depth >= 2")
+    if depth > NODE_CAP.bit_length() or 2**depth - 1 > NODE_CAP:
+        raise RangeError(f"a miniature of depth {depth} has 2^{depth} - 1 nodes, "
+                         f"over the node cap {NODE_CAP}")
     m = depth - 1
     if pool_mode == "full":
         pool = range(m)

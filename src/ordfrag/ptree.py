@@ -183,6 +183,12 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
     violating pairs and, per node, a bisection for each non-nested edge
     above it.
 
+    An endpoint outside the space is malformed input, not an
+    inadmissible tree: once the links are mirrored and there is one
+    root, every endpoint goes through `space.validate_point`, in id
+    order and low end first, and the first that is not a point raises
+    its DomainError before any other clause is checked.
+
     The tree is walked at most once, up front only when some non-root
     node's level is not above its parent's: otherwise, with the links
     mirrored and one root, parent steps lower the level and so end at
@@ -226,6 +232,21 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
     if broken:
         return Verdict(False, tuple(violations), counts)
 
+    # each endpoint is validated and keyed once, before any clause reads
+    # it; later steps read the ranks of the keys
+    ivs = [n.interval for n in row]
+    validate = sp.validate_point
+    for iv in ivs:
+        validate(K, iv.lo)
+        validate(K, iv.hi)
+    key = K.key
+    klo = [key(iv.lo) for iv in ivs]
+    khi = [key(iv.hi) for iv in ivs]
+    rank = {k: r for r, k in enumerate(sorted(set(klo) | set(khi)))}
+    lo = [rank[k] for k in klo]
+    hi = [rank[k] for k in khi]
+    del klo, khi, rank
+
     # levels by rank, keyed by their term tuples: rank order is the
     # ordinal order. Per distinct level, whether it is a limit and the
     # rank of level + 1 (-1 when no node has it).
@@ -259,35 +280,11 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
             report("linkage", tuple(unreachable[:8]), f"{len(unreachable)} nodes unreachable from root")
             return Verdict(False, tuple(violations), counts)
 
-    # one validation and one key per endpoint, and the keys' ranks, which
-    # every later step reads; an invalid low end leaves its high end
-    # unvalidated. An endpoint outside the space keeps its key while that
-    # key orders with the others, so the verdict can rank it; otherwise
-    # its DomainError is raised here.
-    ivs = [n.interval for n in row]
-    bad: list[DomainError | None] = [None] * len(ivs)
-    validate = sp.validate_point
-    for p, iv in enumerate(ivs):
-        try:
-            validate(K, iv.lo)
-            validate(K, iv.hi)
-        except DomainError as err:
-            bad[p] = err
-    key = K.key
-    try:
-        klo = [key(iv.lo) for iv in ivs]
-        khi = [key(iv.hi) for iv in ivs]
-        rank = {k: r for r, k in enumerate(sorted(set(klo) | set(khi)))}
-    except (AttributeError, LookupError, TypeError):
-        raise next(err for err in bad if err) from None
-    lo = [rank[k] for k in klo]
-    hi = [rank[k] for k in khi]
-    del klo, khi, rank
     for p, (i, n) in enumerate(zip(ids, row)):
         kids = n.children
-        # distinct valid endpoints span at least two points; only a node
-        # with children needs to know whether exactly two
-        if bad[p] or lo[p] > hi[p]:
+        # distinct endpoints span at least two points; only a node with
+        # children needs to know whether exactly two
+        if lo[p] > hi[p]:
             report("nontrivial", (i,), "interval endpoints out of order")
             report("nontrivial", (i,), "interval has 0 points")
         elif lo[p] == hi[p]:
@@ -298,12 +295,7 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
             a, b = pos[kids[0]], pos[kids[1]]
             if lo[a] > lo[b]:
                 a, b = b, a
-            if lo[a] == lo[p] and hi[a] == lo[b] and hi[b] == hi[p]:
-                # an invalid child endpoint is an error here, not a verdict
-                shape_ok = _ordered(bad[a], lo[a], hi[a]) and _ordered(bad[b], lo[b], hi[b])
-            else:
-                shape_ok = False
-            if not shape_ok:
+            if not lo[a] == lo[p] < hi[a] == lo[b] < hi[b] == hi[p]:
                 report("binary-split", (i, ids[a], ids[b]), "children do not split at a single interior point")
         elif kids:
             report("binary-split", (i,), "exactly one child" if len(kids) == 1 else f"{len(kids)} children")
@@ -373,23 +365,6 @@ def _walk(row, pos, root):
         for c in sorted(row[p].children, reverse=True):
             stack.append(pos[c])
     return tin, tout
-
-
-def _invalid(K, p) -> DomainError | None:
-    """The DomainError validating p as a point of K raises, or None."""
-    try:
-        sp.validate_point(K, p)
-    except DomainError as err:
-        return err
-    return None
-
-
-def _ordered(bad: DomainError | None, klo, khi) -> bool:
-    """Whether an interval with these endpoint keys is proper, raising
-    its endpoint's validation error as `sp.compare_points` would."""
-    if bad is not None:
-        raise bad
-    return klo < khi
 
 
 class _PairLog:
@@ -730,16 +705,15 @@ class StagedTree:
             if set(self.payload) != ids:
                 raise DomainError("payload table does not match node set")
             K = self.space
+            # one validation per endpoint, in id order, before any check
+            # reads it; then one key each
+            for i in sorted(ids):
+                sp.validate_point(K, self.payload[i].lo)
+                sp.validate_point(K, self.payload[i].hi)
+            lo, hi = self.payload_keys
             whole = sp.whole_interval(K)
             wlo, whi = K.key(whole.lo), K.key(whole.hi)
-            # one validation per endpoint; each error is raised by the
-            # check that first compares the endpoint, in node order
-            bad = {i: (_invalid(K, iv.lo), _invalid(K, iv.hi)) for i, iv in self.payload.items()}
-            lo = {i: K.key(iv.lo) for i, iv in self.payload.items() if bad[i][0] is None}
-            hi = {i: K.key(iv.hi) for i, iv in self.payload.items() if bad[i][1] is None}
             for i in ids:
-                if bad[i][0] or bad[i][1]:
-                    raise bad[i][0] or bad[i][1]
                 if lo[i] > hi[i]:
                     raise DomainError(f"payload of {i} out of order")
                 cnt = K.count(self.payload[i].lo, self.payload[i].hi)
@@ -749,13 +723,8 @@ class StagedTree:
                 if p is None:
                     if lo[i] != wlo or hi[i] != whi:
                         raise DomainError("root payload must be the whole space")
-                else:
-                    if bad[p][0]:
-                        raise bad[p][0]
-                    if lo[p] <= lo[i] and bad[p][1]:
-                        raise bad[p][1]
-                    if lo[p] > lo[i] or hi[i] > hi[p]:
-                        raise DomainError(f"payload of {i} escapes its parent")
+                elif lo[p] > lo[i] or hi[i] > hi[p]:
+                    raise DomainError(f"payload of {i} escapes its parent")
             rows: dict[int, list[int]] = {}
             for i in sorted(ids):
                 rows.setdefault(self.level[i], []).append(i)
@@ -797,6 +766,8 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
 
     Requires every wide node strictly below m to be expanded, so the
     stage is a faithful prefix rather than an accident of the budget.
+    `StagedTree.validate` validates each payload endpoint once, before
+    the frontier is counted; a top level with no node is refused last.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise DomainError(f"top level must be a natural number, got {m!r}")
@@ -808,23 +779,9 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
     rows: dict[Ordinal, list[int]] = {}
     for i in sorted(tree.nodes):
         rows.setdefault(tree.nodes[i].level, []).append(i)
-    by_level: list[list[int]] = []
-    for lvl in range(m + 1):
-        row = rows.get(ord_.from_int(lvl), [])
-        by_level.append(row)
-        if lvl < m:
-            for i in row:
-                n = tree.nodes[i]
-                cnt = sp.point_count(K, n.interval)
-                wide = cnt is sp.INFINITE or cnt > 2
-                if wide and not n.children:
-                    raise InsufficientMaterialization(
-                        f"node {i} at level {lvl} is unexpanded but level {m} was requested"
-                    )
+    by_level = [rows.get(ord_.from_int(lvl), []) for lvl in range(m + 1)]
     if not by_level[0]:
         raise DomainError("tree has no root at level 0")
-    if not by_level[m]:
-        raise DomainError(f"tree has no node at the top level {m}")
 
     fresh: dict[int, int] = {}
     nid = 0
@@ -854,6 +811,17 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
         origin=origin,
     )
     st.validate()
+    # the payloads are valid and in order now, so counting needs no checks
+    for lvl, row in enumerate(by_level[:m]):
+        for i in row:
+            n = tree.nodes[i]
+            cnt = K.count(n.interval.lo, n.interval.hi)
+            if (cnt is sp.INFINITE or cnt > 2) and not n.children:
+                raise InsufficientMaterialization(
+                    f"node {i} at level {lvl} is unexpanded but level {m} was requested"
+                )
+    if not by_level[m]:
+        raise DomainError(f"tree has no node at the top level {m}")
     return st
 
 

@@ -182,6 +182,34 @@ class TestStaged:
         assert doc["simple"] is False
         assert len(doc["violator"]["members"]) > len(doc["violator"]["neighborhood"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "miniature", "--depth", "18"],
+         "a miniature of depth 18 has 2^18 - 1 nodes, over the node cap 200000"),
+        (["--kind", "miniature", "--depth", "1000000000"],
+         "a miniature of depth 1000000000 has 2^1000000000 - 1 nodes, over the node cap 200000"),
+        (["--kind", "comb", "--teeth", "700", "--room", "5"],
+         "a comb with 700 teeth and room 5 exceeds the node cap 200000"),
+        (["--nodes", "0"], "--nodes must lie in 1..200000, got 0"),
+        (["--nodes", "-5"], "--nodes must lie in 1..200000, got -5"),
+    ], ids=["depth-18", "depth-huge", "comb-700", "nodes-zero", "nodes-negative"])
+    def test_gen_past_the_node_cap_is_exit_2(self, capsys, argv, message):
+        """Sizes are refused before anything is built: a depth-15
+        miniature alone takes about 0.6 s and 54 MB, and each further
+        depth doubles that."""
+        start = time.perf_counter()
+        assert cli.main(["staged", "gen", *argv]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ordfrag: error: {message}\n"
+
+    def test_union_refuses_an_input_document(self, comb_file, capsys):
+        assert cli.main(["staged", "construct", "union", "--in", str(comb_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("ordfrag: error: construct union takes no --in: "
+                                "it builds its own two-part instance from --seed\n")
+
     def test_constructions_emit_witnesses(self, comb_file):
         for op in ("disjoint", "compose", "bounded", "cofinal"):
             proc = run_cli("staged", "construct", op, "--in", str(comb_file))

@@ -389,8 +389,20 @@ SMALL_SPACES = (
 )
 MUTATIONS = ("level-step", "binary-split", "linkage", "root", "swap", "whole",
              "equal", "one-point", "reversed", "limit-level", "level-shift", "limit-subtree",
-             "limit-meet")
+             "limit-meet", "outside")
 LIMITS = (W, parse("w+1"), parse("w*2"), W2, parse("w^2+w"))
+
+
+def non_points(K):
+    """Values that are not points of K: out-of-range ints, tuples of the
+    wrong shape, strings, and ordinals above alpha such as w^3 in w^2."""
+    if isinstance(K, FiniteChain):
+        return [-1, K.size, K.size + 7, "1"]
+    if isinstance(K, SplitChain):
+        return [(K.size, 0), (0, 2), (0,), (0, 0, 0), 1, "a"]
+    if isinstance(K, OrdinalInterval):
+        return [parse("w^3"), add(K.alpha, from_int(1)), 1, "w"]
+    return [(len(K.parts), 0), (0, K.parts[0].size), (1, parse("w+1")), (2, (2, 0)), (0,), "a"]
 
 
 @hst.composite
@@ -402,7 +414,9 @@ def mutated_trees(draw):
     limit kinds of `test_ptree_pins.seeded_mutants`: every non-root
     level shifted up by one, a limit level L on a node (and on its
     parent too, drawn) and L + k on its descendants k levels down, and
-    a limit node under a parent widened to the whole space."""
+    a limit node under a parent widened to the whole space. The
+    `outside` kind puts a value that is not a point of the space at one
+    endpoint."""
     K = draw(hst.sampled_from(SMALL_SPACES))
     tree = build_tree(K, draw(hst.integers(1, 41)))
     rows = {i: [i, n.interval.lo, n.interval.hi, n.level, n.parent] for i, n in tree.nodes.items()}
@@ -448,17 +462,27 @@ def mutated_trees(draw):
             rows[parent][1:3] = rows[tree.root_id][1:3]
             rows[a][1:3] = rows[draw(hst.sampled_from([rows[parent][4], tree.root_id]))][1:3]
             rows[a][3] = draw(hst.sampled_from(LIMITS))
+        elif kind == "outside":
+            rows[a][draw(hst.sampled_from([1, 2]))] = draw(hst.sampled_from(non_points(K)))
     return make_tree(K, [tuple(r) for r in rows.values()], tree.budget)
+
+
+def outcome(verify, tree):
+    """The whole outcome of verifying a tree: the verdict, with its
+    counts in order, or the text of the DomainError raised for an
+    endpoint outside the space."""
+    try:
+        v = verify(tree)
+    except DomainError as err:
+        return str(err)
+    return v.ok, v.violations, list(v.counts.items())
 
 
 class TestVerifyAgainstDefinitionalOracle:
     @given(mutated_trees())
     @settings(max_examples=300, deadline=None)
     def test_whole_verdicts_agree(self, tree):
-        fast, oracle = verify_admissible(tree), definitional_verify_admissible(tree)
-        assert fast.ok == oracle.ok
-        assert fast.violations == oracle.violations
-        assert list(fast.counts.items()) == list(oracle.counts.items())
+        assert outcome(verify_admissible, tree) == outcome(definitional_verify_admissible, tree)
 
 
 def comb_rows(n):

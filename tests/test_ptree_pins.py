@@ -57,6 +57,15 @@ def verdict_rows(v):
     return (v.ok, dict(v.counts), [(x.clause, x.nodes, x.detail) for x in v.violations])
 
 
+def outcome(verify, tree):
+    """The whole outcome of verifying a tree: its verdict rows, or the
+    text of the DomainError an endpoint outside the space raises."""
+    try:
+        return verdict_rows(verify(tree))
+    except DomainError as err:
+        return str(err)
+
+
 @pytest.mark.parametrize("kind, budget", sorted(BUILT_DIGESTS))
 def test_built_tree_bytes_are_pinned(kind, budget):
     tree = build_tree(SPACES[kind], budget)
@@ -75,9 +84,7 @@ BROKEN = {
     "finite-high-outside": (
         FiniteChain(5),
         [(0, 0, 4, ZERO, None), (1, 0, 2, ONE, 0), (2, 2, 7, ONE, 0)],
-        (False, {"binary-split": 1, "nontrivial": 2, "reverse-inclusion": 1},
-         [("binary-split", (0, 1, 2), SPLIT), (ORDER[0], (2,), ORDER[1]), (EMPTY[0], (2,), EMPTY[1]),
-          ("reverse-inclusion", (0, 2), RI)]),
+        "7 is not a point of FiniteChain(size=5, labels=None)",
     ),
     "finite-root-outside": (
         FiniteChain(5),
@@ -88,26 +95,18 @@ BROKEN = {
         FiniteChain(5),
         [(0, 0, 4, ZERO, None), (1, 0, 2, ONE, 0), (2, 2, 4, ONE, 0), (3, 2, 3, TWO, 2),
          (4, 3, 9, TWO, 2)],
-        (False, {"binary-split": 1, "nontrivial": 2, "reverse-inclusion": 2},
-         [("binary-split", (2, 3, 4), SPLIT), (ORDER[0], (4,), ORDER[1]), (EMPTY[0], (4,), EMPTY[1]),
-          ("reverse-inclusion", (0, 4), RI), ("reverse-inclusion", (2, 4), RI)]),
+        "9 is not a point of FiniteChain(size=5, labels=None)",
     ),
     "ordinal-outside": (
         OrdinalInterval(W),
         [(0, ZERO, W, ZERO, None), (1, ZERO, ONE, ONE, 0), (2, ONE, parse("w+1"), ONE, 0)],
-        (False, {"binary-split": 1, "nontrivial": 2, "reverse-inclusion": 1},
-         [("binary-split", (0, 1, 2), SPLIT), (ORDER[0], (2,), ORDER[1]), (EMPTY[0], (2,), EMPTY[1]),
-          ("reverse-inclusion", (0, 2), RI)]),
+        "Ordinal(terms=((1, 1), (0, 1))) is not a point of OrdinalInterval(alpha=Ordinal(terms=((1, 1),)))",
     ),
     "ordinal-limit-outside": (
         OrdinalInterval(parse("w^2")),
         [(0, ZERO, parse("w^2"), ZERO, None), (1, ZERO, W, ONE, 0), (2, W, parse("w^2"), ONE, 0),
          (3, W, parse("w^3"), W, 2)],
-        (False, {"binary-split": 1, "nontrivial": 2, "limit-intersection": 1, "reverse-inclusion": 2},
-         [("binary-split", (2,), "exactly one child"), (ORDER[0], (3,), ORDER[1]),
-          (EMPTY[0], (3,), EMPTY[1]),
-          ("limit-intersection", (3,), "limit-level interval differs from the intersection of its ancestors"),
-          ("reverse-inclusion", (0, 3), RI), ("reverse-inclusion", (2, 3), RI)]),
+        "Ordinal(terms=((3, 1),)) is not a point of OrdinalInterval(alpha=Ordinal(terms=((2, 1),)))",
     ),
     "split-outside": (
         SplitChain(3),
@@ -179,6 +178,13 @@ def test_broken_tree_verdicts_are_pinned(name):
         assert verdict_rows(verify_admissible(tree)) == want
 
 
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_broken_trees_match_the_definitional_oracle(name):
+    K, rows, _ = BROKEN[name]
+    tree = make_tree(K, rows)
+    assert outcome(verify_admissible, tree) == outcome(definitional_verify_admissible, tree)
+
+
 # the DomainError text of a one-level cut, or None when the cut succeeds
 STAGED_CUTS = {
     "finite-high-outside": "7 is not a point of FiniteChain(size=5, labels=None)",
@@ -188,7 +194,7 @@ STAGED_CUTS = {
                        "OrdinalInterval(alpha=Ordinal(terms=((1, 1),)))",
     "reversed-leaf": "payload of 2 out of order",
     "reversed-split": None,
-    "reversed-root": "interval endpoints out of order",
+    "reversed-root": "payload of 0 out of order",
 }
 
 
@@ -219,7 +225,8 @@ STAGED_PAYLOADS = {
                           "7 is not a point of FiniteChain(size=5, labels=None)"),
     "parent-lo-outside": (PATH, {5: (0, 4), 3: (-1, 4), 1: (0, 2)},
                           "-1 is not a point of FiniteChain(size=5, labels=None)"),
-    "escape-before-parent-hi": (PATH, {5: (0, 4), 3: (1, 7), 1: (0, 2)}, "payload of 1 escapes its parent"),
+    "escape-before-parent-hi": (PATH, {5: (0, 4), 3: (1, 7), 1: (0, 2)},
+                                "7 is not a point of FiniteChain(size=5, labels=None)"),
     "reversed": (FORK, {0: (0, 4), 1: (2, 0), 2: (2, 4)}, "payload of 1 out of order"),
     "trivial": (FORK, {0: (0, 4), 1: (0, 0), 2: (0, 4)}, "payload of 1 is trivial"),
     "root-not-whole": (FORK, {0: (0, 3), 1: (0, 2), 2: (2, 3)}, "root payload must be the whole space"),
@@ -294,6 +301,26 @@ def test_each_endpoint_is_validated_once(monkeypatch, kind, split):
     expanded = sum(1 for node in tree.nodes.values() if node.children)
     assert len(calls) <= 2 * n + (expanded if split else 0) + 8
     assert len(calls) - built >= 2 * n
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_each_cut_node_is_validated_twice(monkeypatch, kind):
+    """`to_staged` validates each payload endpoint of the cut once, in
+    `StagedTree.validate`, and counts the frontier on validated payloads."""
+    K = SPACES[kind]
+    tree = build_tree(K, 301)
+    calls = []
+    validate = sp.validate_point
+
+    def counting(space, p):
+        if space is K:
+            calls.append(p)
+        return validate(space, p)
+
+    monkeypatch.setattr(sp, "validate_point", counting)
+    st = to_staged(tree, 4, {0, 2})
+    assert st.tops()
+    assert len(calls) == 2 * len(st.nodes())
 
 
 # -- seeded mutants ------------------------------------------------------------
