@@ -414,7 +414,10 @@ def cmd_frag_density(args) -> int:
 
 def cmd_frag_check(args) -> int:
     K, levels = _levels_of(args)
-    eps = Fraction(args.eps)
+    try:
+        eps = Fraction(args.eps)
+    except (ValueError, ZeroDivisionError) as err:
+        raise DomainError(f"--eps takes a fraction such as 1/8, got {args.eps!r}") from err
     if args.members:
         members = _points(K, args.members)
     elif sp.is_finite_space(K):

@@ -99,7 +99,9 @@ def gen_comb(seed, teeth=None, room=None) -> StagedTree:
     rng = rng_of(seed)
     t = teeth if teeth is not None else rng.randint(3, 8)
     r = room if room is not None else rng.randint(2, 4)
-    if t > 0 and t + t * (t + r) - t * (t - 1) // 2 > NODE_CAP:  # spine plus teeth
+    if t < 1 or r < 1:
+        raise DomainError(f"a comb needs teeth >= 1 and room >= 1, got teeth={t} and room={r}")
+    if t + t * (t + r) - t * (t - 1) // 2 > NODE_CAP:  # spine plus teeth
         raise RangeError(f"a comb with {t} teeth and room {r} exceeds the node cap {NODE_CAP}")
     m = t + r
     width = m + 2

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .ptree import StagedTree
-from .simple import (
-    RegressiveMap,
-    disjoint_intervals,
-    pool_ancestors,
-    segments,
-    verify_disjoint_segments,
-    verify_simple_witness,
-)
+from .simple import disjoint_intervals, pool_ancestors, segments
 
 __all__ = [
     "OpenPartition",
@@ -65,25 +58,14 @@ class OpenPartition:
         return dict(self._where)
 
 
-def _checked_witness(st: StagedTree, witness: RegressiveMap) -> RegressiveMap:
-    tops = sorted(st.tops())
-    bad = verify_simple_witness(st, tops, witness)
-    if bad:
-        raise DomainError("witness rejected: " + "; ".join(bad))
-    clash = verify_disjoint_segments(st, witness)
-    if clash:
-        raise DomainError(f"witness segments intersect: {clash[:4]}")
-    return witness
-
-
-def partition_open(st: StagedTree, witness: RegressiveMap | None = None) -> OpenPartition:
+def partition_open(st: StagedTree) -> OpenPartition:
     """Partition the stage into open convex chains.
 
-    With a designated limit on top, a disjoint-segment map is built (or
-    the supplied one is verified) and each top node's cell becomes its
-    closed branch segment down to the image; everything untouched stays
-    a singleton. Raises NotSimpleError when the top level is not
-    simple, a proof that no such map exists. Raises NoRoom when
+    With a designated limit on top, a disjoint-segment map is built and
+    each top node's cell becomes its closed branch segment down to the
+    image; everything untouched stays a singleton. Raises
+    NotSimpleError when the top level is not simple, a proof that no
+    such map exists. Raises NoRoom when
     `disjoint_intervals` finds no room under its strict level bound,
     which can happen although a disjoint-segment map exists (e.g.
     `gen_broom(1)`), so NoRoom alone proves nothing.
@@ -95,11 +77,7 @@ def partition_open(st: StagedTree, witness: RegressiveMap | None = None) -> Open
     nodes = sorted(st.parent)
     if not st.has_designated_limit:
         return OpenPartition(tuple(frozenset((v,)) for v in nodes))
-    if witness is None:
-        sigma = disjoint_intervals(st, frozenset(st.tops()))
-    else:
-        sigma = _checked_witness(st, witness)
-    segs = segments(st, sigma)
+    segs = segments(st, disjoint_intervals(st, frozenset(st.tops())))
     used: set[int] = set()
     cells = []
     for x in sorted(segs):

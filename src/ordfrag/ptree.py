@@ -63,18 +63,15 @@ class PartitionTree:
     budget: int | None = None
 
 
-def build_tree(space, budget: int, split=None) -> PartitionTree:
+def build_tree(space, budget: int) -> PartitionTree:
     """Materialize a tree breadth-first until the budget is spent.
 
     A node splits only while at least two budget slots remain, so
-    children always arrive in pairs. `split` may replace the canonical
-    splitting rule; it gets (space, interval) and must return a point
-    strictly between the endpoints.
-
-    Every endpoint is a point of the space by construction, so only a
-    callback's split point is validated; the rest compares order keys.
-    Each node becomes a TreeNode when it leaves the queue, which is in
-    id order, and the queue holds only the frontier.
+    children always arrive in pairs, at the space's canonical split
+    point. Every endpoint is a point of the space by construction, so
+    nothing is validated or compared. Each node becomes a TreeNode when
+    it leaves the queue, which is in id order, and the queue holds only
+    the frontier.
     """
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise DomainError(f"budget must be a positive int, got {budget!r}")
@@ -83,34 +80,25 @@ def build_tree(space, budget: int, split=None) -> PartitionTree:
     if sp.space_size(space) == 1:
         raise DomainError("cannot build a tree over a one-point space")
 
-    whole = sp.whole_interval(space)
-    # (id, interval, level, parent, key of lo, key of hi)
-    queue = deque([(0, whole, ord_.ZERO, None, space.key(whole.lo), space.key(whole.hi))])
+    queue = deque([(0, sp.whole_interval(space), ord_.ZERO, None)])  # (id, interval, level, parent)
     nodes: dict[int, TreeNode] = {}
     level, succ = None, None
     next_id = 1
     while queue and next_id + 2 <= budget:
-        nid, iv, lvl, parent, klo, khi = queue.popleft()
+        nid, iv, lvl, parent = queue.popleft()
         cnt = space.count(iv.lo, iv.hi)
         if cnt is not sp.INFINITE and cnt <= 2:
             nodes[nid] = TreeNode(nid, iv, lvl, parent)
             continue
-        if split is None:
-            w = space.split(iv.lo, iv.hi, cnt)
-        else:
-            w = split(space, iv)
-            sp.validate_point(space, w)
-        kw = space.key(w)
-        if not klo < kw < khi:
-            raise DomainError(f"split callback returned {sp.render_point(space, w)}, not strictly inside")
+        w = space.split(iv.lo, iv.hi, cnt)
         if lvl is not level:  # breadth-first: levels arrive in runs
             level, succ = lvl, ord_.add(lvl, ord_.ONE)
-        queue.append((next_id, ClosedInterval(iv.lo, w), succ, nid, klo, kw))
-        queue.append((next_id + 1, ClosedInterval(w, iv.hi), succ, nid, kw, khi))
+        queue.append((next_id, ClosedInterval(iv.lo, w), succ, nid))
+        queue.append((next_id + 1, ClosedInterval(w, iv.hi), succ, nid))
         nodes[nid] = TreeNode(nid, iv, lvl, parent, (next_id, next_id + 1))
         next_id += 2
     while queue:  # the budget is spent: the rest are leaves
-        nid, iv, lvl, parent, _, _ = queue.popleft()
+        nid, iv, lvl, parent = queue.popleft()
         nodes[nid] = TreeNode(nid, iv, lvl, parent)
     return PartitionTree(space, nodes, 0, budget)
 
@@ -197,8 +185,8 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
     violations: list[Violation] = []
     counts: dict[str, int] = {}
 
-    def report(clause, nodes, detail, weight=1):
-        counts[clause] = counts.get(clause, 0) + weight
+    def report(clause, nodes, detail):
+        counts[clause] = counts.get(clause, 0) + 1
         if counts[clause] <= _PAIR_REPORT_CAP:
             violations.append(Violation(clause, tuple(nodes), detail))
 
@@ -250,7 +238,7 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
     # levels by rank, keyed by their term tuples: rank order is the
     # ordinal order. Per distinct level, whether it is a limit and the
     # rank of level + 1 (-1 when no node has it).
-    pos = _positions(ids, row)
+    pos = {i: p for p, i in enumerate(ids)}
     lvl_keys = sorted({n.level.terms: n.level for n in row}.values())
     lvl_rank = {l.terms: r for r, l in enumerate(lvl_keys)}
     lvl = [lvl_rank[n.level.terms] for n in row]
@@ -328,20 +316,6 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
             violations.extend(Violation(clause, (ids[r], ids[c]), detail) for r, c in first)
 
     return Verdict(not violations and not counts, tuple(violations), counts)
-
-
-def _positions(ids, row):
-    """The map from node id to position: range(n) itself when the ids,
-    parents and children are exactly the ints 0..n-1, as in every built
-    tree, and a dict otherwise (an id such as 1.0 equals 1 but cannot
-    index a range)."""
-    n = len(ids)
-    if (ids[0] == 0 and ids[-1] == n - 1
-            and {type(i) for i in ids}
-            | {type(x.parent) for x in row}
-            | {type(c) for x in row for c in x.children} <= {int, type(None)}):
-        return range(n)
-    return {i: p for p, i in enumerate(ids)}
 
 
 def _walk(row, pos, root):

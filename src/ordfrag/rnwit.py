@@ -95,7 +95,7 @@ def verify_step_function(K, f: StepFunction) -> list:
     return problems
 
 
-def separating_family(K, levels, deltas=None) -> tuple:
+def separating_family(K, levels) -> tuple:
     """One single-jump function per gap of each decomposition level.
 
     The jump of a depth-n function is 1/n, placed at the canonical cut
@@ -103,13 +103,9 @@ def separating_family(K, levels, deltas=None) -> tuple:
     gap; in the implemented space kinds that is always (x, succ x).
     Level 0 carries the extremes only and contributes no function.
     """
-    if deltas is None:
-        deltas = [delta_pairs(K, lv) for lv in levels]
-    if len(deltas) != len(levels):
-        raise DomainError("one gap list per level is required")
     out = []
     for n in range(1, len(levels)):
-        for x, y in deltas[n]:
+        for x, y in delta_pairs(K, levels[n]):
             succ = sp.adjacency(K, x)[1]
             if succ is None or K.key(succ) > K.key(y):
                 raise DomainError(
@@ -522,6 +518,8 @@ def namioka_check(K, family, levels, *, pairs=None, sample_points=None,
     are checked then. Explicit `pairs`, or a non-positive jump, keep the
     per-pair sweep.
     """
+    if denominator_bound < 4:
+        raise DomainError("denominator bound must be at least 4")
     tagged = sorted(((_tag_key(K, f), f) for f in _functions(family)), key=_first)
     fams = tuple(f for _k, f in tagged)
     metric = PseudoMetric(fams)

@@ -41,9 +41,6 @@ class RegressiveMap:
     def __getitem__(self, x: int) -> int:
         return self.mapping[x]
 
-    def domain(self) -> list[int]:
-        return list(self.mapping)
-
 
 @dataclass(frozen=True)
 class HallViolator:
@@ -258,11 +255,7 @@ def compose_fibrewise(
             raise DomainError(f"fibre map at {w} is not defined on exactly the fibre")
         if len(set(fm.mapping.values())) != len(fm.mapping):
             raise DomainError(f"fibre map at {w} is not injective")
-        bad = [
-            p
-            for p in verify_simple_witness(st, members, fm)
-            if "share the image" not in p
-        ]
+        bad = verify_simple_witness(st, members, fm)
         if bad:
             raise DomainError(f"bad fibre map at {w}: " + "; ".join(bad))
         allowed = [lvl for lvl in sorted(st.pool) if lvl >= st.level[w]]
@@ -456,7 +449,11 @@ def verify_bound_certificates(st: StagedTree, br: BoundedRegressive) -> list[str
     return problems
 
 
-def endpoint_LR(st: StagedTree, members, oracle=None):
+def _simple(st: StagedTree, members) -> bool:
+    return isinstance(is_simple(st, members), Simple)
+
+
+def endpoint_LR(st: StagedTree, members):
     """Classify members by one-sided escapes.
 
     A member lands in L when some pool-level strict ancestor starts
@@ -471,8 +468,6 @@ def endpoint_LR(st: StagedTree, members, oracle=None):
     if not sp.is_finite_space(K):
         raise DomainError("endpoint classification enumerates the space; it must be finite")
     members = _check_node_set(st, members)
-    if oracle is None:
-        oracle = lambda tree, group: isinstance(is_simple(tree, group), Simple)
     keys = [K.key(p) for p in sp.enumerate_points(K)]
     index = {k: i for i, k in enumerate(keys)}
     lo, hi = st.payload_keys
@@ -483,13 +478,13 @@ def endpoint_LR(st: StagedTree, members, oracle=None):
             if index[lo[anc]] > 0:
                 x = keys[index[lo[anc]] - 1]
                 window = frozenset(a for a in members if lo[a] > x and hi[a] <= lo[b])
-                if oracle(st, window):
+                if _simple(st, window):
                     left.add(b)
                     break
         for anc in pool_ancestors(st, b):
             if index[hi[anc]] < len(keys) - 1:
                 window = frozenset(a for a in members if lo[a] >= hi[b] and hi[a] <= hi[anc])
-                if oracle(st, window):
+                if _simple(st, window):
                     right.add(b)
                     break
     return frozenset(left), frozenset(right)
@@ -517,19 +512,17 @@ class CoreResult:
         return self.whole_simple or all(not c.window_simple for c in self.checks)
 
 
-def condensation_core(st: StagedTree, members, oracle=None) -> CoreResult:
+def condensation_core(st: StagedTree, members) -> CoreResult:
     """Members escaping on neither side, with two-sided window evidence.
 
     When the whole set is not simple, every core member pinched between
     materialized points on both sides must see a non-simple core window
     on each side; the checks record exactly that, for every cut.
     """
-    if oracle is None:
-        oracle = lambda tree, group: isinstance(is_simple(tree, group), Simple)
     members = _check_node_set(st, members)
-    left, right = endpoint_LR(st, members, oracle=oracle)
+    left, right = endpoint_LR(st, members)
     core = frozenset(members) - left - right
-    whole_simple = oracle(st, frozenset(members))
+    whole_simple = _simple(st, frozenset(members))
     K = st.space
     keyed = [(K.key(p), p) for p in sp.enumerate_points(K)]
     lo, hi = st.payload_keys
@@ -543,12 +536,12 @@ def condensation_core(st: StagedTree, members, oracle=None) -> CoreResult:
             for xk, x in xs:
                 window = frozenset(a for a in core if lo[a] > xk and hi[a] <= lo[c])
                 checks.append(
-                    CoreCheck(c, sp.render_point(K, x), "left", len(window), oracle(st, window))
+                    CoreCheck(c, sp.render_point(K, x), "left", len(window), _simple(st, window))
                 )
             for yk, y in ys:
                 window = frozenset(a for a in core if lo[a] >= hi[c] and hi[a] <= yk)
                 checks.append(
-                    CoreCheck(c, sp.render_point(K, y), "right", len(window), oracle(st, window))
+                    CoreCheck(c, sp.render_point(K, y), "right", len(window), _simple(st, window))
                 )
     return CoreResult(core, left, right, whole_simple, tuple(checks))
 

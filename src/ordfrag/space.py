@@ -377,12 +377,6 @@ _set_lo = ClosedInterval.lo.__set__
 _set_hi = ClosedInterval.hi.__set__
 
 
-def make_interval(space, lo, hi) -> ClosedInterval:
-    if compare_points(space, lo, hi) == "greater":
-        raise DomainError(f"interval endpoints out of order: {render_point(space, lo)} > {render_point(space, hi)}")
-    return ClosedInterval(lo, hi)
-
-
 def whole_interval(space) -> ClosedInterval:
     return ClosedInterval(space.minimum(), space.maximum())
 
@@ -488,4 +482,7 @@ def interval_to_json(space, iv: ClosedInterval) -> list:
 def interval_from_json(space, doc) -> ClosedInterval:
     if not isinstance(doc, (list, tuple)) or len(doc) != 2:
         raise DomainError(f"bad interval document {doc!r}")
-    return make_interval(space, parse_point(space, doc[0]), parse_point(space, doc[1]))
+    lo, hi = parse_point(space, doc[0]), parse_point(space, doc[1])
+    if space.key(lo) > space.key(hi):
+        raise DomainError(f"interval endpoints out of order: {render_point(space, lo)} > {render_point(space, hi)}")
+    return ClosedInterval(lo, hi)

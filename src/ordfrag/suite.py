@@ -59,7 +59,7 @@ def _rng(seed, tag: str) -> random.Random:
     return random.Random(f"{seed}:{tag}")
 
 
-def criterion_1(seed=0) -> CriterionResult:
+def criterion_1(seed) -> CriterionResult:
     """Admissibility clauses hold on 200 seeded partition trees."""
     rng = _rng(seed, "c1")
     t0 = time.monotonic()
@@ -100,7 +100,7 @@ def _c2_seeds(seed):
     return [rng.randrange(2**32) for _ in range(1000)]
 
 
-def criterion_2(seed=0) -> CriterionResult:
+def criterion_2(seed) -> CriterionResult:
     """is_simple agrees with exhaustive SDR search on 1000 trees."""
     agree = simple_n = hall_n = witness_ok = 0
     for sub in _c2_seeds(seed):
@@ -131,7 +131,7 @@ def criterion_2(seed=0) -> CriterionResult:
         2, "matching-oracle", agree == 1000 and witness_ok == 1000, details)
 
 
-def criterion_3(seed=0) -> CriterionResult:
+def criterion_3(seed) -> CriterionResult:
     """Constructions succeed with room and refuse sibling tops."""
     rng = _rng(seed, "c3")
     ok = 0
@@ -195,7 +195,7 @@ def criterion_3(seed=0) -> CriterionResult:
     return CriterionResult(3, "construction-postconditions", passed, details)
 
 
-def criterion_4(seed=0) -> CriterionResult:
+def criterion_4(seed) -> CriterionResult:
     """Open partitions verify; split miniatures refuse with counting."""
     rng = _rng(seed, "c4")
     accepted = accepted_ok = 0
@@ -268,7 +268,7 @@ def _seeded_level_pairs(K, pts, rng, count):
     return out
 
 
-def criterion_5(seed=0) -> CriterionResult:
+def criterion_5(seed) -> CriterionResult:
     """Graded decompositions: nesting, scatteredness, gaps, density."""
     rng = _rng(seed, "c5")
     chains = 0
@@ -319,7 +319,7 @@ def _ordinal_samples(K, rng, count):
     return out
 
 
-def criterion_6(seed=0) -> CriterionResult:
+def criterion_6(seed) -> CriterionResult:
     """Separation and dense-set approximation in exact rationals."""
     rng = _rng(seed, "c6")
     failures: list[str] = []
@@ -366,7 +366,7 @@ def criterion_6(seed=0) -> CriterionResult:
     return CriterionResult(6, "density-pipeline", not failures, details)
 
 
-def criterion_7(seed=0) -> CriterionResult:
+def criterion_7(seed) -> CriterionResult:
     """Namioka checker: passes built families, rejects both controls."""
     rng = _rng(seed, "c7")
     passes = scaled_caught = dropped_caught = instances = 0
@@ -404,7 +404,7 @@ def criterion_7(seed=0) -> CriterionResult:
     return CriterionResult(7, "namioka-criterion", passed, details)
 
 
-def criterion_8(seed=0) -> CriterionResult:
+def criterion_8(seed) -> CriterionResult:
     """|tops| <= |pooled reach| on every simple instance; exact margins."""
     simple_seen = margin_ok = 0
     for sub in _c2_seeds(seed)[:400]:
@@ -457,16 +457,13 @@ def canonical_bytes(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
-def criterion_9(seed=0, core_results=None, spent_seconds=0.0,
-                budget_seconds=300.0) -> CriterionResult:
-    """Two runs of the core are byte-identical and inside the budget.
+def criterion_9(seed, first, spent_seconds) -> CriterionResult:
+    """Two runs of the core are byte-identical and inside 300 s.
 
-    `core_results` lets a caller donate an already-computed first run
-    (with its cost in `spent_seconds`); one fresh run is always
-    performed for the comparison.
+    `first` is the caller's run of the core, which took `spent_seconds`;
+    one fresh run is performed for the comparison.
     """
     t0 = time.monotonic()
-    first = run_core(seed) if core_results is None else core_results
     second = run_core(seed)
     elapsed = spent_seconds + (time.monotonic() - t0)
     b1 = canonical_bytes(core_to_json(first))
@@ -474,7 +471,7 @@ def criterion_9(seed=0, core_results=None, spent_seconds=0.0,
     details = {
         "identical": b1 == b2,
         "core_bytes": len(b1),
-        "runtime_ok": elapsed < budget_seconds,
+        "runtime_ok": elapsed < 300.0,
         "core_passed": sum(1 for r in second if r.passed),
     }
     passed = details["identical"] and details["runtime_ok"]
@@ -486,7 +483,7 @@ def run_suite(seed=0) -> dict:
     t0 = time.monotonic()
     core = run_core(seed)
     spent = time.monotonic() - t0
-    results = core + [criterion_9(seed, core_results=core, spent_seconds=spent)]
+    results = core + [criterion_9(seed, core, spent)]
     return {
         "v": 1,
         "kind": "acceptance-report",

@@ -203,6 +203,15 @@ class TestStaged:
         assert captured.out == ""
         assert captured.err == f"ordfrag: error: {message}\n"
 
+    @pytest.mark.parametrize("teeth, room", [(3, 0), (3, -1), (3, -2), (0, 2), (-1, 2)])
+    def test_comb_without_headroom_is_exit_2(self, capsys, teeth, room):
+        argv = ["staged", "gen", "--kind", "comb", "--teeth", str(teeth), "--room", str(room)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"ordfrag: error: a comb needs teeth >= 1 and room >= 1, "
+                                f"got teeth={teeth} and room={room}\n")
+
     def test_union_refuses_an_input_document(self, comb_file, capsys):
         assert cli.main(["staged", "construct", "union", "--in", str(comb_file)]) == 2
         captured = capsys.readouterr()
@@ -351,6 +360,13 @@ class TestFrag:
         doc = out_json(proc)
         assert doc["inside"] and doc["diameter"] == "0"
 
+    @pytest.mark.parametrize("eps", ["abc", "1/0", "inf", "nan", "", "1/2/3", "0x1"])
+    def test_eps_that_is_not_a_fraction_is_exit_2(self, levels_file, capsys, eps):
+        assert cli.main(["frag", "check", "--in", str(levels_file), f"--eps={eps}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ordfrag: error: --eps takes a fraction such as 1/8, got {eps!r}\n"
+
     def test_weight_triage(self, comb_file, tmp_path):
         good = run_cli("frag", "weight", "--in", str(comb_file))
         assert good.returncode == 0
@@ -416,6 +432,16 @@ class TestRn:
         doc = out_json(proc)
         assert doc["ok"] is False and len(doc["unseparated"]) == 2
         assert doc["subsets_checked"] == 0  # separation short-circuits density
+
+    @pytest.mark.parametrize("bound", ["0", "3", "-4"])
+    def test_denbound_below_four_is_exit_2(self, levels_file, capsys, bound):
+        """The bound is refused before any clause runs, also where
+        separation fails and density is never sampled."""
+        argv = ["rn", "check", "--in", str(levels_file), "--subsets", "3", f"--denbound={bound}"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ordfrag: error: denominator bound must be at least 4\n"
 
     def test_check_passes_on_saturated_chain(self, tmp_path):
         # comb decompositions are sparse, so build a saturated instance

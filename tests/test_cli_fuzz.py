@@ -1,6 +1,7 @@
-"""Arbitrary JSON through `--in` and `--space`: every subcommand that
-reads a document or an inline space must answer with exit 0, 1 or 2,
-and never let an exception escape.
+"""Arbitrary JSON through `--in` and `--space`, and arbitrary text
+through the free-text flags: every subcommand that reads a document, an
+inline space or such a flag must answer with exit 0, 1 or 2, and never
+let an exception escape.
 
 Runs `cli.main` in-process, so an escaping exception fails the test
 with its own traceback. Documents are either arbitrary JSON values or
@@ -143,4 +144,35 @@ def test_inline_spaces_never_escape_the_triage(capsys, data):
     code = cli.main([*argv, f"--space={json.dumps(doc)}"])  # "=": the JSON may start with "-"
     err = capsys.readouterr().err
     assert code in (0, 1, 2), (argv, doc, err)
+    assert "Traceback" not in err
+
+
+# each free-text flag, with the command that reads it and the kind of
+# document that command reads through --in
+TEXT_FLAGS = [
+    (["frag", "check"], "--eps", "decomposition"),
+    (["frag", "check"], "--members", "decomposition"),
+    (["rn", "approx", "--n", "2"], "--point", "rn-witness"),
+    (["staged", "cut", "--level", "1"], "--pool", "tree"),
+    (["staged", "construct", "cofinal"], "--levels", "staged"),
+]
+
+near_texts = hst.sampled_from(["1/0", "inf", "-inf", "nan", "", ",", " ", ",,", "1/2/3", "0x1",
+                               "1e3", "1_0", "-1", "0", "1", "2", "1/8", "-1/8", "w", "w^2",
+                               "(0,+)", "part0:1", "True", "None", "\x00", "\u0661"])
+flag_texts = (hst.text(max_size=8) | near_texts
+              | hst.lists(near_texts | hst.text(max_size=3), min_size=1, max_size=4).map(",".join))
+
+
+@given(data=hst.data())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_free_text_flags_never_escape_the_triage(documents, capsys, data):
+    where, docs = documents
+    argv, flag, kind = data.draw(hst.sampled_from(TEXT_FLAGS))
+    text = data.draw(flag_texts)
+    path = where / f"{kind}.json"
+    path.write_text(json.dumps(docs[kind]))
+    code = cli.main([*argv, "--in", str(path), f"{flag}={text}"])  # "=": the text may start with "-"
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, flag, text, err)
     assert "Traceback" not in err

@@ -17,7 +17,7 @@ from ordfrag.openpart import (
     verify_open_partition,
 )
 from ordfrag.ptree import staged_to_dot
-from ordfrag.simple import RegressiveMap, disjoint_intervals, verify_hall_violator
+from ordfrag.simple import verify_hall_violator
 
 
 def comb(seed=3, teeth=4, room=3):
@@ -55,21 +55,6 @@ class TestPartitionOpen:
         # everything outside the glued segments is a singleton
         for c in p.cells:
             assert len(c) == 1 or any(y in c for y in tops)
-
-    def test_explicit_witness_reproduces_the_partition(self):
-        st = comb()
-        sigma = disjoint_intervals(st, frozenset(st.tops()))
-        assert partition_open(st, witness=sigma) == partition_open(st)
-
-    def test_bad_witnesses_are_rejected(self):
-        st = comb()
-        sigma = disjoint_intervals(st, frozenset(st.tops()))
-        short = RegressiveMap(dict(list(sigma.mapping.items())[:-1]))
-        with pytest.raises(DomainError, match="witness rejected"):
-            partition_open(st, witness=short)
-        shared = RegressiveMap({x: st.root() for x in sigma.mapping})
-        with pytest.raises(DomainError, match="witness rejected"):
-            partition_open(st, witness=shared)
 
     def test_refuses_on_counting_deficit(self):
         st = gen.gen_split_miniature(3)

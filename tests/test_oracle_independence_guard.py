@@ -88,4 +88,4 @@ def test_the_guard_flags_an_injected_key_call():
     assert [name for name, _ in oracle_reads(ast.parse(helper))] == ["_walk"]
     assert ptree_imports(ast.parse("from .ptree import Verdict, _pair_clauses\n")) == ["_pair_clauses"]
     assert ptree_imports(ast.parse("from . import ptree, space\n")) == ["ptree"]
-    assert {"_pair_clauses", "_walk", "_positions", "_PAIR_REPORT_CAP"} <= FORBIDDEN
+    assert {"_pair_clauses", "_walk", "_PAIR_REPORT_CAP"} <= FORBIDDEN

@@ -244,44 +244,12 @@ def test_staged_payload_errors_are_pinned(name):
     assert str(err.value) == want
 
 
-def leftish(space, iv):
-    return iv.lo + 1
-
-
-def test_custom_split_tree_is_pinned():
-    tree = build_tree(FiniteChain(6), 100, split=leftish)
-    assert digest(tree) == "c30de97b2f0bb1686311c8e2e12c91156832caf74b7f22e7a14caf21a9c8ddc4"
-    assert verdict_rows(verify_admissible(tree)) == (True, {}, [])
-
-
-@pytest.mark.parametrize("split, finite, ordinal", [
-    (lambda K, iv: iv.lo, "split callback returned 0, not strictly inside",
-     "split callback returned 0, not strictly inside"),
-    (lambda K, iv: iv.hi, "split callback returned 5, not strictly inside",
-     "split callback returned w, not strictly inside"),
-    (lambda K, iv: 99, "99 is not a point of FiniteChain(size=6, labels=None)",
-     "99 is not a point of OrdinalInterval(alpha=Ordinal(terms=((1, 1),)))"),
-    (lambda K, iv: "3", "'3' is not a point of FiniteChain(size=6, labels=None)",
-     "'3' is not a point of OrdinalInterval(alpha=Ordinal(terms=((1, 1),)))"),
-    (lambda K, iv: parse("w+5"),
-     "Ordinal(terms=((1, 1), (0, 5))) is not a point of FiniteChain(size=6, labels=None)",
-     "Ordinal(terms=((1, 1), (0, 5))) is not a point of OrdinalInterval(alpha=Ordinal(terms=((1, 1),)))"),
-], ids=["low-end", "high-end", "outside", "string", "ordinal-outside"])
-def test_bad_split_callbacks_raise_pinned_errors(split, finite, ordinal):
-    for K, want in ((FiniteChain(6), finite), (OrdinalInterval(W), ordinal)):
-        with pytest.raises(DomainError) as err:
-            build_tree(K, 100, split=split)
-        assert str(err.value) == want
-
-
 @pytest.mark.parametrize("kind", sorted(SPACES))
-@pytest.mark.parametrize("split", [None, "callback"])
-def test_each_endpoint_is_validated_once(monkeypatch, kind, split):
-    """Building and verifying an n-node tree validates at most 2n points
-    of its space plus a constant: one per endpoint in the verifier, and
-    none in the builder unless a split callback returns the point. The
-    verifier alone makes at least 2n calls, so it cannot validate
-    endpoints without going through `sp.validate_point`."""
+def test_each_endpoint_is_validated_once(monkeypatch, kind):
+    """Building an n-node tree validates no point of its space, and
+    verifying it validates between 2n points and 2n plus a constant: one
+    per endpoint. The verifier makes at least 2n calls, so it cannot
+    validate endpoints without going through `sp.validate_point`."""
     K = SPACES[kind]
     calls = []
     validate = sp.validate_point
@@ -292,15 +260,12 @@ def test_each_endpoint_is_validated_once(monkeypatch, kind, split):
         return validate(space, p)
 
     monkeypatch.setattr(sp, "validate_point", counting)
-    rule = None if split is None else (lambda space, iv: space.split(iv.lo, iv.hi, space.count(iv.lo, iv.hi)))
-    tree = build_tree(K, 301, split=rule)
-    built = len(calls)
+    tree = build_tree(K, 301)
+    assert calls == []
     assert verify_admissible(tree).ok
     n = len(tree.nodes)
     assert n == 301
-    expanded = sum(1 for node in tree.nodes.values() if node.children)
-    assert len(calls) <= 2 * n + (expanded if split else 0) + 8
-    assert len(calls) - built >= 2 * n
+    assert 2 * n <= len(calls) <= 2 * n + 8
 
 
 @pytest.mark.parametrize("kind", sorted(SPACES))

@@ -93,10 +93,6 @@ class TestStepFunctions:
         neg = rn.StepFunction(K, good.cuts, (4, 0, 1))
         assert any("increasing" in p for p in rn.verify_step_function(K, neg))
 
-    def test_deltas_length_must_match(self):
-        with pytest.raises(DomainError, match="per level"):
-            rn.separating_family(FiniteChain(5), TOY_LEVELS, deltas=[()])
-
 
 class TestSeparation:
     def test_saturated_chain_separates_everything(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as hst
 
 from ordfrag import bruteforce as bf
 from ordfrag import generators as gen
+from ordfrag import simple
 from ordfrag import space as sp
 from ordfrag.errors import DomainError, NoRoom, NoSubsequence, NotSimpleError
 from ordfrag.simple import (
@@ -473,11 +474,20 @@ class TestEndpointClasses:
             got = endpoint_LR(st, members)
             assert got == lr_by_sweep(st, members), (depth, mode)
 
-    def test_oracle_argument_is_honored(self):
+    def test_exhaustive_simplicity_gives_the_same_classes(self, monkeypatch):
         st = gen.gen_split_miniature(4)
         members = frozenset(st.tops())
-        via_sdr = endpoint_LR(st, members, oracle=sdr_simple)
-        assert via_sdr == endpoint_LR(st, members)
+        fast = endpoint_LR(st, members)
+        windows = []
+
+        def by_search(tree, group):
+            windows.append(group)
+            m = bf.exhaustive_sdr(tree, group)
+            return NotSimple(None) if m is None else Simple(RegressiveMap(m))
+
+        monkeypatch.setattr(simple, "is_simple", by_search)
+        assert endpoint_LR(st, members) == fast
+        assert windows
 
     def test_interior_simple_set_escapes_both_ways(self):
         st = gen.gen_split_miniature(5)

@@ -28,7 +28,6 @@ from ordfrag.space import (
     interval_from_json,
     interval_to_json,
     is_finite_space,
-    make_interval,
     parse_point,
     point_count,
     point_key,
@@ -341,7 +340,7 @@ class TestJson:
 
     def test_interval_roundtrip(self):
         K = OrdinalInterval(W2)
-        iv = make_interval(K, W, parse("w*2"))
+        iv = ClosedInterval(W, parse("w*2"))
         assert interval_from_json(K, interval_to_json(K, iv)) == iv
 
     def test_bad_documents(self):
