@@ -25,6 +25,7 @@ from . import space as sp
 from . import suite as acceptance
 from .errors import (
     DomainError,
+    GuaranteeFailure,
     InternalInconsistency,
     NoRoom,
     NoSubsequence,
@@ -142,19 +143,6 @@ def _render_pair(K, pair):
     return [sp.render_point(K, pair[0]), sp.render_point(K, pair[1])]
 
 
-def _seeded_pairs(K, pts, seed, count):
-    keyed = sorted(pts, key=K.key)
-    if len(keyed) < 2:
-        raise DomainError("need at least two points to form pairs")
-    rng = random.Random(f"{seed}:pairs")
-    out = []
-    for _ in range(count):
-        i = rng.randrange(len(keyed) - 1)
-        j = rng.randrange(i + 1, len(keyed))
-        out.append((keyed[i], keyed[j]))
-    return out
-
-
 # -- space ---------------------------------------------------------------------
 
 
@@ -200,8 +188,9 @@ def cmd_tree_build(args) -> int:
     tree = build_tree(K, args.budget)
     verdict = verify_admissible(tree)
     if not verdict.ok:
-        _emit(_verdict_doc(verdict), args)
-        return 1
+        bad = verdict.violations[0]
+        raise InternalInconsistency(
+            f"the built tree fails clause {bad.clause} at nodes {list(bad.nodes)}: {bad.detail}")
     _emit(tree_to_json(tree), args)
     return 0
 
@@ -356,9 +345,7 @@ def cmd_staged_partition(args) -> int:
     p = partition_open(st)
     problems = verify_open_partition(st, p)
     if problems:
-        _emit({"v": 1, "kind": "refusal", "error": "BadPartition",
-               "problems": problems}, args)
-        return 1
+        raise InternalInconsistency(f"the built partition fails: {problems[0]}")
     if args.dot:
         _write_text(staged_to_dot(st, p.as_cell_index()), args.dot)
     _emit(partition_to_json(p), args)
@@ -397,7 +384,7 @@ def _density_pairs(K, levels, args):
     if sp.is_finite_space(K):
         pts = sp.enumerate_points(K)
         return [(u, v) for i, u in enumerate(pts) for v in pts[i + 1:]]
-    return _seeded_pairs(K, levels[-1], args.seed, args.samples)
+    return gen.seeded_pairs(K, levels[-1], random.Random(f"{args.seed}:pairs"), args.samples)
 
 
 def cmd_frag_density(args) -> int:
@@ -501,7 +488,8 @@ def cmd_rn_check(args) -> int:
     kwargs = {}
     if not sp.is_finite_space(K):
         final = sorted(levels[-1], key=K.key)
-        kwargs["pairs"] = _seeded_pairs(K, final, args.seed, args.samples)
+        kwargs["pairs"] = gen.seeded_pairs(K, final, random.Random(f"{args.seed}:pairs"),
+                                            args.samples)
         kwargs["sample_points"] = final
     rep = rn.namioka_check(K, fam, levels, subsets=args.subsets,
                            seed=args.seed, denominator_bound=args.denbound,
@@ -687,13 +675,8 @@ def main(argv=None) -> int:
             },
         }, args)
         return 1
-    except (NoRoom, NoSubsequence) as err:
+    except (NoRoom, NoSubsequence, GuaranteeFailure) as err:
         _emit({"v": 1, "kind": "refusal", "error": type(err).__name__,
-               "message": str(err)}, args)
-        return 1
-    except rn.GuaranteeFailure as err:
-        # a GuaranteeFailure is an OrdfragError, so it must be caught first
-        _emit({"v": 1, "kind": "refusal", "error": "GuaranteeFailure",
                "message": str(err)}, args)
         return 1
     except InternalInconsistency as err:

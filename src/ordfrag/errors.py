@@ -81,12 +81,9 @@ class NotSimpleError(OrdfragError):
 class NoSubsequence(OrdfragError):
     """No level pairing exists for a cofinal transfer."""
 
-    def __init__(self, source_level: int, detail: str = ""):
+    def __init__(self, source_level: int):
         self.source_level = source_level
-        msg = f"no unused target level >= {source_level} available"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"no unused target level >= {source_level} available")
 
 
 class InternalInconsistency(OrdfragError):

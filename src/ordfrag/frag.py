@@ -21,25 +21,6 @@ from .ordinal import Ordinal, degree
 from .ptree import StagedTree
 from .simple import NotSimple, Simple, is_simple, pool_ancestors
 
-__all__ = [
-    "ln_decomposition",
-    "verify_decomposition",
-    "verify_delta_identity",
-    "delta_pairs",
-    "verify_density",
-    "ScatterReport",
-    "verify_scattered_closed",
-    "shift_derivative",
-    "cb_degree",
-    "FragmentWitness",
-    "fragment_check",
-    "WeightReport",
-    "weight_bound",
-    "levels_to_json",
-    "levels_from_json",
-]
-
-
 def ln_decomposition(st: StagedTree, p: OpenPartition) -> list[tuple]:
     """Endpoint sets graded by partition rank, boundary points first.
 
@@ -137,7 +118,6 @@ def verify_density(K, pts, pairs):
 
 @dataclass(frozen=True)
 class ScatterReport:
-    rounds: int
     emptied: bool
     closed: bool
 
@@ -146,13 +126,12 @@ def verify_scattered_closed(K, pts) -> ScatterReport:
     """Literal Cantor-Bendixson on the finite subspace.
 
     A point is isolated when the open interval between its surviving
-    neighbors meets the set in it alone; rounds are counted until the
-    set empties. All points of a finite set are isolated at once, which
-    is also why the set is closed: no point of the space accumulates
-    against finitely many others.
+    neighbors meets the set in it alone; isolated points are removed
+    until the set empties. All points of a finite set are isolated at
+    once, which is also why the set is closed: no point of the space
+    accumulates against finitely many others.
     """
     remaining = sorted({K.key(q) for q in pts})
-    rounds = 0
     while remaining:
         isolated = []
         for i, k in enumerate(remaining):
@@ -164,10 +143,9 @@ def verify_scattered_closed(K, pts) -> ScatterReport:
             if inside == [k]:
                 isolated.append(k)
         if not isolated:
-            return ScatterReport(rounds, False, False)
+            return ScatterReport(False, False)
         remaining = [k for k in remaining if k not in isolated]
-        rounds += 1
-    return ScatterReport(rounds, True, True)
+    return ScatterReport(True, True)
 
 
 def shift_derivative(a: Ordinal) -> Ordinal:

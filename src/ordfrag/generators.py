@@ -11,6 +11,9 @@ from . import ordinal as ord_
 from . import space as sp
 from .errors import DomainError, RangeError
 from .ordinal import Ordinal
+from .ptree import NODE_CAP, StagedTree
+from .simple import RegressiveMap
+from .space import ClosedInterval, FiniteChain, SplitChain
 
 ALPHA_MENU = ("w", "w*2", "w^2", "w^2*3+5", "w^3")
 
@@ -51,11 +54,20 @@ def sample_point(seed, space):
     raise DomainError(f"unknown space descriptor {space!r}")
 
 
-# -- staged tree corpora -------------------------------------------------------
+def seeded_pairs(K, pts, rng, count):
+    """count pairs (u, v), u < v, of the points pts, drawn from rng."""
+    keyed = sorted(pts, key=K.key)
+    if len(keyed) < 2:
+        raise DomainError("need at least two points to form pairs")
+    out = []
+    for _ in range(count):
+        i = rng.randrange(len(keyed) - 1)
+        j = rng.randrange(i + 1, len(keyed))
+        out.append((keyed[i], keyed[j]))
+    return out
 
-from .ptree import NODE_CAP, StagedTree  # noqa: E402
-from .simple import RegressiveMap  # noqa: E402
-from .space import ClosedInterval, FiniteChain, SplitChain  # noqa: E402
+
+# -- staged tree corpora -------------------------------------------------------
 
 
 class _Builder:

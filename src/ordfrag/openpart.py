@@ -16,16 +16,6 @@ from .errors import DomainError
 from .ptree import StagedTree
 from .simple import disjoint_intervals, pool_ancestors, segments
 
-__all__ = [
-    "OpenPartition",
-    "partition_open",
-    "verify_open_partition",
-    "rank",
-    "partition_to_json",
-    "partition_from_json",
-]
-
-
 @dataclass(frozen=True)
 class OpenPartition:
     """Cells in a fixed order; lookups go through `index_of`."""
@@ -49,9 +39,6 @@ class OpenPartition:
             return self._where[v]
         except KeyError:
             raise DomainError(f"node {v} is in no cell") from None
-
-    def cell_of(self, v: int) -> frozenset[int]:
-        return self.cells[self.index_of(v)]
 
     def as_cell_index(self) -> dict[int, int]:
         """Node to cell-index map, e.g. for DOT coloring."""

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
 
-# Exponents above this bound are rejected outright. The bound is a module
-# variable so a caller who genuinely needs taller ordinals can raise it.
+# A fixed bound: an ordinal with a larger exponent is rejected outright
+# with a RangeError.
 EXPONENT_BOUND = 8
 
 
@@ -54,9 +54,6 @@ class Ordinal:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_finite(self) -> bool:
-        return not self.terms or self.terms[0][0] == 0
 
     def as_int(self) -> int:
         """The value as a plain int; only finite ordinals have one."""
@@ -93,7 +90,6 @@ class Ordinal:
 
 ZERO = Ordinal()
 ONE = Ordinal(((0, 1),))
-OMEGA = Ordinal(((1, 1),))
 
 
 def from_int(n: int) -> Ordinal:

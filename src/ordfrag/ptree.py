@@ -600,12 +600,6 @@ class StagedTree:
     def nodes(self) -> list[int]:
         return sorted(self.parent)
 
-    def root(self) -> int:
-        roots = [i for i, p in self.parent.items() if p is None]
-        if len(roots) != 1:
-            raise DomainError(f"expected one root, found {len(roots)}")
-        return roots[0]
-
     def children(self, i: int) -> tuple[int, ...]:
         return self._children[i]
 
@@ -655,11 +649,13 @@ class StagedTree:
             raise DomainError(f"expected one root, found {len(roots)}")
         if self.level[roots[0]] != 0:
             raise DomainError("root must sit at level 0")
-        if not isinstance(self.top_level, int) or self.top_level < 0:
+        if not _plain_int(self.top_level) or self.top_level < 0:
             raise DomainError(f"bad top level {self.top_level!r}")
         for i in ids:
             l = self.level[i]
-            if not isinstance(l, int) or not 0 <= l <= self.top_level:
+            if not _plain_int(l):
+                raise DomainError(f"node {i} level {l!r} is not an int")
+            if not 0 <= l <= self.top_level:
                 raise DomainError(f"node {i} level {l!r} outside 0..{self.top_level}")
             p = self.parent[i]
             if p is not None:
@@ -667,6 +663,7 @@ class StagedTree:
                     raise DomainError(f"node {i} has missing parent {p}")
                 if self.level[i] != self.level[p] + 1:
                     raise DomainError(f"edge {p}->{i} does not step one level")
+        _check_pool_types(self.pool)
         if not self.pool <= set(range(self.top_level)):
             raise DomainError(
                 f"pool {sorted(self.pool)} must lie strictly below the top level {self.top_level}"
@@ -710,6 +707,17 @@ class StagedTree:
                     )
 
 
+def _plain_int(x) -> bool:
+    """x is an int and not a bool, which JSON's true and false decode to."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_pool_types(pool) -> None:
+    for l in sorted(pool, key=repr):
+        if not _plain_int(l):
+            raise DomainError(f"pool level {l!r} is not an int")
+
+
 def _first_overlap(row: list[int], lo: dict, hi: dict) -> tuple[int, int] | None:
     """The first pair (a, b), a < b, in id order among `row` whose proper
     intervals, given by their endpoint keys, share more than a point, or None.
@@ -743,11 +751,11 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
     `StagedTree.validate` validates each payload endpoint once, before
     the frontier is counted; a top level with no node is refused last.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+    if not _plain_int(m) or m < 0:
         raise DomainError(f"top level must be a natural number, got {m!r}")
     pool = frozenset(pool)
     for l in pool:
-        if not isinstance(l, int) or isinstance(l, bool) or not 0 <= l < m:
+        if not _plain_int(l) or not 0 <= l < m:
             raise DomainError(f"pool level {l!r} must lie strictly below the top level {m}")
     K = tree.space
     rows: dict[Ordinal, list[int]] = {}
@@ -862,12 +870,15 @@ def staged_from_json(doc) -> StagedTree:
     level = {}
     payload = {}
     for r in doc["nodes"]:
+        if r["id"] in parent:
+            raise DomainError(f"node id {r['id']} is repeated")
         parent[r["id"]] = r["parent"]
         level[r["id"]] = r["level"]
         if "payload" in r:
             if K is None:
                 raise DomainError("payload rows need a space")
             payload[r["id"]] = sp.interval_from_json(K, r["payload"])
+    _check_pool_types(doc["pool"])  # a frozenset would merge true into 1
     st = StagedTree(
         parent=parent,
         level=level,

@@ -258,16 +258,6 @@ def _instances():
     yield ("ordinal", 0) + _ordinal_instance()
 
 
-def _seeded_level_pairs(K, pts, rng, count):
-    keyed = sorted(pts, key=K.key)
-    out = []
-    for _ in range(count):
-        i = rng.randrange(len(keyed) - 1)
-        j = rng.randrange(i + 1, len(keyed))
-        out.append((keyed[i], keyed[j]))
-    return out
-
-
 def criterion_5(seed) -> CriterionResult:
     """Graded decompositions: nesting, scatteredness, gaps, density."""
     rng = _rng(seed, "c5")
@@ -294,7 +284,7 @@ def criterion_5(seed) -> CriterionResult:
             pts = sp.enumerate_points(K)
             pairs = [(u, v) for i, u in enumerate(pts) for v in pts[i + 1:]]
         else:
-            pairs = _seeded_level_pairs(K, levels[-1], rng, 200)
+            pairs = gen.seeded_pairs(K, levels[-1], rng, 200)
         pairs_checked += len(pairs)
         bad = verify_density(K, levels[-1], pairs)
         if bad is not None:
@@ -334,7 +324,7 @@ def criterion_6(seed) -> CriterionResult:
             pairs = [(u, v) for i, u in enumerate(pts) for v in pts[i + 1:]]
             samples = pts
         else:
-            pairs = _seeded_level_pairs(K, levels[-1], rng, 100)
+            pairs = gen.seeded_pairs(K, levels[-1], rng, 100)
             samples = _ordinal_samples(K, rng, 100)
         bad = rn.check_separation(K, fam, pairs)
         if bad is not None:
@@ -377,7 +367,7 @@ def criterion_7(seed) -> CriterionResult:
             kw = {}
         else:
             kw = {
-                "pairs": _seeded_level_pairs(K, levels[-1], rng, 50),
+                "pairs": gen.seeded_pairs(K, levels[-1], rng, 50),
                 "sample_points": _ordinal_samples(K, rng, 40),
             }
         fam = rn.separating_family(K, levels)

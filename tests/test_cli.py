@@ -18,7 +18,8 @@ import time
 import pytest
 
 from ordfrag import cli
-from ordfrag.errors import InternalInconsistency
+from ordfrag.errors import GuaranteeFailure, InternalInconsistency
+from ordfrag.ptree import Verdict, Violation
 
 SPACE8 = '{"kind":"finite","size":8}'
 
@@ -286,6 +287,35 @@ class TestStaged:
         assert captured.out == ""
         assert captured.err == f"ordfrag: error: {message}\n"
 
+    @pytest.mark.parametrize("reshape, message", [
+        (lambda doc: doc["nodes"].append(doc["nodes"][-1]), "node id 14 is repeated"),
+        (lambda doc: doc["nodes"].insert(0, dict(doc["nodes"][14], parent=0, level=1)),
+         "node id 14 is repeated"),
+        (lambda doc: doc["nodes"][3].update(level=True), "node 3 level True is not an int"),
+        (lambda doc: doc["nodes"][3].update(level=2.0), "node 3 level 2.0 is not an int"),
+        (lambda doc: doc.update(top_level=True), "bad top level True"),
+        (lambda doc: doc.update(pool=[True]), "pool level True is not an int"),
+        (lambda doc: doc.update(pool=[3.0, 4.0]), "pool level 3.0 is not an int"),
+    ], ids=["repeated-row", "earlier-conflicting-row", "bool-node-level", "float-node-level",
+            "bool-top-level", "bool-pool-level", "float-pool-levels"])
+    @pytest.mark.parametrize("argv", [["staged", "check-simple"], ["staged", "construct", "disjoint"],
+                                      ["frag", "weight"], ["staged", "partition"]],
+                             ids=["check-simple", "disjoint", "weight", "partition"])
+    def test_malformed_staged_document_is_exit_2(self, tmp_path, capsys, reshape, message, argv):
+        """Each of these used to exit 0, or 1 with a refusal, on a
+        document that repeats a node id or gives a level as a bool or a
+        float."""
+        stage = tmp_path / "comb.json"
+        assert cli.main(["staged", "gen", "--kind", "comb", "--teeth", "3", "--room", "2",
+                         "--out", str(stage)]) == 0
+        doc = json.loads(stage.read_text())
+        reshape(doc)
+        stage.write_text(json.dumps(doc))
+        assert cli.main([*argv, "--in", str(stage)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ordfrag: error: {message}\n"
+
     def test_compose_maps_tops_sharing_a_pool_ancestor(self, tmp_path, capsys):
         """Several tops of a two-comb sit above each node of the lowest
         pool level; compose gives each such fibre its own simple map."""
@@ -534,6 +564,40 @@ class TestTriage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "ordfrag: internal error: postcondition failed\n"
+
+    def test_a_failed_tree_self_check_is_exit_3(self, monkeypatch, capsys):
+        def failing(tree):
+            return Verdict(False, (Violation("binary-split", (0,), "probe"),))
+
+        monkeypatch.setattr(cli, "verify_admissible", failing)
+        assert cli.main(["tree", "build", "--space", SPACE8, "--budget", "9"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("ordfrag: internal error: the built tree fails clause "
+                                "binary-split at nodes [0]: probe\n")
+
+    def test_a_failed_partition_self_check_is_exit_3(self, comb_file, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "verify_open_partition", lambda st, p: ["cover: probe"])
+        assert cli.main(["staged", "partition", "--in", str(comb_file)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ordfrag: internal error: the built partition fails: cover: probe\n"
+
+    def test_guarantee_failure_refusal_bytes(self, levels_file, tmp_path, monkeypatch, capsys):
+        bundle = tmp_path / "bundle.json"
+        assert cli.main(["rn", "witness", "--in", str(levels_file), "--denbound", "4",
+                         "--out", str(bundle)]) == 0
+
+        def missing(K, w, n, metric, D):
+            raise GuaranteeFailure("probe miss", w=w, n=n, k=0, gap=None, u=None, v=None,
+                                   z=None, distance=None)
+
+        monkeypatch.setattr(cli.rn, "approximate", missing)
+        assert cli.main(["rn", "approx", "--in", str(bundle), "--point", "1", "--n", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ('{"error":"GuaranteeFailure","kind":"refusal",'
+                                '"message":"probe miss","v":1}\n')
+        assert captured.err == ""
 
     def test_every_subcommand_has_its_handler(self):
         def choices(parser):

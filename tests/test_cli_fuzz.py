@@ -15,6 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
 from ordfrag import cli
+from ordfrag import generators as gen
+from ordfrag.ptree import staged_to_json
 
 # every subcommand with --in, with the flags it needs and the kind of
 # document it reads
@@ -176,3 +178,59 @@ def test_free_text_flags_never_escape_the_triage(documents, capsys, data):
     err = capsys.readouterr().err
     assert code in (0, 1, 2), (argv, flag, text, err)
     assert "Traceback" not in err
+
+
+# every command that reads a staged document through --in
+STAGED_COMMANDS = [
+    ["staged", "check-simple"],
+    *(["staged", "construct", op] for op in ("disjoint", "bounded", "lr", "core", "cofinal",
+                                             "compose")),
+    ["staged", "partition"],
+    ["frag", "ln"],
+    ["frag", "weight"],
+]
+
+stages = hst.one_of(
+    hst.builds(gen.gen_comb, hst.integers(0, 50)),
+    hst.builds(gen.gen_broom, hst.integers(0, 50)),
+    hst.builds(gen.gen_random_staged, hst.integers(0, 50)),
+    hst.builds(gen.gen_split_miniature, hst.integers(2, 4)),
+    hst.builds(gen.gen_sibling_tops, hst.integers(0, 50)),
+).map(staged_to_json)
+
+
+@hst.composite
+def malformed_stages(draw):
+    """A generated stage with one malformation: a repeated row, an
+    earlier row that conflicts with a later one, or a level that is a
+    bool or a float."""
+    doc = draw(stages)
+    rows = doc["nodes"]
+    k = draw(hst.integers(0, len(rows) - 1))
+    how = draw(hst.sampled_from(["repeat", "conflict", "node-level", "top-level", "pool"]))
+    if how == "repeat":
+        rows.append(dict(rows[k]))
+    elif how == "conflict":
+        clash = dict(rows[k], parent=draw(hst.sampled_from([None, 0, k])),
+                     level=draw(hst.integers(0, doc["top_level"])))
+        rows.insert(draw(hst.integers(0, k)), clash)
+    elif how == "node-level":
+        rows[k]["level"] = draw(hst.sampled_from([True, False, float(rows[k]["level"])]))
+    elif how == "top-level":
+        doc["top_level"] = draw(hst.booleans())
+    else:
+        levels = doc["pool"] or [0]
+        doc["pool"] = doc["pool"] + [draw(hst.sampled_from([True, False, float(levels[-1])]))]
+    return doc
+
+
+@given(doc=malformed_stages())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_stages_are_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "stage.json"
+    path.write_text(json.dumps(doc))
+    for argv in STAGED_COMMANDS:
+        code = cli.main([*argv, "--in", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), (argv, doc, captured.err)
+        assert captured.err.startswith("ordfrag: error: ") and "Traceback" not in captured.err

@@ -49,7 +49,7 @@ class TestPartitionOpen:
         seg_cells = {p.index_of(y) for y in tops}
         assert len(seg_cells) == len(tops)
         for y in tops:
-            cell = p.cell_of(y)
+            cell = p.cells[p.index_of(y)]
             assert len(cell) > 1
             assert min(st.level[v] for v in cell) == min(st.pool) + 1
         # everything outside the glued segments is a singleton
@@ -181,11 +181,11 @@ class TestVerifier:
         st = comb(teeth=3, room=3)
         p = partition_open(st)
         y = st.tops()[0]
-        cell = sorted(p.cell_of(y), key=lambda v: st.level[v])
+        cell = sorted(p.cells[p.index_of(y)], key=lambda v: st.level[v])
         assert len(cell) >= 3
         gap = frozenset((cell[0], cell[-1]))
         out = [cell[1]] if len(cell) == 3 else cell[1:-1]
-        others = tuple(c for c in p.cells if c != p.cell_of(y))
+        others = tuple(c for c in p.cells if c != p.cells[p.index_of(y)])
         broken = OpenPartition(others + (gap,) + tuple(frozenset((v,)) for v in out))
         assert any(msg.startswith("convexity") for msg in verify_open_partition(st, broken))
 
@@ -202,7 +202,8 @@ class TestRank:
     def test_root_starts_at_one(self):
         st = comb()
         p = partition_open(st)
-        assert rank(st, p, st.root()) == 1
+        root = next(i for i, up in st.parent.items() if up is None)
+        assert rank(st, p, root) == 1
 
     def test_tips_count_the_pinched_prefix(self):
         # singletons at levels 0..t, then one glued segment

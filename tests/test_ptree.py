@@ -46,6 +46,11 @@ W = parse("w")
 W2 = parse("w^2")
 
 
+def root_of(st):
+    """The node of the stage whose parent is None."""
+    return next(i for i, up in st.parent.items() if up is None)
+
+
 def intervals_of(tree):
     K = tree.space
     return sorted(
@@ -503,7 +508,7 @@ class TestStaging:
         st = to_staged(t, 2, {0, 1})
         assert len(st.nodes()) == 7
         assert st.tops() == [3, 4, 5, 6]
-        assert st.level[st.root()] == 0
+        assert st.level[root_of(st)] == 0
         assert st.has_designated_limit
         st.validate()
 
@@ -563,12 +568,12 @@ class TestStaging:
         t = build_tree(FiniteChain(8), 100)
         st = to_staged(t, 2, {0, 1})
         x = st.tops()[0]
-        assert st.ancestor_at(x, 0) == st.root()
+        assert st.ancestor_at(x, 0) == root_of(st)
         assert st.level[st.ancestor_at(x, 1)] == 1
         seg = st.branch_segment(x, 0)
-        assert seg[0] == st.root() and seg[-1] == x and len(seg) == 3
+        assert seg[0] == root_of(st) and seg[-1] == x and len(seg) == 3
         a, b = st.tops()[0], st.tops()[-1]
-        assert st.meet(a, b) == st.root()
+        assert st.meet(a, b) == root_of(st)
         sibs = st.children(st.ancestor_at(x, 1))
         if len(sibs) == 2:
             assert st.meet(sibs[0], sibs[1]) == st.ancestor_at(x, 1)

@@ -1,16 +1,24 @@
-"""No public API that nothing in `src/` calls, and no option that
-nothing in `src/` sets.
+"""No public name, member or constant that nothing in `src/` reads, and
+no option that nothing in `src/` sets.
 
-Parses every module of `src/ordfrag` and fails when a public
-module-level function or class is referenced nowhere in `src/` outside
-its own definition and `__all__`. Tests alone do not keep a name alive:
-a helper only tests use belongs in the test that uses it, or in
-`bruteforce.py` when it is an oracle.
+Parses every module of `src/ordfrag`. The underscore prefix is the only
+declaration of what is private; everything else is held to four checks:
 
-The same holds for a defaulted parameter of a public module-level
-function: some call in `src/` must set it, by keyword, by position or
-through `*args`/`**kwargs`. An option with one value in use is a
-constant.
+- a public module-level function or class is referenced somewhere in
+  `src/` outside its own definition;
+- a public method, property or annotated field of a public class is
+  read as an attribute somewhere in `src/` outside the class body;
+- a public module-level constant is read somewhere in `src/`;
+- a defaulted parameter of a public function, of a public class's
+  constructor (an explicit `__init__` or the defaulted fields of a
+  dataclass) or of a public method is set by some call in `src/`, by
+  keyword, by position or through `*args`/`**kwargs`. An option with
+  one value in use is a constant.
+
+Tests alone do not keep a name alive: a helper only tests use belongs in
+the test that uses it, or in `bruteforce.py` when it is an oracle. Each
+check has an allowlist test, so an entry that gains a reader leaves the
+allowlist, and a negative control that injects a probe it must flag.
 """
 
 import ast
@@ -33,6 +41,18 @@ ALLOWED = {
     ("space", "canonical_split"),
 }
 
+# (module, "Class.member") kept without a reader in src/
+ALLOWED_MEMBERS = {
+    # perfbench/ordbench/tree_verify.py reads both for its workload
+    ("ptree", "PartitionTree.root_id"),
+    ("ptree", "StagedTree.origin"),
+    # a field of the space document: space_from_json reads it from the
+    # document and to_json writes it back, and it shows in every repr
+    ("space", "FiniteChain.labels"),
+}
+
+# (module, constant) kept without a reader in src/
+ALLOWED_CONSTANTS: set[tuple[str, str]] = set()
 
 # (module, function, parameter) kept without a setter in src/
 ALLOWED_OPTIONS = {
@@ -41,8 +61,18 @@ ALLOWED_OPTIONS = {
 }
 
 
-def _modules() -> dict[str, ast.Module]:
-    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+def _modules(sources: dict[str, str] | None = None) -> dict[str, ast.Module]:
+    if sources is None:
+        sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    return {module: ast.parse(text, module) for module, text in sources.items()}
+
+
+def _sources(**extra: str) -> dict[str, str]:
+    """The modules of `src/`, with `extra` text appended to the named ones."""
+    out = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    for module, text in extra.items():
+        out[module] += text
+    return out
 
 
 def _exempt(module: str, name: str) -> bool:
@@ -56,10 +86,10 @@ def _definitions(tree: ast.Module):
             yield node
 
 
-def _references(tree: ast.Module) -> set[str]:
+def _references(tree: ast.AST) -> set[str]:
     """Every name read as a bare name or an attribute in `tree`. A
-    definition binds its name without reading it, and `__all__` holds
-    strings, so neither counts; a recursive call does."""
+    definition binds its name without reading it; a recursive call
+    reads it."""
     out = set()
     for n in ast.walk(tree):
         if isinstance(n, ast.Name):
@@ -69,8 +99,8 @@ def _references(tree: ast.Module) -> set[str]:
     return out
 
 
-def unreferenced() -> list[tuple[str, str]]:
-    modules = _modules()
+def unreferenced(sources=None) -> list[tuple[str, str]]:
+    modules = _modules(sources)
     used = set().union(*map(_references, modules.values()))
     return [
         (module, node.name)
@@ -89,15 +119,190 @@ def test_the_allowlist_holds_only_uncalled_names():
     assert sorted(ALLOWED - set(unreferenced())) == []
 
 
-def _options(fn: ast.FunctionDef):
-    """(position or None, name) of each defaulted parameter of fn; a
-    keyword-only one has no position."""
+# -- members --------------------------------------------------------------------
+
+
+def _classes(tree: ast.Module):
+    return [n for n in _definitions(tree) if isinstance(n, ast.ClassDef)]
+
+
+def _members(cls: ast.ClassDef):
+    """Public methods, properties and annotated fields of cls."""
+    for n in cls.body:
+        if isinstance(n, ast.FunctionDef) and not n.name.startswith("_"):
+            yield n.name
+        elif isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name):
+            if not n.target.id.startswith("_"):
+                yield n.target.id
+
+
+def _attribute_reads(node: ast.AST) -> set[str]:
+    return {
+        n.attr for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def unread_members(sources=None) -> list[tuple[str, str]]:
+    """(module, "Class.member") for every member of a public class that
+    no attribute read in `src/` names outside the class body."""
+    modules = _modules(sources)
+    reads = [(stmt, _attribute_reads(stmt)) for tree in modules.values() for stmt in tree.body]
+    out = []
+    for module, tree in modules.items():
+        for cls in _classes(tree):
+            outside = set().union(*(r for stmt, r in reads if stmt is not cls))
+            out += [(module, f"{cls.name}.{m}") for m in _members(cls) if m not in outside]
+    return out
+
+
+def test_every_public_member_is_read_in_src():
+    assert sorted(set(unread_members()) - ALLOWED_MEMBERS) == []
+
+
+def test_the_member_allowlist_holds_only_unread_members():
+    # a member that gains a reader leaves the allowlist
+    assert sorted(ALLOWED_MEMBERS - set(unread_members())) == []
+
+
+def test_the_member_guard_flags_an_injected_property():
+    probe = (
+        "\n\nclass Probe:\n"
+        "    size: int\n\n"
+        "    @property\n"
+        "    def unread(self):\n"
+        "        return self.size\n\n"
+        "    def _peek(self):\n"
+        "        return self.unread\n"
+    )
+    base = set(unread_members())
+    flagged = set(unread_members(_sources(frag=probe))) - base
+    # a read inside the class body keeps nothing alive
+    assert flagged == {("frag", "Probe.unread")}
+    reader = "\n\ndef _probe_reader(p):\n    return p.unread\n"
+    assert set(unread_members(_sources(frag=probe, rnwit=reader))) == base
+
+
+# -- constants ------------------------------------------------------------------
+
+
+def _constants(tree: ast.Module):
+    for n in tree.body:
+        if isinstance(n, ast.Assign):
+            targets = n.targets
+        elif isinstance(n, ast.AnnAssign):
+            targets = [n.target]
+        else:
+            continue
+        for t in targets:
+            if isinstance(t, ast.Name) and not t.id.startswith("_"):
+                yield t.id
+
+
+def _loads(tree: ast.Module) -> set[str]:
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out.add(n.attr)
+    return out
+
+
+def unread_constants(sources=None) -> list[tuple[str, str]]:
+    """(module, name) for every public module-level assignment that no
+    load in `src/` reads."""
+    modules = _modules(sources)
+    used = set().union(*map(_loads, modules.values()))
+    return [
+        (module, name)
+        for module, tree in modules.items()
+        for name in _constants(tree)
+        if name not in used
+    ]
+
+
+def test_every_public_constant_is_read_in_src():
+    assert sorted(set(unread_constants()) - ALLOWED_CONSTANTS) == []
+
+
+def test_the_constant_allowlist_holds_only_unread_constants():
+    # a constant that gains a reader leaves the allowlist
+    assert sorted(ALLOWED_CONSTANTS - set(unread_constants())) == []
+
+
+def test_the_constant_guard_flags_an_injected_constant():
+    probe = "\n\nPROBE_LIMIT = 3\n"
+    base = set(unread_constants())
+    assert set(unread_constants(_sources(ordinal=probe))) - base == {("ordinal", "PROBE_LIMIT")}
+    reader = "\n\ndef _probe_reader():\n    return ord_.PROBE_LIMIT\n"
+    assert set(unread_constants(_sources(ordinal=probe, ptree=reader))) == base
+
+
+# -- options --------------------------------------------------------------------
+
+
+def _options(fn: ast.FunctionDef, skip: int = 0):
+    """(position or None, name) of each defaulted parameter of fn, with
+    positions counted after the first `skip` parameters; a keyword-only
+    one has no position."""
     a = fn.args
     positional = a.posonlyargs + a.args
     first = len(positional) - len(a.defaults)
-    out = [(k, x.arg) for k, x in enumerate(positional[first:], first)]
+    out = [(k - skip, x.arg) for k, x in enumerate(positional[first:], first)]
     out += [(None, x.arg) for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
     return out
+
+
+def _decorator(node, name: str):
+    """The decorator of node called `name`, bare or called, or None."""
+    for d in node.decorator_list:
+        f = d.func if isinstance(d, ast.Call) else d
+        if getattr(f, "id", getattr(f, "attr", None)) == name:
+            return d
+    return None
+
+
+def _field_options(cls: ast.ClassDef):
+    """(position, name) of each defaulted field of a dataclass that
+    generates its `__init__`; none otherwise."""
+    d = _decorator(cls, "dataclass")
+    if d is None or any(
+        k.arg == "init" and getattr(k.value, "value", True) is False
+        for k in getattr(d, "keywords", ())
+    ):
+        return []
+    out, k = [], 0
+    for n in cls.body:
+        if not (isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)):
+            continue
+        v = n.value
+        if isinstance(v, ast.Call) and any(
+            kw.arg == "init" and getattr(kw.value, "value", True) is False for kw in v.keywords
+        ):
+            continue  # field(init=False) is no parameter
+        if v is not None:
+            out.append((k, n.target.id))
+        k += 1
+    return out
+
+
+def _callables(tree: ast.Module):
+    """(called name, label, options) of every public function, public
+    class constructor and public method in tree."""
+    for node in _definitions(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, _options(node)
+            continue
+        init = next(
+            (n for n in node.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"), None
+        )
+        ctor = _options(init, skip=1) if init is not None else _field_options(node)
+        yield node.name, f"{node.name}.__init__", ctor
+        for n in node.body:
+            if isinstance(n, ast.FunctionDef) and not n.name.startswith("_"):
+                skip = 0 if _decorator(n, "staticmethod") else 1
+                yield n.name, f"{node.name}.{n.name}", _options(n, skip)
 
 
 def _sets(call: ast.Call, position, name: str) -> bool:
@@ -108,11 +313,12 @@ def _sets(call: ast.Call, position, name: str) -> bool:
     return any(k.arg in (name, None) for k in call.keywords)  # None: **kwargs
 
 
-def unset_options() -> list[tuple[str, str, str]]:
-    """(module, function, parameter) for every defaulted parameter of a
-    public module-level function that no call in `src/` sets. A call
-    matches by the called name, bare or as an attribute."""
-    modules = _modules()
+def unset_options(sources=None) -> list[tuple[str, str, str]]:
+    """(module, callable, parameter) for every defaulted parameter that
+    no call in `src/` sets. A call matches by the called name, bare or
+    as an attribute: a function's or method's own name, a class's name
+    for its constructor."""
+    modules = _modules(sources)
     calls: dict[str, list[ast.Call]] = {}
     for tree in modules.values():
         for n in ast.walk(tree):
@@ -121,12 +327,11 @@ def unset_options() -> list[tuple[str, str, str]]:
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(name, []).append(n)
     return [
-        (module, node.name, name)
+        (module, label, name)
         for module, tree in modules.items()
-        for node in _definitions(tree)
-        if isinstance(node, ast.FunctionDef)
-        for position, name in _options(node)
-        if not any(_sets(c, position, name) for c in calls.get(node.name, ()))
+        for called, label, options in _callables(tree)
+        for position, name in options
+        if not any(_sets(c, position, name) for c in calls.get(called, ()))
     ]
 
 
@@ -137,3 +342,28 @@ def test_every_option_is_set_by_a_caller_in_src():
 def test_the_option_allowlist_holds_only_unset_options():
     # an option that gains a setter leaves the allowlist
     assert sorted(ALLOWED_OPTIONS - set(unset_options())) == []
+
+
+def test_the_option_guard_flags_injected_constructor_and_method_options():
+    probe = (
+        "\n\nclass Probe:\n"
+        "    def __init__(self, a, b=0):\n"
+        "        self.a = a\n\n"
+        "    def probe_step(self, x, by=1):\n"
+        "        return x + by\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class ProbeRow:\n"
+        "    a: int\n"
+        "    b: int = 0\n\n\n"
+        "def _probe_use():\n"
+        "    return Probe(1).probe_step(2), ProbeRow(1)\n"
+    )
+    base = set(unset_options())
+    assert set(unset_options(_sources(frag=probe))) - base == {
+        ("frag", "Probe.__init__", "b"),
+        ("frag", "Probe.probe_step", "by"),
+        ("frag", "ProbeRow.__init__", "b"),
+    }
+    # positions count after self, and a dataclass field by its place
+    setter = "\n\ndef _probe_set():\n    return Probe(1, 2).probe_step(2, 3), ProbeRow(1, 2)\n"
+    assert set(unset_options(_sources(frag=probe, rnwit=setter))) == base

@@ -40,6 +40,11 @@ from ordfrag.simple import (
 )
 
 
+def root_of(st):
+    """The node of the stage whose parent is None."""
+    return next(i for i, up in st.parent.items() if up is None)
+
+
 def tips_by_position(st):
     """Top nodes sorted by payload minimum."""
     tops = st.tops()
@@ -84,7 +89,7 @@ class TestIsSimple:
 
     def test_members_must_sit_at_the_top(self):
         st = gen.gen_split_miniature(3, pool_mode="full")
-        root = st.root()
+        root = root_of(st)
         with pytest.raises(DomainError):
             is_simple(st, {root})
 
@@ -152,7 +157,7 @@ class TestWitnessVerifiers:
 
     def test_flags_shared_image(self):
         st, chosen, wit = self.simple_case()
-        root = st.root()
+        root = root_of(st)
         bad = RegressiveMap({x: root for x in chosen})
         assert any("share the image" in p for p in verify_simple_witness(st, chosen, bad))
 
@@ -305,7 +310,7 @@ class TestComposeFibrewise:
     def test_fibre_keys_must_match_images(self):
         st, pi, fibre_maps = self.two_fibre_setup()
         fibre_maps = dict(fibre_maps)
-        fibre_maps[st.root()] = RegressiveMap({})
+        fibre_maps[root_of(st)] = RegressiveMap({})
         with pytest.raises(DomainError, match="exactly the coarse images"):
             compose_fibrewise(st, pi, fibre_maps)
 
@@ -372,7 +377,7 @@ class TestUnionSimple:
         with pytest.raises(DomainError, match="not disjoint"):
             union_simple(st, [parts[0], parts[0]], assign)
         members, wit = parts[1]
-        hollow = RegressiveMap({x: st.root() for x in members})
+        hollow = RegressiveMap({x: root_of(st) for x in members})
         with pytest.raises(DomainError, match="witness invalid"):
             union_simple(st, [parts[0], (members, hollow)], assign)
 
