@@ -82,6 +82,8 @@ def _load(text: str, where: str) -> dict:
         raise DomainError(
             f"malformed JSON in {where}: line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
+    except RecursionError as err:
+        raise DomainError(f"malformed JSON in {where}: nested too deeply") from err
 
 
 def _read_doc(args) -> dict:

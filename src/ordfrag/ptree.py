@@ -712,6 +712,15 @@ def _plain_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _row_id(row, k: int, field: str):
+    """The id or parent field of node row k: an int that is not a bool,
+    or null for a parent."""
+    x = row[field]
+    if not _plain_int(x) and not (field == "parent" and x is None):
+        raise DomainError(f"node row {k}: {field} {x!r} is not an int")
+    return x
+
+
 def _check_pool_types(pool) -> None:
     for l in sorted(pool, key=repr):
         if not _plain_int(l):
@@ -835,9 +844,10 @@ def tree_from_json(doc) -> PartitionTree:
         raise DomainError("not a tree document")
     K = sp.space_from_json(doc["space"])
     rows = []
-    for r in doc["nodes"]:
+    for k, r in enumerate(doc["nodes"]):
         iv = sp.interval_from_json(K, r["interval"])
-        rows.append((r["id"], iv.lo, iv.hi, ord_.parse(r["level"]), r["parent"]))
+        rows.append((_row_id(r, k, "id"), iv.lo, iv.hi, ord_.parse(r["level"]),
+                     _row_id(r, k, "parent")))
     return make_tree(K, rows, doc.get("budget"))
 
 
@@ -869,16 +879,20 @@ def staged_from_json(doc) -> StagedTree:
     parent = {}
     level = {}
     payload = {}
-    for r in doc["nodes"]:
-        if r["id"] in parent:
-            raise DomainError(f"node id {r['id']} is repeated")
-        parent[r["id"]] = r["parent"]
-        level[r["id"]] = r["level"]
+    for k, r in enumerate(doc["nodes"]):
+        i = _row_id(r, k, "id")
+        if i in parent:
+            raise DomainError(f"node id {i} is repeated")
+        parent[i] = _row_id(r, k, "parent")
+        level[i] = r["level"]
         if "payload" in r:
             if K is None:
                 raise DomainError("payload rows need a space")
-            payload[r["id"]] = sp.interval_from_json(K, r["payload"])
+            payload[i] = sp.interval_from_json(K, r["payload"])
     _check_pool_types(doc["pool"])  # a frozenset would merge true into 1
+    limit_top = doc.get("limit_top", True)
+    if not isinstance(limit_top, bool):
+        raise DomainError(f"limit_top {limit_top!r} is not a bool")
     st = StagedTree(
         parent=parent,
         level=level,
@@ -886,7 +900,7 @@ def staged_from_json(doc) -> StagedTree:
         pool=frozenset(doc["pool"]),
         payload=payload if payload else None,
         space=K,
-        limit_top=doc.get("limit_top", True),
+        limit_top=limit_top,
     )
     st.validate()
     return st

@@ -2,7 +2,8 @@
 
 A node set H at the top of a staged tree is *simple* when an injective
 map exists sending each member to one of its ancestors at a pool level.
-Matching theory decides this; the refutation is a counted Hall
+A greedy pass up the tree decides this, because each member's
+candidates lie on one root path; the refutation is a counted Hall
 violator. On top of simplicity sit the constructions: cofinal
 transfer to another pool, fibrewise composition with explicit room
 bounds, pairwise disjoint branch segments, payload-bounded maps, and
@@ -11,7 +12,6 @@ the window classification of endpoints.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import space as sp
@@ -73,71 +73,58 @@ def pool_ancestors(st: StagedTree, x: int) -> list[int]:
 
 
 def is_simple(st: StagedTree, members) -> Simple | NotSimple:
-    """Decide simplicity by maximum bipartite matching.
+    """Decide simplicity in one pass from the top level to the root.
 
-    Adjacency lists are ordered shallowest-first, so witnesses prefer
-    low pool levels and leave headroom above themselves. The negative
-    answer carries a Hall violator W with its exact neighborhood.
+    A member's candidates are its pool ancestors, one root path, so the
+    candidate sets nest along the tree and a greedy matching is maximum:
+    carry the members up a level at a time, and let each node at a pool
+    level take the largest id carried up to it. Members carried to the
+    same node have the same candidates left, so the choice never costs a
+    match. A witness then moves each member, in id order, to its
+    shallowest free pool ancestor, so it leaves headroom above itself.
+    The negative answer carries a Hall violator W with its exact
+    neighborhood.
     """
     lefts = _check_node_set(st, members)
-    adj = {x: pool_ancestors(st, x) for x in lefts}
-    match_l: dict[int, int | None] = {x: None for x in lefts}
-    match_r: dict[int, int] = {}
-
-    def bfs() -> tuple[bool, dict[int, int]]:
-        dist: dict[int, int] = {}
-        q: deque[int] = deque()
-        for u in lefts:
-            if match_l[u] is None:
-                dist[u] = 0
-                q.append(u)
-        reachable_free = False
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                w = match_r.get(v)
-                if w is None:
-                    reachable_free = True
-                elif w not in dist:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return reachable_free, dist
-
-    def dfs(u: int, dist: dict[int, int]) -> bool:
-        for v in adj[u]:
-            w = match_r.get(v)
-            if w is None or (dist.get(w) == dist[u] + 1 and dfs(w, dist)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = -1
-        return False
-
-    while True:
-        progress, dist = bfs()
-        if not progress:
-            break
-        for u in lefts:
-            if match_l[u] is None:
-                dfs(u, dist)
-
-    unmatched = [u for u in lefts if match_l[u] is None]
+    match: dict[int, int] = {}  # member -> pool node
+    owner: dict[int, int] = {}  # pool node -> member
+    carried = {x: [x] for x in lefts}  # node -> the unmatched members in its subtree
+    for lvl in range(st.top_level - 1, -1, -1):
+        up: dict[int, list[int]] = {}
+        for v, xs in carried.items():
+            up.setdefault(st.parent[v], []).extend(xs)
+        if lvl in st.pool:
+            for v, xs in up.items():
+                x = max(xs)
+                xs.remove(x)
+                match[x], owner[v] = v, x
+        carried = {v: xs for v, xs in up.items() if xs}
+    unmatched = [x for x in lefts if x not in match]
     if not unmatched:
-        return Simple(RegressiveMap({u: match_l[u] for u in lefts}))
+        for x in lefts:
+            a = v = match[x]
+            while (v := st.parent[v]) is not None:
+                if st.level[v] in st.pool and v not in owner:
+                    a = v
+            if a != match[x]:
+                del owner[match[x]]
+                match[x], owner[a] = a, x
+        return Simple(RegressiveMap(match))
 
-    # alternating reachability from the unmatched side gives the violator
+    # alternating reachability from the unmatched members: every pool
+    # node above a member of W is matched, and its partner joins W
     w_set = set(unmatched)
-    n_set: set[int] = set()
-    q = deque(unmatched)
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if v not in n_set:
-                n_set.add(v)
-                partner = match_r.get(v)
-                if partner is not None and partner not in w_set:
-                    w_set.add(partner)
-                    q.append(partner)
+    marked: set[int] = set()
+    todo = list(unmatched)
+    while todo:
+        v = st.parent[todo.pop()]
+        while v is not None and v not in marked:
+            marked.add(v)
+            if v in owner:
+                w_set.add(owner[v])
+                todo.append(owner[v])
+            v = st.parent[v]
+    n_set = {v for v in marked if st.level[v] in st.pool}
     if len(n_set) >= len(w_set):
         raise InternalInconsistency("violator extraction produced no deficiency")
     return NotSimple(HallViolator(frozenset(w_set), frozenset(n_set)))

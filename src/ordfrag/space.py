@@ -458,8 +458,18 @@ def parse_point(space, text: str):
 # -- JSON --------------------------------------------------------------------
 
 
+# order sums nest at most this deep: every space operation recurses once
+# per sum, and `tree build`, `tree verify` and `staged cut` still run at
+# three times this depth under Python's default recursion limit
+SUM_DEPTH_CAP = 100
+
+
 @document_decoder
 def space_from_json(doc) -> SpaceDescriptor:
+    return _space_from_json(doc, SUM_DEPTH_CAP)
+
+
+def _space_from_json(doc, room: int) -> SpaceDescriptor:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DomainError(f"bad space document {doc!r}")
     kind = doc["kind"]
@@ -471,7 +481,9 @@ def space_from_json(doc) -> SpaceDescriptor:
     if kind == "split":
         return SplitChain(doc["size"])
     if kind == "sum":
-        return OrderSum(tuple(space_from_json(p) for p in doc["parts"]))
+        if room == 0:
+            raise DomainError(f"order sums nest more than {SUM_DEPTH_CAP} deep")
+        return OrderSum(tuple(_space_from_json(p, room - 1) for p in doc["parts"]))
     raise DomainError(f"unknown space kind {kind!r}")
 
 

@@ -20,6 +20,7 @@ import pytest
 from ordfrag import cli
 from ordfrag.errors import GuaranteeFailure, InternalInconsistency
 from ordfrag.ptree import Verdict, Violation
+from ordfrag.space import SUM_DEPTH_CAP
 
 SPACE8 = '{"kind":"finite","size":8}'
 
@@ -102,6 +103,28 @@ class TestSpace:
         proc = run_cli("space", "show", "--space", '{"kind":')
         assert proc.returncode == 2
         assert "line 1 column" in proc.stderr
+
+    def test_sums_nest_up_to_the_cap(self, tmp_path, capsys):
+        def nested(depth):
+            doc = {"kind": "finite", "size": 5}
+            for _ in range(depth):
+                doc = {"kind": "sum", "parts": [doc, {"kind": "finite", "size": 2}]}
+            return json.dumps(doc)
+
+        tree, stage = str(tmp_path / "tree.json"), str(tmp_path / "stage.json")
+        assert cli.main(["tree", "build", "--space", nested(SUM_DEPTH_CAP), "--budget", "20",
+                         "--out", tree]) == 0
+        assert cli.main(["tree", "verify", "--in", tree]) == 0
+        assert cli.main(["staged", "cut", "--level", "1", "--pool", "0", "--in", tree,
+                         "--out", stage]) == 0
+        assert cli.main(["staged", "check-simple", "--in", stage]) in (0, 1)
+        assert cli.main(["space", "show", "--space", nested(SUM_DEPTH_CAP)]) == 0
+        capsys.readouterr()
+        for argv in (["space", "show"], ["space", "sample"], ["tree", "build", "--budget", "20"]):
+            assert cli.main([*argv, "--space", nested(SUM_DEPTH_CAP + 1)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"ordfrag: error: order sums nest more than {SUM_DEPTH_CAP} deep\n"
 
 
 class TestTree:

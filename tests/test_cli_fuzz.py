@@ -16,7 +16,9 @@ from hypothesis import strategies as hst
 
 from ordfrag import cli
 from ordfrag import generators as gen
-from ordfrag.ptree import staged_to_json
+from ordfrag.ordinal import parse
+from ordfrag.ptree import build_tree, staged_to_json, tree_to_json
+from ordfrag.space import FiniteChain, OrderSum, OrdinalInterval, SplitChain
 
 # every subcommand with --in, with the flags it needs and the kind of
 # document it reads
@@ -199,15 +201,24 @@ stages = hst.one_of(
 ).map(staged_to_json)
 
 
+def wrong_ids(x):
+    """Stand-ins for an id or a parent x that JSON can carry but that are
+    not ints: its text, its float, a bool; for a root's null parent, 0's."""
+    x = 0 if x is None else x
+    return hst.sampled_from([str(x), float(x), True, False])
+
+
 @hst.composite
 def malformed_stages(draw):
     """A generated stage with one malformation: a repeated row, an
-    earlier row that conflicts with a later one, or a level that is a
-    bool or a float."""
+    earlier row that conflicts with a later one, a level that is a bool
+    or a float, an id or a parent that is not an int, or a limit_top
+    that is not a bool."""
     doc = draw(stages)
     rows = doc["nodes"]
     k = draw(hst.integers(0, len(rows) - 1))
-    how = draw(hst.sampled_from(["repeat", "conflict", "node-level", "top-level", "pool"]))
+    how = draw(hst.sampled_from(["repeat", "conflict", "node-level", "top-level", "pool", "id",
+                                 "parent", "limit-top"]))
     if how == "repeat":
         rows.append(dict(rows[k]))
     elif how == "conflict":
@@ -218,10 +229,24 @@ def malformed_stages(draw):
         rows[k]["level"] = draw(hst.sampled_from([True, False, float(rows[k]["level"])]))
     elif how == "top-level":
         doc["top_level"] = draw(hst.booleans())
-    else:
+    elif how == "pool":
         levels = doc["pool"] or [0]
         doc["pool"] = doc["pool"] + [draw(hst.sampled_from([True, False, float(levels[-1])]))]
+    elif how == "limit-top":
+        doc["limit_top"] = draw(hst.sampled_from(["no", "true", 0, 1, 1.0, None]))
+    else:
+        rows[k][how] = draw(wrong_ids(rows[k][how]))
     return doc
+
+
+def assert_exit_2(commands, flag, capsys, doc):
+    """Each command, given `flag` (an --in or --space argument), exits 2
+    with nothing on stdout and one error line on stderr."""
+    for argv in commands:
+        code = cli.main([*argv, flag])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), (argv, doc, captured.err)
+        assert captured.err.startswith("ordfrag: error: ") and "Traceback" not in captured.err
 
 
 @given(doc=malformed_stages())
@@ -229,8 +254,63 @@ def malformed_stages(draw):
 def test_malformed_stages_are_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "stage.json"
     path.write_text(json.dumps(doc))
-    for argv in STAGED_COMMANDS:
-        code = cli.main([*argv, "--in", str(path)])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, ""), (argv, doc, captured.err)
-        assert captured.err.startswith("ordfrag: error: ") and "Traceback" not in captured.err
+    assert_exit_2(STAGED_COMMANDS, f"--in={path}", capsys, doc)
+
+
+# every command that reads a tree document through --in
+TREE_COMMANDS = [["tree", "verify"], ["staged", "cut", "--level", "1", "--pool", "0"]]
+
+trees = hst.builds(
+    lambda K, budget: tree_to_json(build_tree(K, budget)),
+    hst.sampled_from([FiniteChain(9), OrdinalInterval(parse("w^2")), SplitChain(4),
+                      OrderSum((FiniteChain(3), OrdinalInterval(parse("w"))))]),
+    hst.integers(3, 30),
+)
+
+
+@hst.composite
+def malformed_trees(draw):
+    """A built tree with one malformation: a repeated row, or an id or a
+    parent that is not an int."""
+    doc = draw(trees)
+    rows = doc["nodes"]
+    k = draw(hst.integers(0, len(rows) - 1))
+    how = draw(hst.sampled_from(["repeat", "id", "parent"]))
+    if how == "repeat":
+        rows.append(dict(rows[k]))
+    else:
+        rows[k][how] = draw(wrong_ids(rows[k][how]))
+    return doc
+
+
+@given(doc=malformed_trees())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_trees_are_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc))
+    assert_exit_2(TREE_COMMANDS, f"--in={path}", capsys, doc)
+
+
+# nesting past what Python's recursion limit lets a decoder walk: JSON
+# arrays 200,000 deep, and order sums 330 deep (about 20 KB)
+DEEP_ARRAY = "[" * 200_000
+DEEP_SUM = {"kind": "finite", "size": 3}
+for _ in range(330):
+    DEEP_SUM = {"kind": "sum", "parts": [DEEP_SUM]}
+
+
+@pytest.mark.parametrize("argv,kind", DOC_COMMANDS, ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+def test_deep_nesting_through_in_is_exit_2(documents, capsys, argv, kind):
+    where, docs = documents
+    if argv[-1] == "construct":
+        argv = argv + ["disjoint"]
+    path = where / f"deep-{kind}.json"
+    for text in (DEEP_ARRAY, json.dumps(dict(docs[kind], space=DEEP_SUM))):
+        path.write_text(text)
+        assert_exit_2([argv], f"--in={path}", capsys, text[:40])
+
+
+@pytest.mark.parametrize("argv", SPACE_COMMANDS, ids=" ".join)
+def test_deep_nesting_through_space_is_exit_2(capsys, argv):
+    for text in (DEEP_ARRAY, json.dumps(DEEP_SUM)):
+        assert_exit_2([argv], f"--space={text}", capsys, text[:40])

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import re
 import time
 import tracemalloc
 
@@ -298,20 +299,22 @@ class TestVerify:
     @pytest.mark.parametrize("change", ["float-id", "float-parent", "bool-id", "float-child"])
     def test_ids_that_only_equal_positions_keep_their_verdicts(self, change):
         """An id, parent or child such as 1.0 or True equals a position
-        without being an int, and keeps the verdict the oracle gives."""
+        without being an int, and keeps the verdict the oracle gives.
+        tree_from_json refuses such rows, so make_tree assembles them."""
         tree = build_tree(FiniteChain(6), 9)
         for swap in (False, True):
-            doc = tree_to_json(tree)
+            rows = [[n.id, n.interval.lo, n.interval.hi, n.level, n.parent]
+                    for _, n in sorted(tree.nodes.items())]
             if swap:  # intervals of two same-level nodes under different parents
-                a, b = doc["nodes"][3], doc["nodes"][5]
-                a["interval"], b["interval"] = b["interval"], a["interval"]
+                a, b = rows[3], rows[5]
+                a[1:3], b[1:3] = b[1:3], a[1:3]
             if change == "float-id":
-                doc["nodes"][1]["id"] = 1.0
+                rows[1][0] = 1.0
             elif change == "float-parent":
-                doc["nodes"][3]["parent"] = float(doc["nodes"][3]["parent"])
+                rows[3][4] = float(rows[3][4])
             elif change == "bool-id":
-                doc["nodes"][1]["id"] = True
-            t = tree_from_json(doc)
+                rows[1][0] = True
+            t = make_tree(tree.space, rows)
             if change == "float-child":
                 root = t.nodes[0]
                 nodes = dict(t.nodes)
@@ -654,6 +657,23 @@ class TestSerialization:
         assert st2.level == st.level
         assert st2.pool == st.pool
         assert st2.payload == st.payload
+
+    @pytest.mark.parametrize("field,value", [("id", "1"), ("id", 1.0), ("id", True),
+                                             ("parent", "0"), ("parent", 0.0), ("parent", True)])
+    def test_ids_and_parents_must_be_ints(self, field, value):
+        tree = build_tree(FiniteChain(8), 9)
+        st = to_staged(tree, 2, {0, 1})
+        for doc, decode in ((tree_to_json(tree), tree_from_json), (staged_to_json(st), staged_from_json)):
+            doc["nodes"][1][field] = value
+            with pytest.raises(DomainError, match=re.escape(f"node row 1: {field} {value!r} is not an int")):
+                decode(doc)
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_limit_top_must_be_a_bool(self, value):
+        doc = staged_to_json(to_staged(build_tree(FiniteChain(8), 9), 2, {0, 1}))
+        doc["limit_top"] = value
+        with pytest.raises(DomainError, match=re.escape(f"limit_top {value!r} is not a bool")):
+            staged_from_json(doc)
 
     def test_dot_outputs(self):
         t = build_tree(FiniteChain(4), 100)

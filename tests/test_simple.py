@@ -4,6 +4,9 @@ Every positive certificate is revalidated literally, every negative one
 is cross-checked against the blunt search in bruteforce.
 """
 
+import sys
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -54,6 +57,91 @@ def tips_by_position(st):
 
 def sdr_simple(st, group):
     return bf.exhaustive_sdr(st, group) is not None
+
+
+def hopcroft_karp(st, members):
+    """Simplicity by Hopcroft-Karp on the member/pool-ancestor graph, with
+    shallowest-first adjacency: the general matching `is_simple` used
+    before the tree greedy, kept as the differential reference."""
+    lefts = sorted(set(members))
+    adj = {x: pool_ancestors(st, x) for x in lefts}
+    match_l = {x: None for x in lefts}
+    match_r = {}
+
+    def bfs():
+        dist = {u: 0 for u in lefts if match_l[u] is None}
+        q = deque(dist)
+        reachable_free = False
+        while q:
+            u = q.popleft()
+            for v in adj[u]:
+                w = match_r.get(v)
+                if w is None:
+                    reachable_free = True
+                elif w not in dist:
+                    dist[w] = dist[u] + 1
+                    q.append(w)
+        return reachable_free, dist
+
+    def dfs(u, dist):
+        for v in adj[u]:
+            w = match_r.get(v)
+            if w is None or (dist.get(w) == dist[u] + 1 and dfs(w, dist)):
+                match_l[u] = v
+                match_r[v] = u
+                return True
+        dist[u] = -1
+        return False
+
+    while True:
+        progress, dist = bfs()
+        if not progress:
+            break
+        for u in lefts:
+            if match_l[u] is None:
+                dfs(u, dist)
+
+    unmatched = [u for u in lefts if match_l[u] is None]
+    if not unmatched:
+        return Simple(RegressiveMap(match_l))
+    w_set, n_set = set(unmatched), set()
+    q = deque(unmatched)
+    while q:
+        u = q.popleft()
+        for v in adj[u]:
+            if v not in n_set:
+                n_set.add(v)
+                partner = match_r.get(v)
+                if partner is not None and partner not in w_set:
+                    w_set.add(partner)
+                    q.append(partner)
+    return NotSimple(HallViolator(frozenset(w_set), frozenset(n_set)))
+
+
+def unlifted(st, rm):
+    """Members with a pool ancestor below their image that no member uses."""
+    used = set(rm.mapping.values())
+    return [x for x, a in rm.mapping.items()
+            if any(b not in used and st.level[b] < st.level[a] for b in pool_ancestors(st, x))]
+
+
+def spine_stage(top, tops, pool):
+    """A unary spine of levels 0..top-1 with `tops` leaves at the top."""
+    b = gen._Builder()
+    cur = None
+    for lvl in range(top):
+        cur = b.add(cur, lvl)
+    for _ in range(tops):
+        b.add(cur, top)
+    return b.staged(top, pool)
+
+
+stages = hst.one_of(
+    hst.builds(gen.gen_random_staged, hst.integers(0, 10_000)),
+    hst.builds(gen.gen_broom, hst.integers(0, 10_000)),
+    hst.builds(gen.gen_sibling_tops, hst.integers(0, 10_000)),
+    hst.builds(gen.gen_comb, hst.integers(0, 10_000)),
+)
 
 
 def three_blocks():
@@ -129,6 +217,37 @@ class TestIsSimple:
             return
         sub = frozenset(x for x in members if rnd.random() < 0.5)
         assert isinstance(is_simple(st, sub), Simple)
+
+
+    @given(stage=stages, rnd=hst.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_hopcroft_karp(self, stage, rnd):
+        # the decision and the violator are the same for every maximum
+        # matching; the witness may differ but must verify and be lifted
+        tops = stage.tops()
+        for members in (tops, [x for x in tops if rnd.random() < 0.5]):
+            got, want = is_simple(stage, members), hopcroft_karp(stage, members)
+            assert type(got) is type(want)
+            if isinstance(got, NotSimple):
+                assert got.violator == want.violator
+            else:
+                assert verify_simple_witness(stage, members, got.witness) == []
+                assert unlifted(stage, got.witness) == []
+
+    def test_answers_above_the_recursion_limit(self):
+        top = 3000
+        assert top > sys.getrecursionlimit()
+        st = spine_stage(top, 5, range(0, top, 2))
+        out = is_simple(st, st.tops())
+        assert isinstance(out, Simple)
+        assert verify_simple_witness(st, st.tops(), out.witness) == []
+        assert sorted(st.level[a] for a in out.witness.mapping.values()) == [0, 2, 4, 6, 8]
+
+        st = spine_stage(top, 5, range(top - 6, top, 2))
+        out = is_simple(st, st.tops())
+        assert isinstance(out, NotSimple)
+        assert verify_hall_violator(st, st.tops(), out.violator) == []
+        assert out.violator.members == frozenset(st.tops())
 
 
 class TestWitnessVerifiers:
