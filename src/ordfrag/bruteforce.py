@@ -3,8 +3,9 @@
 These are the slow, obviously-correct counterparts of the constructions
 in `simple` and `openpart`, of `ptree.verify_admissible`, of the indexed
 pseudo-metric and separation sweep of `rnwit`, and of the point count of
-an ordinal interval. Tests and the acceptance suite compare fast answers
-against them on small instances; nothing here may call the fast paths.
+an ordinal interval, plus the checked contract of a space's default
+split. Tests and the acceptance suite compare fast answers against them
+on small instances; nothing here may call the fast paths.
 """
 
 from __future__ import annotations
@@ -185,6 +186,28 @@ def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
     if ea == eb and cb > ca:
         return Ordinal(((ea, cb - ca),) + b.terms[k + 1 :])
     return Ordinal(b.terms[k:])
+
+
+def canonical_split(space, iv: sp.ClosedInterval):
+    """The default interior split point w with lo < w < hi, checked:
+    the contract of `space.split`, which `build_tree` calls directly.
+
+    Finite kinds take the lower median. Ordinal intervals take
+    lo + w^e for the largest exponent e that stays strictly below hi,
+    so [lo, w] is a finite block and [w, hi] keeps the tail. Order sums
+    split at a part boundary near the middle, falling back one step
+    when the boundary collides with an endpoint.
+    """
+    cnt = sp.point_count(space, iv)
+    if cnt is not sp.INFINITE and cnt < 3:
+        raise DomainError("need at least three points to split")
+    w = space.split(iv.lo, iv.hi, cnt)
+    if sp.compare_points(space, iv.lo, w) != "less" or sp.compare_points(space, w, iv.hi) != "less":
+        raise DomainError(
+            f"split point {sp.render_point(space, w)} not strictly inside "
+            f"[{sp.render_point(space, iv.lo)}, {sp.render_point(space, iv.hi)}]"
+        )
+    return w
 
 
 def _pool_ancestors(st: StagedTree, x: int) -> list[int]:

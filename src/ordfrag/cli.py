@@ -57,7 +57,7 @@ from .ptree import (
 )
 from .simple import (
     BoundedRegressive,
-    NotSimple,
+    HallViolator,
     RegressiveMap,
     condensation_core,
     bounded_regressive,
@@ -68,6 +68,7 @@ from .simple import (
     is_simple,
     transfer_cofinal,
     union_simple,
+    violator_to_json,
     witness_to_json,
 )
 
@@ -118,13 +119,14 @@ def _write_text(text: str, path: str | None) -> None:
         print(text)
 
 
-def _space_of(args, doc=None):
-    inline = getattr(args, "space", None)
-    if inline is not None:
-        return sp.space_from_json(_load(inline, "--space"))
+def _space_of(args):
+    return sp.space_from_json(_load(args.space, "--space"))
+
+
+def _doc_space(doc):
     if isinstance(doc, dict) and "space" in doc:
         return sp.space_from_json(doc["space"])
-    raise DomainError("no space given: pass --space or use a document embedding one")
+    raise DomainError("no space given: the document embeds none")
 
 
 def _staged_of(args):
@@ -133,7 +135,7 @@ def _staged_of(args):
 
 def _levels_of(args):
     doc = _read_doc(args)
-    K = _space_of(args, doc)
+    K = _doc_space(doc)
     return K, levels_from_json(K, doc)
 
 
@@ -270,8 +272,7 @@ def cmd_staged_check_simple(args) -> int:
 def _construct(st, op, args):
     if op == "union":
         st2, parts, assignment = gen.gen_two_comb(args.seed or 0)
-        res = union_simple(st2, parts, assignment)
-        return witness_to_json(res.witness)
+        return witness_to_json(union_simple(st2, parts, assignment))
     members = frozenset(st.tops())
     if op == "disjoint":
         return witness_to_json(disjoint_intervals(st, members))
@@ -292,10 +293,10 @@ def _construct(st, op, args):
             fibres.setdefault(pi[x], []).append(x)
         fibre_maps = {}
         for w, fibre in fibres.items():
-            decision = is_simple(st, fibre)
-            if isinstance(decision, NotSimple):
-                raise NotSimpleError(decision.violator, level=st.top_level)
-            fibre_maps[w] = decision.witness
+            fm = is_simple(st, fibre)
+            if isinstance(fm, HallViolator):
+                raise NotSimpleError(fm, level=st.top_level)
+            fibre_maps[w] = fm
         return witness_to_json(compose_fibrewise(st, pi, fibre_maps))
     if op == "bounded":
         br: BoundedRegressive = bounded_regressive(st, members)
@@ -467,7 +468,7 @@ def cmd_rn_dense(args) -> int:
 
 def cmd_rn_approx(args) -> int:
     doc = _read_doc(args)
-    K = _space_of(args, doc)
+    K = _doc_space(doc)
     family, D = rn.witness_bundle_from_json(K, doc)
     w = sp.parse_point(K, args.point)
     metric = rn.pseudo_metric(family)
@@ -601,15 +602,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p)
     p = sub.add_parser("delta", help="gap pairs of every level")
     _add_io(p)
-    p.add_argument("--space")
     p = sub.add_parser("density", help="gap density of the deepest level")
     _add_io(p)
-    p.add_argument("--space")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=200)
     p = sub.add_parser("check", help="small-diameter fragment under the induced metric")
     _add_io(p)
-    p.add_argument("--space")
     p.add_argument("--eps", default="1/8", help="diameter bound, a fraction")
     p.add_argument("--members", help="comma-separated points (default: whole space)")
     p = sub.add_parser("weight", help="top-level counting bound")
@@ -619,20 +617,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = g.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("witness", help="bundle: step family plus dense set")
     _add_io(p)
-    p.add_argument("--space")
     p.add_argument("--denbound", type=int, default=16)
     p = sub.add_parser("dense", help="the countable dense approximant set")
     _add_io(p)
-    p.add_argument("--space")
     p.add_argument("--denbound", type=int, default=16)
     p = sub.add_parser("approx", help="approximate one point from a witness bundle")
     _add_io(p)
-    p.add_argument("--space")
     p.add_argument("--point", required=True)
     p.add_argument("--n", type=int, required=True, help="accuracy 1/n")
     p = sub.add_parser("check", help="full Namioka-style criterion")
     _add_io(p)
-    p.add_argument("--space")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--subsets", type=int, default=20)
@@ -671,10 +665,7 @@ def main(argv=None) -> int:
             "kind": "refusal",
             "error": "NotSimple",
             "message": str(err),
-            "violator": {
-                "members": sorted(err.violator.members),
-                "neighborhood": sorted(err.violator.neighborhood),
-            },
+            "violator": violator_to_json(err.violator),
         }, args)
         return 1
     except (NoRoom, NoSubsequence, GuaranteeFailure) as err:

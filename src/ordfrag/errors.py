@@ -2,8 +2,11 @@
 
 Verified negative answers (NotSimpleError, NoRoom, NoSubsequence) are
 first-class results, not bugs: callers such as the CLI turn them into
-exit status 1 with a machine-readable report. `document_decoder` turns
-a JSON document of the wrong shape into DomainError (exit status 2).
+exit status 1 with a machine-readable report. A JSON document of the
+wrong shape is a DomainError (exit status 2): the bundle, map and
+partition decoders read their typed fields through `read_int` and
+`read_list`, and `document_decoder` turns what else goes wrong inside a
+decoder into the same error.
 """
 
 from __future__ import annotations
@@ -23,19 +26,42 @@ def document_decoder(fn):
     """Make a JSON decoder raise DomainError on a document of the wrong shape.
 
     A missing or ill-typed field surfaces inside the decoder as one of
-    Python's lookup, type or value errors; it is reported as bad input.
+    Python's lookup, type, value or division errors; it is reported as
+    bad input.
     """
 
     @functools.wraps(fn)
     def decode(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+                ZeroDivisionError) as err:
             raise DomainError(
                 f"{fn.__name__}: document of the wrong shape "
                 f"({type(err).__name__}: {err})") from err
 
     return decode
+
+
+def plain_int(x) -> bool:
+    """x is an int and not a bool, which JSON's true and false decode to."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def read_int(x, what: str, least: int | None = None) -> int:
+    """The document field x, which must be a plain int, at least `least`
+    when that is given."""
+    if not plain_int(x) or (least is not None and x < least):
+        bound = "" if least is None else f" >= {least}"
+        raise DomainError(f"{what} {x!r} is not an int{bound}")
+    return x
+
+
+def read_list(x, what: str) -> list:
+    """The document field x, which must be a list."""
+    if not isinstance(x, list):
+        raise DomainError(f"{what} is not a list")
+    return x
 
 
 class RangeError(OrdfragError):

@@ -19,7 +19,7 @@ from .errors import DomainError, document_decoder
 from .openpart import OpenPartition, rank, verify_open_partition
 from .ordinal import Ordinal, degree
 from .ptree import StagedTree
-from .simple import NotSimple, Simple, is_simple, pool_ancestors
+from .simple import RegressiveMap, is_simple, pool_ancestors
 
 def ln_decomposition(st: StagedTree, p: OpenPartition) -> list[tuple]:
     """Endpoint sets graded by partition rank, boundary points first.
@@ -219,15 +219,13 @@ def weight_bound(st: StagedTree) -> WeightReport:
     for y in tops:
         reach.update(pool_ancestors(st, y))
     out = is_simple(st, frozenset(tops))
-    hall = None
-    if isinstance(out, NotSimple):
-        hall = (len(out.violator.members), len(out.violator.neighborhood))
+    simple = isinstance(out, RegressiveMap)
     return WeightReport(
-        simple=isinstance(out, Simple),
+        simple=simple,
         n_tops=len(tops),
         n_pooled=len(reach),
         margin=len(reach) - len(tops),
-        hall=hall,
+        hall=None if simple else (len(out.members), len(out.neighborhood)),
     )
 
 

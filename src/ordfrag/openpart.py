@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, read_int
 from .ptree import StagedTree
 from .simple import disjoint_intervals, pool_ancestors, segments
 
@@ -137,4 +137,4 @@ def partition_from_json(doc) -> OpenPartition:
     cells = doc["cells"]
     if not isinstance(cells, list) or not all(isinstance(c, list) for c in cells):
         raise DomainError("cells must be a list of lists")
-    return OpenPartition(tuple(frozenset(int(v) for v in c) for c in cells))
+    return OpenPartition(tuple(frozenset(read_int(v, "cell node") for v in c) for c in cells))

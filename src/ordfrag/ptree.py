@@ -22,7 +22,13 @@ from functools import cache, cached_property
 
 from . import ordinal as ord_
 from . import space as sp
-from .errors import DomainError, InsufficientMaterialization, RangeError, document_decoder
+from .errors import (
+    DomainError,
+    InsufficientMaterialization,
+    RangeError,
+    document_decoder,
+    plain_int,
+)
 from .ordinal import Ordinal
 from .space import ClosedInterval
 
@@ -649,11 +655,11 @@ class StagedTree:
             raise DomainError(f"expected one root, found {len(roots)}")
         if self.level[roots[0]] != 0:
             raise DomainError("root must sit at level 0")
-        if not _plain_int(self.top_level) or self.top_level < 0:
+        if not plain_int(self.top_level) or self.top_level < 0:
             raise DomainError(f"bad top level {self.top_level!r}")
         for i in ids:
             l = self.level[i]
-            if not _plain_int(l):
+            if not plain_int(l):
                 raise DomainError(f"node {i} level {l!r} is not an int")
             if not 0 <= l <= self.top_level:
                 raise DomainError(f"node {i} level {l!r} outside 0..{self.top_level}")
@@ -707,23 +713,18 @@ class StagedTree:
                     )
 
 
-def _plain_int(x) -> bool:
-    """x is an int and not a bool, which JSON's true and false decode to."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _row_id(row, k: int, field: str):
     """The id or parent field of node row k: an int that is not a bool,
     or null for a parent."""
     x = row[field]
-    if not _plain_int(x) and not (field == "parent" and x is None):
+    if not plain_int(x) and not (field == "parent" and x is None):
         raise DomainError(f"node row {k}: {field} {x!r} is not an int")
     return x
 
 
 def _check_pool_types(pool) -> None:
     for l in sorted(pool, key=repr):
-        if not _plain_int(l):
+        if not plain_int(l):
             raise DomainError(f"pool level {l!r} is not an int")
 
 
@@ -760,11 +761,11 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
     `StagedTree.validate` validates each payload endpoint once, before
     the frontier is counted; a top level with no node is refused last.
     """
-    if not _plain_int(m) or m < 0:
+    if not plain_int(m) or m < 0:
         raise DomainError(f"top level must be a natural number, got {m!r}")
     pool = frozenset(pool)
     for l in pool:
-        if not _plain_int(l) or not 0 <= l < m:
+        if not plain_int(l) or not 0 <= l < m:
             raise DomainError(f"pool level {l!r} must lie strictly below the top level {m}")
     K = tree.space
     rows: dict[Ordinal, list[int]] = {}

@@ -20,7 +20,15 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import space as sp
-from .errors import DomainError, GuaranteeFailure, InternalInconsistency, document_decoder
+from .errors import (
+    DomainError,
+    GuaranteeFailure,
+    InternalInconsistency,
+    document_decoder,
+    plain_int,
+    read_int,
+    read_list,
+)
 from .frag import delta_pairs
 
 _ZERO = Fraction(0)
@@ -583,37 +591,6 @@ def namioka_check(K, family, levels, *, pairs=None, sample_points=None,
                          tuple(density_failures), subsets_checked, points_checked)
 
 
-def family_to_json(K, family) -> dict:
-    render = functools.cache(functools.partial(sp.render_point, K))
-    fams = sorted(_functions(family), key=lambda f: _tag_key(K, f))
-    entries = []
-    for f in fams:
-        if len(f.cuts) != 1:
-            raise DomainError("only single-cut families serialize")
-        lo, hi, _jump = f.cuts[0]
-        entries.append({
-            "gap": [render(f.tag[0]), render(f.tag[1])],
-            "n": f.tag[2],
-            "cut": [render(lo), render(hi)],
-        })
-    return {"v": 1, "kind": "rn-family", "family": entries}
-
-
-@document_decoder
-def family_from_json(K, doc) -> tuple:
-    """Each distinct point text of the document is parsed once."""
-    if doc.get("kind") != "rn-family" or doc.get("v") != 1:
-        raise DomainError("not a family document")
-    parse = functools.cache(functools.partial(sp.parse_point, K))
-    out = []
-    for entry in doc["family"]:
-        x, y = parse(entry["gap"][0]), parse(entry["gap"][1])
-        n = int(entry["n"])
-        lo, hi = parse(entry["cut"][0]), parse(entry["cut"][1])
-        out.append(StepFunction(K, ((lo, hi, Fraction(1, n)),), (x, y, n)))
-    return tuple(out)
-
-
 def dense_to_json(K, D: DenseSetRecord) -> dict:
     """Each distinct point is rendered once, and each box tuple once."""
     render = functools.cache(functools.partial(sp.render_point, K))
@@ -644,40 +621,63 @@ def dense_to_json(K, D: DenseSetRecord) -> dict:
     }
 
 
+def _check_kind(doc, kind: str, what: str) -> None:
+    if doc.get("kind") != kind or not (plain_int(doc.get("v")) and doc["v"] == 1):
+        raise DomainError(f"not a {what}")
+
+
+def _pair(parse, x, what: str) -> tuple:
+    lo, hi = read_list(x, what)
+    return parse(lo), parse(hi)
+
+
 @document_decoder
 def dense_from_json(K, doc) -> DenseSetRecord:
     """Each distinct point text and box string is parsed once."""
-    if doc.get("kind") != "rn-dense" or doc.get("v") != 1:
-        raise DomainError("not a dense-set document")
+    _check_kind(doc, "rn-dense", "dense-set document")
     parse = functools.cache(functools.partial(sp.parse_point, K))
     fraction = functools.cache(Fraction)
-    points = tuple(map(parse, doc["points"]))
-    m_sets = tuple((int(n), tuple(map(parse, pts))) for n, pts in doc["m"])
+    points = tuple(map(parse, read_list(doc["points"], "points")))
+    m_sets = tuple((read_int(n, "m-set depth", 1), tuple(map(parse, read_list(pts, "m-set"))))
+                   for n, pts in read_list(doc["m"], "m"))
     selections = tuple(
         ZSelection(
-            int(e["level"]),
-            (parse(e["gap"][0]), parse(e["gap"][1])),
-            int(e["j"]),
-            (parse(e["region"][0]), parse(e["region"][1])),
+            read_int(e["level"], "selection level", 1),
+            _pair(parse, e["gap"], "gap"),
+            read_int(e["j"], "selection j", 0),
+            _pair(parse, e["region"], "region"),
             parse(e["z"]),
-            tuple((fraction(q), fraction(r)) for q, r in e["box"]),
+            tuple((fraction(q), fraction(r)) for q, r in read_list(e["box"], "box")),
         )
-        for e in doc["z"])
-    return DenseSetRecord(K, points, m_sets, selections, int(doc["denbound"]))
+        for e in read_list(doc["z"], "z"))
+    return DenseSetRecord(K, points, m_sets, selections, read_int(doc["denbound"], "denbound", 4))
 
 
 def witness_bundle_to_json(K, family, D: DenseSetRecord) -> dict:
-    return {
-        "v": 1,
-        "kind": "rn-witness",
-        "family": family_to_json(K, family)["family"],
-        "dense": dense_to_json(K, D),
-    }
+    """The family sorted by tag, each single cut with its gap and depth."""
+    render = functools.cache(functools.partial(sp.render_point, K))
+    entries = []
+    for f in sorted(_functions(family), key=lambda f: _tag_key(K, f)):
+        if len(f.cuts) != 1:
+            raise DomainError("only single-cut families serialize")
+        lo, hi, _jump = f.cuts[0]
+        entries.append({
+            "gap": [render(f.tag[0]), render(f.tag[1])],
+            "n": f.tag[2],
+            "cut": [render(lo), render(hi)],
+        })
+    return {"v": 1, "kind": "rn-witness", "family": entries, "dense": dense_to_json(K, D)}
 
 
 @document_decoder
 def witness_bundle_from_json(K, doc) -> tuple:
-    if doc.get("kind") != "rn-witness" or doc.get("v") != 1:
-        raise DomainError("not a witness bundle")
-    family = family_from_json(K, {"v": 1, "kind": "rn-family", "family": doc["family"]})
-    return family, dense_from_json(K, doc["dense"])
+    """Each distinct point text of the family is parsed once."""
+    _check_kind(doc, "rn-witness", "witness bundle")
+    parse = functools.cache(functools.partial(sp.parse_point, K))
+    family = []
+    for entry in read_list(doc["family"], "family"):
+        x, y = _pair(parse, entry["gap"], "gap")
+        n = read_int(entry["n"], "family n", 1)
+        lo, hi = _pair(parse, entry["cut"], "cut")
+        family.append(StepFunction(K, ((lo, hi, Fraction(1, n)),), (x, y, n)))
+    return tuple(family), dense_from_json(K, doc["dense"])

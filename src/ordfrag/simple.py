@@ -21,6 +21,8 @@ from .errors import (
     NoRoom,
     NoSubsequence,
     NotSimpleError,
+    document_decoder,
+    read_int,
 )
 from .ptree import StagedTree
 
@@ -48,16 +50,6 @@ class HallViolator:
     neighborhood: frozenset[int]
 
 
-@dataclass(frozen=True)
-class Simple:
-    witness: RegressiveMap
-
-
-@dataclass(frozen=True)
-class NotSimple:
-    violator: HallViolator
-
-
 def _check_node_set(st: StagedTree, members) -> list[int]:
     out = sorted(set(members))
     tops = set(st.tops())
@@ -68,11 +60,19 @@ def _check_node_set(st: StagedTree, members) -> list[int]:
 
 
 def pool_ancestors(st: StagedTree, x: int) -> list[int]:
-    """Ancestors of x at pool levels, shallowest first."""
-    return [st.ancestor_at(x, lvl) for lvl in sorted(st.pool) if lvl < st.level[x]]
+    """Ancestors of x at pool levels, shallowest first, from one walk up
+    the parent links."""
+    out = []
+    v = st.parent[x]
+    while v is not None:
+        if st.level[v] in st.pool:
+            out.append(v)
+        v = st.parent[v]
+    out.reverse()
+    return out
 
 
-def is_simple(st: StagedTree, members) -> Simple | NotSimple:
+def is_simple(st: StagedTree, members) -> RegressiveMap | HallViolator:
     """Decide simplicity in one pass from the top level to the root.
 
     A member's candidates are its pool ancestors, one root path, so the
@@ -82,8 +82,9 @@ def is_simple(st: StagedTree, members) -> Simple | NotSimple:
     same node have the same candidates left, so the choice never costs a
     match. A witness then moves each member, in id order, to its
     shallowest free pool ancestor, so it leaves headroom above itself.
-    The negative answer carries a Hall violator W with its exact
-    neighborhood.
+    The answer is that regressive map, or a Hall violator W with its
+    exact neighborhood; tell them apart by type, since an empty map is
+    falsy.
     """
     lefts = _check_node_set(st, members)
     match: dict[int, int] = {}  # member -> pool node
@@ -109,7 +110,7 @@ def is_simple(st: StagedTree, members) -> Simple | NotSimple:
             if a != match[x]:
                 del owner[match[x]]
                 match[x], owner[a] = a, x
-        return Simple(RegressiveMap(match))
+        return RegressiveMap(match)
 
     # alternating reachability from the unmatched members: every pool
     # node above a member of W is matched, and its partner joins W
@@ -127,7 +128,7 @@ def is_simple(st: StagedTree, members) -> Simple | NotSimple:
     n_set = {v for v in marked if st.level[v] in st.pool}
     if len(n_set) >= len(w_set):
         raise InternalInconsistency("violator extraction produced no deficiency")
-    return NotSimple(HallViolator(frozenset(w_set), frozenset(n_set)))
+    return HallViolator(frozenset(w_set), frozenset(n_set))
 
 
 def verify_simple_witness(st: StagedTree, members, rm: RegressiveMap) -> list[str]:
@@ -292,15 +293,14 @@ def disjoint_intervals(st: StagedTree, members) -> RegressiveMap:
     not necessary: NoRoom can come on stages where such a map exists
     (e.g. `gen_broom(1)`)."""
     members = _check_node_set(st, members)
-    decision = is_simple(st, members)
-    if isinstance(decision, NotSimple):
-        raise NotSimpleError(decision.violator, level=st.top_level)
-    pi = decision.witness
+    pi = is_simple(st, members)
+    if isinstance(pi, HallViolator):
+        raise NotSimpleError(pi, level=st.top_level)
     fibre_maps = {pi[x]: RegressiveMap({x: pi[x]}) for x in members}
     return compose_fibrewise(st, pi, fibre_maps)
 
 
-def union_simple(st: StagedTree, parts, level_assignment: dict[int, int]) -> Simple:
+def union_simple(st: StagedTree, parts, level_assignment: dict[int, int]) -> RegressiveMap:
     """Witness simplicity of a disjoint union of simple parts.
 
     Each part is (members, witness); level_assignment sends part index
@@ -341,8 +341,7 @@ def union_simple(st: StagedTree, parts, level_assignment: dict[int, int]) -> Sim
     fibre_maps = {
         w: RegressiveMap({x: parts[owner[xs[0]]][1][x] for x in xs}) for w, xs in fibres.items()
     }
-    sigma = compose_fibrewise(st, RegressiveMap(pi), fibre_maps)
-    return Simple(sigma)
+    return compose_fibrewise(st, RegressiveMap(pi), fibre_maps)
 
 
 @dataclass(frozen=True)
@@ -437,7 +436,7 @@ def verify_bound_certificates(st: StagedTree, br: BoundedRegressive) -> list[str
 
 
 def _simple(st: StagedTree, members) -> bool:
-    return isinstance(is_simple(st, members), Simple)
+    return isinstance(is_simple(st, members), RegressiveMap)
 
 
 def endpoint_LR(st: StagedTree, members):
@@ -540,21 +539,18 @@ def witness_to_json(rm: RegressiveMap) -> dict:
     return {"v": 1, "kind": "regressive-map", "map": {str(x): a for x, a in rm.mapping.items()}}
 
 
+@document_decoder
 def witness_from_json(doc) -> RegressiveMap:
     if not isinstance(doc, dict) or doc.get("kind") != "regressive-map":
         raise DomainError("not a regressive map document")
-    return RegressiveMap({int(x): a for x, a in doc["map"].items()})
+    return RegressiveMap({int(x): read_int(a, f"image of {x}") for x, a in doc["map"].items()})
 
 
-def decision_to_json(decision) -> dict:
-    if isinstance(decision, Simple):
-        return {"v": 1, "kind": "simplicity", "simple": True, "witness": witness_to_json(decision.witness)}
-    return {
-        "v": 1,
-        "kind": "simplicity",
-        "simple": False,
-        "violator": {
-            "members": sorted(decision.violator.members),
-            "neighborhood": sorted(decision.violator.neighborhood),
-        },
-    }
+def violator_to_json(hv: HallViolator) -> dict:
+    return {"members": sorted(hv.members), "neighborhood": sorted(hv.neighborhood)}
+
+
+def decision_to_json(decision: RegressiveMap | HallViolator) -> dict:
+    if isinstance(decision, RegressiveMap):
+        return {"v": 1, "kind": "simplicity", "simple": True, "witness": witness_to_json(decision)}
+    return {"v": 1, "kind": "simplicity", "simple": False, "violator": violator_to_json(decision)}

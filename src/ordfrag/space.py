@@ -418,27 +418,6 @@ def enumerate_points(space) -> list:
     return enumerate_interval(space, whole_interval(space))
 
 
-def canonical_split(space, iv: ClosedInterval):
-    """The default interior split point w with lo < w < hi.
-
-    Finite kinds take the lower median. Ordinal intervals take
-    lo + w^e for the largest exponent e that stays strictly below hi,
-    so [lo, w] is a finite block and [w, hi] keeps the tail. Order sums
-    split at a part boundary near the middle, falling back one step
-    when the boundary collides with an endpoint.
-    """
-    cnt = point_count(space, iv)
-    if cnt is not INFINITE and cnt < 3:
-        raise DomainError("need at least three points to split")
-    w = space.split(iv.lo, iv.hi, cnt)
-    if compare_points(space, iv.lo, w) != "less" or compare_points(space, w, iv.hi) != "less":
-        raise DomainError(
-            f"split point {render_point(space, w)} not strictly inside "
-            f"[{render_point(space, iv.lo)}, {render_point(space, iv.hi)}]"
-        )
-    return w
-
-
 # -- rendering and parsing points -------------------------------------------
 
 

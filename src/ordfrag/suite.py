@@ -33,7 +33,6 @@ from .simple import (
     NoRoom,
     NotSimpleError,
     RegressiveMap,
-    Simple,
     bounded_regressive,
     compose_fibrewise,
     disjoint_intervals,
@@ -108,17 +107,17 @@ def criterion_2(seed) -> CriterionResult:
         members = frozenset(st.tops())
         verdict = is_simple(st, members)
         oracle = bf.exhaustive_sdr(st, members)
-        if isinstance(verdict, Simple):
+        if isinstance(verdict, RegressiveMap):
             simple_n += 1
             if oracle is not None:
                 agree += 1
-            if verify_simple_witness(st, members, verdict.witness) == []:
+            if verify_simple_witness(st, members, verdict) == []:
                 witness_ok += 1
         else:
             hall_n += 1
             if oracle is None:
                 agree += 1
-            if verify_hall_violator(st, members, verdict.violator) == []:
+            if verify_hall_violator(st, members, verdict) == []:
                 witness_ok += 1
     details = {
         "instances": 1000,
@@ -160,8 +159,8 @@ def criterion_3(seed) -> CriterionResult:
                 st, parts, assignment = gen.gen_two_comb(sub)
                 res = union_simple(st, parts, assignment)
                 members = frozenset().union(*(p[0] for p in parts))
-                good = (verify_simple_witness(st, members, res.witness) == []
-                        and verify_disjoint_segments(st, res.witness) == [])
+                good = (verify_simple_witness(st, members, res) == []
+                        and verify_disjoint_segments(st, res) == [])
             else:
                 st = gen.gen_comb(sub)
                 br = bounded_regressive(st, frozenset(st.tops()))

@@ -57,6 +57,17 @@ def comb_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def comb0_bundle(tmp_path_factory):
+    """The `rn witness` bundle of the seed-0 comb, built in-process."""
+    d = tmp_path_factory.mktemp("bundle")
+    for argv in (["staged", "gen", "--kind", "comb", "--seed", "0", "--out", d / "comb.json"],
+                 ["frag", "ln", "--in", d / "comb.json", "--out", d / "levels.json"],
+                 ["rn", "witness", "--in", d / "levels.json", "--out", d / "bundle.json"]):
+        assert cli.main([str(a) for a in argv]) == 0
+    return d / "bundle.json"
+
+
+@pytest.fixture(scope="module")
 def levels_file(comb_file, tmp_path_factory):
     path = comb_file.parent / "levels.json"
     proc = run_cli("frag", "ln", "--in", str(comb_file), "--out", str(path))
@@ -472,6 +483,38 @@ class TestRn:
         err = capsys.readouterr().err
         assert err.startswith("ordfrag: error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 0), ("n", "3"), ("n", True), ("n", 2.5), ("n", -1),
+        ("box", "1/0"),
+        ("denbound", "16"), ("denbound", 16.9),
+        ("level", "1"), ("level", True), ("level", 1.5), ("level", -1),
+        ("j", "1"), ("j", True), ("j", 1.5), ("j", -1),
+        ("family", {}),
+        ("v", True),
+    ])
+    def test_bundle_field_of_the_wrong_type_is_exit_2(self, comb0_bundle, tmp_path, capsys,
+                                                       field, value):
+        """Each of these once ended in a ZeroDivisionError traceback or
+        exited 0 on a coerced value."""
+        doc = json.loads(comb0_bundle.read_text())
+        dense, sel = doc["dense"], doc["dense"]["z"][0]
+        if field == "n":
+            doc["family"][0]["n"] = value
+        elif field == "box":
+            sel["box"][0][0] = value
+        elif field in ("level", "j"):
+            sel[field] = value
+        elif field == "family":
+            doc["family"] = value
+        else:
+            dense[field] = value
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(doc))
+        assert cli.main(["rn", "approx", "--in", str(bundle), "--point", "3", "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ordfrag: error:") and "Traceback" not in captured.err
+
     def test_dense_set_lists_m_sets(self, levels_file):
         proc = run_cli("rn", "dense", "--in", str(levels_file))
         doc = out_json(proc)
@@ -540,6 +583,15 @@ class TestTriage:
         assert proc.returncode == 2
         assert proc.stderr.startswith("ordfrag: error: ")
         assert message in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("cmd", ["frag delta", "frag density", "frag check", "rn witness",
+                                     "rn dense", "rn approx --point 1 --n 2", "rn check"])
+    def test_document_commands_take_no_space_flag(self, levels_file, capsys, cmd):
+        """These read the space their document embeds."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*cmd.split(), "--in", str(levels_file), "--space", SPACE8])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --space" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["space", "sample", "--space", SPACE8, "--samples", "-3"],

@@ -47,7 +47,8 @@ FIELDS = ["v", "kind", "space", "nodes", "id", "parent", "level", "interval", "p
 
 scalars = (hst.none() | hst.booleans() | hst.integers(-3, 40)
            | hst.floats(allow_nan=False, allow_infinity=False, width=32)
-           | hst.sampled_from(FIELDS + ["0", "1", "w", "w^2", "(0,+)", "part0:1", "1/2", "-1", ""])
+           | hst.sampled_from(FIELDS + ["0", "1", "w", "w^2", "(0,+)", "part0:1", "1/2", "1/0",
+                                        "-1", ""])
            | hst.text(max_size=6))
 json_values = hst.recursive(
     scalars,

@@ -2,7 +2,7 @@
 no option that nothing in `src/` sets.
 
 Parses every module of `src/ordfrag`. The underscore prefix is the only
-declaration of what is private; everything else is held to four checks:
+declaration of what is private; everything else is held to five checks:
 
 - a public module-level function or class is referenced somewhere in
   `src/` outside its own definition;
@@ -13,7 +13,10 @@ declaration of what is private; everything else is held to four checks:
   constructor (an explicit `__init__` or the defaulted fields of a
   dataclass) or of a public method is set by some call in `src/`, by
   keyword, by position or through `*args`/`**kwargs`. An option with
-  one value in use is a constant.
+  one value in use is a constant;
+- no public dataclass only wraps another public class of `src/`: one
+  field, typed as that class, and no method of its own. Its callers can
+  hold the class itself.
 
 Tests alone do not keep a name alive: a helper only tests use belongs in
 the test that uses it, or in `bruteforce.py` when it is an oracle. Each
@@ -37,8 +40,6 @@ ALLOWED = {
     # decoders of documents the CLI writes
     ("simple", "witness_from_json"),
     ("openpart", "partition_from_json"),
-    # the checked contract of the default split, which build_tree inlines
-    ("space", "canonical_split"),
 }
 
 # (module, "Class.member") kept without a reader in src/
@@ -59,6 +60,9 @@ ALLOWED_OPTIONS = {
     # the console entry point reads sys.argv when called without argv
     ("cli", "main", "argv"),
 }
+
+# (module, class) kept as a one-field wrapper of another public class
+ALLOWED_WRAPPERS: set[tuple[str, str]] = set()
 
 
 def _modules(sources: dict[str, str] | None = None) -> dict[str, ast.Module]:
@@ -367,3 +371,61 @@ def test_the_option_guard_flags_injected_constructor_and_method_options():
     # positions count after self, and a dataclass field by its place
     setter = "\n\ndef _probe_set():\n    return Probe(1, 2).probe_step(2, 3), ProbeRow(1, 2)\n"
     assert set(unset_options(_sources(frag=probe, rnwit=setter))) == base
+
+
+# -- wrappers -------------------------------------------------------------------
+
+
+def wrappers(sources=None) -> list[tuple[str, str]]:
+    """(module, class) for every public dataclass with exactly one field,
+    annotated as another public class of `src/`, and no method of its
+    own."""
+    modules = _modules(sources)
+    public = {cls.name for tree in modules.values() for cls in _classes(tree)}
+    out = []
+    for module, tree in modules.items():
+        for cls in _classes(tree):
+            fields = [n for n in cls.body if isinstance(n, ast.AnnAssign)]
+            if _decorator(cls, "dataclass") is None or len(fields) != 1:
+                continue
+            if any(isinstance(n, ast.FunctionDef) for n in cls.body):
+                continue
+            ann = fields[0].annotation
+            held = getattr(ann, "id", getattr(ann, "value", None))  # a name or a string
+            if held in public - {cls.name}:
+                out.append((module, cls.name))
+    return out
+
+
+def test_no_public_dataclass_only_wraps_another_class():
+    assert sorted(set(wrappers()) - ALLOWED_WRAPPERS) == []
+
+
+def test_the_wrapper_allowlist_holds_only_wrappers():
+    # a wrapper that gains a method or a field leaves the allowlist
+    assert sorted(ALLOWED_WRAPPERS - set(wrappers())) == []
+
+
+def test_the_wrapper_guard_flags_an_injected_wrapper():
+    probe = (
+        "\n\n@dataclass(frozen=True)\n"
+        "class ProbeBox:\n"
+        "    held: HallViolator\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class ProbeQuoted:\n"
+        "    held: 'RegressiveMap'\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class ProbeCount:\n"
+        "    held: int\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class ProbeView:\n"
+        "    held: HallViolator\n\n"
+        "    def size(self):\n"
+        "        return len(self.held.members)\n"
+    )
+    base = set(wrappers())
+    # a plain field type or a method of its own is no bare wrapper
+    assert set(wrappers(_sources(simple=probe))) - base == {
+        ("simple", "ProbeBox"),
+        ("simple", "ProbeQuoted"),
+    }

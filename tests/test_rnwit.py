@@ -390,10 +390,10 @@ class TestFragmentBridge:
 class TestSerialization:
     def test_family_round_trip(self):
         K, levels, fam = chain_pipeline()
-        doc = rn.family_to_json(K, fam)
-        assert doc["v"] == 1 and doc["kind"] == "rn-family"
+        doc = rn.witness_bundle_to_json(K, fam, rn.dense_set(K, fam, levels))
+        assert doc["v"] == 1 and doc["kind"] == "rn-witness"
         assert doc["family"][0] == {"gap": ["0", "7"], "n": 1, "cut": ["0", "1"]}
-        assert rn.family_from_json(K, doc) == tuple(
+        assert rn.witness_bundle_from_json(K, doc)[0] == tuple(
             sorted(fam, key=lambda f: rn._tag_key(K, f)))
 
     def test_witness_bundle_round_trip_over_ordinals(self):
@@ -419,7 +419,7 @@ class TestSerialization:
     def test_kind_guards(self):
         K = FiniteChain(5)
         with pytest.raises(DomainError):
-            rn.family_from_json(K, {"v": 1, "kind": "rn-dense", "family": []})
+            rn.witness_bundle_from_json(K, {"v": 1, "kind": "rn-dense", "family": []})
         with pytest.raises(DomainError):
             rn.dense_from_json(K, {"v": 2, "kind": "rn-dense"})
         with pytest.raises(DomainError):
@@ -430,4 +430,4 @@ class TestSerialization:
         f = rn.StepFunction(
             K, ((0, 1, Fraction(1, 2)), (2, 3, Fraction(1, 2))), (0, 4, 1))
         with pytest.raises(DomainError, match="single-cut"):
-            rn.family_to_json(K, (f,))
+            rn.witness_bundle_to_json(K, (f,), rn.dense_set(K, toy_family(), TOY_LEVELS))

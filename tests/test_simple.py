@@ -20,9 +20,7 @@ from ordfrag.simple import (
     BoundCertificate,
     BoundedRegressive,
     HallViolator,
-    NotSimple,
     RegressiveMap,
-    Simple,
     bounded_regressive,
     compose_fibrewise,
     condensation_core,
@@ -103,7 +101,7 @@ def hopcroft_karp(st, members):
 
     unmatched = [u for u in lefts if match_l[u] is None]
     if not unmatched:
-        return Simple(RegressiveMap(match_l))
+        return RegressiveMap(match_l)
     w_set, n_set = set(unmatched), set()
     q = deque(unmatched)
     while q:
@@ -115,7 +113,7 @@ def hopcroft_karp(st, members):
                 if partner is not None and partner not in w_set:
                     w_set.add(partner)
                     q.append(partner)
-    return NotSimple(HallViolator(frozenset(w_set), frozenset(n_set)))
+    return HallViolator(frozenset(w_set), frozenset(n_set))
 
 
 def unlifted(st, rm):
@@ -153,27 +151,42 @@ def three_blocks():
     return b.staged(1, [0], space=sp.FiniteChain(6))
 
 
+class TestPoolAncestors:
+    @pytest.mark.parametrize("make", [gen.gen_random_staged, gen.gen_broom,
+                                      gen.gen_sibling_tops, gen.gen_comb])
+    def test_one_walk_gives_the_per_level_definition(self, make):
+        for seed in range(40):
+            st = make(seed)
+            for x in st.nodes():
+                assert pool_ancestors(st, x) == bf._pool_ancestors(st, x), (seed, x)
+
+    def test_one_walk_on_a_deep_spine(self):
+        st = spine_stage(3000, 5, range(0, 3000, 2))
+        for x in st.tops():
+            assert pool_ancestors(st, x) == bf._pool_ancestors(st, x)
+
+
 class TestIsSimple:
     def test_full_binary_counting_deficit(self):
         st = gen.gen_split_miniature(4, pool_mode="full")
         out = is_simple(st, frozenset(st.tops()))
-        assert isinstance(out, NotSimple)
+        assert isinstance(out, HallViolator)
         # 8 tips against 1 + 2 + 4 pooled nodes
-        assert len(out.violator.members) == 8
-        assert len(out.violator.neighborhood) == 7
-        assert verify_hall_violator(st, st.tops(), out.violator) == []
+        assert len(out.members) == 8
+        assert len(out.neighborhood) == 7
+        assert verify_hall_violator(st, st.tops(), out) == []
 
     def test_alternate_tips_are_simple(self):
         st = gen.gen_split_miniature(4, pool_mode="full")
         chosen = frozenset(tips_by_position(st)[::2])
         out = is_simple(st, chosen)
-        assert isinstance(out, Simple)
-        assert verify_simple_witness(st, chosen, out.witness) == []
+        assert isinstance(out, RegressiveMap)
+        assert verify_simple_witness(st, chosen, out) == []
 
     def test_empty_member_set(self):
         st = gen.gen_split_miniature(3, pool_mode="full")
         out = is_simple(st, frozenset())
-        assert isinstance(out, Simple) and len(out.witness) == 0
+        assert isinstance(out, RegressiveMap) and len(out) == 0
 
     def test_members_must_sit_at_the_top(self):
         st = gen.gen_split_miniature(3, pool_mode="full")
@@ -185,8 +198,8 @@ class TestIsSimple:
         # adjacency is shallowest-first, so private candidates resolve low
         st = gen.gen_comb(11, teeth=4, room=3)
         out = is_simple(st, frozenset(st.tops()))
-        assert isinstance(out, Simple)
-        lvls = {st.level[a] for a in out.witness.mapping.values()}
+        assert isinstance(out, RegressiveMap)
+        lvls = {st.level[a] for a in out.mapping.values()}
         assert lvls == {min(st.pool)}
 
     def test_agrees_with_exhaustive_search(self):
@@ -195,28 +208,28 @@ class TestIsSimple:
             members = frozenset(st.tops())
             got = is_simple(st, members)
             want = bf.exhaustive_sdr(st, members)
-            assert isinstance(got, Simple) == (want is not None), seed
-            if isinstance(got, Simple):
-                assert verify_simple_witness(st, members, got.witness) == []
+            assert isinstance(got, RegressiveMap) == (want is not None), seed
+            if isinstance(got, RegressiveMap):
+                assert verify_simple_witness(st, members, got) == []
             else:
-                assert verify_hall_violator(st, members, got.violator) == []
+                assert verify_hall_violator(st, members, got) == []
 
     def test_agrees_on_brooms(self):
         for seed in range(80):
             st = gen.gen_broom(seed)
             members = frozenset(st.tops())
             got = is_simple(st, members)
-            assert isinstance(got, Simple) == sdr_simple(st, members), seed
+            assert isinstance(got, RegressiveMap) == sdr_simple(st, members), seed
 
     @given(hst.integers(min_value=0, max_value=10_000), hst.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_subsets_of_simple_sets_stay_simple(self, seed, rnd):
         st = gen.gen_random_staged(seed)
         members = sorted(st.tops())
-        if not isinstance(is_simple(st, members), Simple):
+        if not isinstance(is_simple(st, members), RegressiveMap):
             return
         sub = frozenset(x for x in members if rnd.random() < 0.5)
-        assert isinstance(is_simple(st, sub), Simple)
+        assert isinstance(is_simple(st, sub), RegressiveMap)
 
 
     @given(stage=stages, rnd=hst.randoms(use_true_random=False))
@@ -228,26 +241,26 @@ class TestIsSimple:
         for members in (tops, [x for x in tops if rnd.random() < 0.5]):
             got, want = is_simple(stage, members), hopcroft_karp(stage, members)
             assert type(got) is type(want)
-            if isinstance(got, NotSimple):
-                assert got.violator == want.violator
+            if isinstance(got, HallViolator):
+                assert got == want
             else:
-                assert verify_simple_witness(stage, members, got.witness) == []
-                assert unlifted(stage, got.witness) == []
+                assert verify_simple_witness(stage, members, got) == []
+                assert unlifted(stage, got) == []
 
     def test_answers_above_the_recursion_limit(self):
         top = 3000
         assert top > sys.getrecursionlimit()
         st = spine_stage(top, 5, range(0, top, 2))
         out = is_simple(st, st.tops())
-        assert isinstance(out, Simple)
-        assert verify_simple_witness(st, st.tops(), out.witness) == []
-        assert sorted(st.level[a] for a in out.witness.mapping.values()) == [0, 2, 4, 6, 8]
+        assert isinstance(out, RegressiveMap)
+        assert verify_simple_witness(st, st.tops(), out) == []
+        assert sorted(st.level[a] for a in out.mapping.values()) == [0, 2, 4, 6, 8]
 
         st = spine_stage(top, 5, range(top - 6, top, 2))
         out = is_simple(st, st.tops())
-        assert isinstance(out, NotSimple)
-        assert verify_hall_violator(st, st.tops(), out.violator) == []
-        assert out.violator.members == frozenset(st.tops())
+        assert isinstance(out, HallViolator)
+        assert verify_hall_violator(st, st.tops(), out) == []
+        assert out.members == frozenset(st.tops())
 
 
 class TestWitnessVerifiers:
@@ -255,8 +268,8 @@ class TestWitnessVerifiers:
         st = gen.gen_split_miniature(4)  # pool {0, 1}
         chosen = tips_by_position(st)[::3]  # positions 0, 3, 6 span both halves
         out = is_simple(st, chosen)
-        assert isinstance(out, Simple)
-        return st, chosen, out.witness
+        assert isinstance(out, RegressiveMap)
+        return st, chosen, out
 
     def test_accepts_the_real_witness(self):
         st, chosen, wit = self.simple_case()
@@ -295,8 +308,7 @@ class TestWitnessVerifiers:
 
     def test_violator_must_be_subset_with_exact_neighborhood(self):
         st = gen.gen_split_miniature(4, pool_mode="full")
-        out = is_simple(st, frozenset(st.tops()))
-        hv = out.violator
+        hv = is_simple(st, frozenset(st.tops()))
         off_members = HallViolator(hv.members | {10_000}, hv.neighborhood)
         assert any("subset" in p for p in verify_hall_violator(st, st.tops(), off_members))
         padded = HallViolator(hv.members, hv.neighborhood | {10_000})
@@ -315,14 +327,14 @@ class TestWitnessVerifiers:
 class TestTransferCofinal:
     def test_identity_on_the_same_levels(self):
         st = gen.gen_comb(2, teeth=3, room=3)
-        wit = is_simple(st, frozenset(st.tops())).witness
+        wit = is_simple(st, frozenset(st.tops()))
         again = transfer_cofinal(st, wit, sorted({st.level[a] for a in wit.mapping.values()}))
         assert again.mapping == wit.mapping
 
     def test_shift_up_one_level(self):
         st = gen.gen_comb(2, teeth=3, room=3)
         t = min(st.pool)
-        wit = is_simple(st, frozenset(st.tops())).witness
+        wit = is_simple(st, frozenset(st.tops()))
         moved = transfer_cofinal(st, wit, [t + 1])
         for x, a in moved.mapping.items():
             assert st.level[a] == t + 1
@@ -348,7 +360,7 @@ class TestTransferCofinal:
     def test_no_target_at_or_above_a_source(self):
         st = gen.gen_comb(2, teeth=3, room=3)
         t = min(st.pool)
-        wit = is_simple(st, frozenset(st.tops())).witness
+        wit = is_simple(st, frozenset(st.tops()))
         with pytest.raises(NoSubsequence):
             transfer_cofinal(st, wit, [0])
         with pytest.raises(NoSubsequence) as exc:
@@ -357,7 +369,7 @@ class TestTransferCofinal:
 
     def test_rejects_levels_outside_the_stage(self):
         st = gen.gen_comb(2, teeth=3, room=3)
-        wit = is_simple(st, frozenset(st.tops())).witness
+        wit = is_simple(st, frozenset(st.tops()))
         for levels in ([st.top_level], [-1], [True]):
             with pytest.raises(DomainError):
                 transfer_cofinal(st, wit, levels)
@@ -470,15 +482,15 @@ class TestUnionSimple:
             st, parts, assign = gen.gen_two_comb(seed)
             members = sorted(set().union(*(p[0] for p in parts)))
             out = union_simple(st, parts, assign)
-            assert isinstance(out, Simple)
-            assert verify_simple_witness(st, members, out.witness) == []
-            assert verify_disjoint_segments(st, out.witness) == []
+            assert isinstance(out, RegressiveMap)
+            assert verify_simple_witness(st, members, out) == []
+            assert verify_disjoint_segments(st, out) == []
 
     def test_union_lands_on_one_deep_level(self):
         st, parts, assign = gen.gen_two_comb(4)
         out = union_simple(st, parts, assign)
         deep = sorted(l for l in st.pool if l > 2)
-        lvls = {st.level[a] for a in out.witness.mapping.values()}
+        lvls = {st.level[a] for a in out.mapping.values()}
         assert lvls == {deep[1]}
 
     def test_assignment_shape_is_enforced(self):
@@ -607,7 +619,7 @@ class TestEndpointClasses:
         def by_search(tree, group):
             windows.append(group)
             m = bf.exhaustive_sdr(tree, group)
-            return NotSimple(None) if m is None else Simple(RegressiveMap(m))
+            return HallViolator(frozenset(), frozenset()) if m is None else RegressiveMap(m)
 
         monkeypatch.setattr(simple, "is_simple", by_search)
         assert endpoint_LR(st, members) == fast
@@ -617,7 +629,7 @@ class TestEndpointClasses:
         st = gen.gen_split_miniature(5)
         tips = tips_by_position(st)
         chosen = frozenset(tips[i] for i in (4, 5, 8, 9))
-        assert isinstance(is_simple(st, chosen), Simple)
+        assert isinstance(is_simple(st, chosen), RegressiveMap)
         L, R = endpoint_LR(st, chosen)
         assert L == chosen and R == chosen
 
@@ -672,7 +684,7 @@ class TestCondensationCore:
 class TestSerialization:
     def test_witness_round_trip(self):
         st = gen.gen_comb(8)
-        wit = is_simple(st, frozenset(st.tops())).witness
+        wit = is_simple(st, frozenset(st.tops()))
         doc = witness_to_json(wit)
         assert witness_from_json(doc) == wit
         with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ordfrag import generators as gen
+from ordfrag.bruteforce import canonical_split
 from ordfrag.errors import DomainError
 from ordfrag.ordinal import ZERO, from_int, parse
 from ordfrag.space import (
@@ -21,7 +22,6 @@ from ordfrag.space import (
     OrdinalInterval,
     SplitChain,
     adjacency,
-    canonical_split,
     compare_points,
     enumerate_interval,
     enumerate_points,

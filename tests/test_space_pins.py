@@ -16,6 +16,7 @@ import pytest
 
 from ordfrag import generators as gen
 from ordfrag import space as sp
+from ordfrag.bruteforce import canonical_split
 from ordfrag.errors import DomainError
 from ordfrag.ordinal import ONE, ZERO, from_int, parse
 from ordfrag.space import ClosedInterval, FiniteChain, OrderSum, OrdinalInterval, SplitChain
@@ -66,7 +67,7 @@ DIGESTS = {
 
 def _split(K, iv) -> str:
     try:
-        return sp.render_point(K, sp.canonical_split(K, iv))
+        return sp.render_point(K, canonical_split(K, iv))
     except DomainError as err:
         return f"DomainError: {err}"
 
