@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import random
 import sys
 from fractions import Fraction
 
-from . import generators as gen
-from . import rnwit as rn
 from . import space as sp
-from . import suite as acceptance
 from .errors import (
     DomainError,
     GuaranteeFailure,
@@ -32,17 +30,8 @@ from .errors import (
     NotSimpleError,
     OrdfragError,
     RangeError,
+    canonical_bytes,
 )
-from .frag import (
-    delta_pairs,
-    fragment_check,
-    ln_decomposition,
-    levels_from_json,
-    levels_to_json,
-    verify_density,
-    weight_bound,
-)
-from .openpart import partition_open, partition_to_json, verify_open_partition
 from .ptree import (
     NODE_CAP,
     build_tree,
@@ -55,22 +44,34 @@ from .ptree import (
     tree_to_json,
     verify_admissible,
 )
-from .simple import (
-    BoundedRegressive,
-    HallViolator,
-    RegressiveMap,
-    condensation_core,
-    bounded_regressive,
-    compose_fibrewise,
-    decision_to_json,
-    disjoint_intervals,
-    endpoint_LR,
-    is_simple,
-    transfer_cofinal,
-    union_simple,
-    violator_to_json,
-    witness_to_json,
-)
+
+
+def _lazy(name: str):
+    """The package module `name`, registered now and executed on first use.
+
+    Each command group's modules then load only when one of its commands
+    runs, so `tree verify` never compiles `rnwit` or `suite`.
+    """
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# reached only through these handles: a name imported from one of them
+# at module level would execute it at once
+acceptance = _lazy("suite")
+frag = _lazy("frag")
+gen = _lazy("generators")
+openpart = _lazy("openpart")
+rn = _lazy("rnwit")
+simple = _lazy("simple")
 
 
 # -- I/O plumbing --------------------------------------------------------------
@@ -101,7 +102,7 @@ def _read_doc(args) -> dict:
 
 
 def _emit(doc, args) -> None:
-    data = acceptance.canonical_bytes(doc) + b"\n"
+    data = canonical_bytes(doc) + b"\n"
     path = getattr(args, "out", None)
     if path:
         with open(path, "wb") as fh:
@@ -136,7 +137,7 @@ def _staged_of(args):
 def _levels_of(args):
     doc = _read_doc(args)
     K = _doc_space(doc)
-    return K, levels_from_json(K, doc)
+    return K, frag.levels_from_json(K, doc)
 
 
 def _points(K, text: str):
@@ -263,8 +264,8 @@ def cmd_staged_cut(args) -> int:
 
 def cmd_staged_check_simple(args) -> int:
     st = _staged_of(args)
-    decision = is_simple(st, frozenset(st.tops()))
-    doc = decision_to_json(decision)
+    decision = simple.is_simple(st, frozenset(st.tops()))
+    doc = simple.decision_to_json(decision)
     _emit(doc, args)
     return 0 if doc["simple"] else 1
 
@@ -272,42 +273,42 @@ def cmd_staged_check_simple(args) -> int:
 def _construct(st, op, args):
     if op == "union":
         st2, parts, assignment = gen.gen_two_comb(args.seed or 0)
-        return witness_to_json(union_simple(st2, parts, assignment))
+        return simple.witness_to_json(simple.union_simple(st2, parts, assignment))
     members = frozenset(st.tops())
     if op == "disjoint":
-        return witness_to_json(disjoint_intervals(st, members))
+        return simple.witness_to_json(simple.disjoint_intervals(st, members))
     if op == "cofinal":
         targets = _level_list(args.levels, "--levels") if args.levels else sorted(st.pool)
         if args.levels and not targets:
             raise DomainError(f"--levels takes comma-separated levels, got {args.levels!r}")
-        rm = disjoint_intervals(st, members)
-        return witness_to_json(transfer_cofinal(st, rm, targets))
+        rm = simple.disjoint_intervals(st, members)
+        return simple.witness_to_json(simple.transfer_cofinal(st, rm, targets))
     if op == "compose":
         if not st.pool:
             raise DomainError("compose needs a nonempty pool")
         tips = sorted(members, key=st.payload_keys[0].__getitem__)
         t = min(st.pool)
-        pi = RegressiveMap({x: st.ancestor_at(x, t) for x in tips})
+        pi = simple.RegressiveMap({x: st.ancestor_at(x, t) for x in tips})
         fibres: dict[int, list[int]] = {}
         for x in tips:
             fibres.setdefault(pi[x], []).append(x)
         fibre_maps = {}
         for w, fibre in fibres.items():
-            fm = is_simple(st, fibre)
-            if isinstance(fm, HallViolator):
+            fm = simple.is_simple(st, fibre)
+            if isinstance(fm, simple.HallViolator):
                 raise NotSimpleError(fm, level=st.top_level)
             fibre_maps[w] = fm
-        return witness_to_json(compose_fibrewise(st, pi, fibre_maps))
+        return simple.witness_to_json(simple.compose_fibrewise(st, pi, fibre_maps))
     if op == "bounded":
-        br: BoundedRegressive = bounded_regressive(st, members)
-        doc = witness_to_json(br.map)
+        br = simple.bounded_regressive(st, members)
+        doc = simple.witness_to_json(br.map)
         doc["certificates"] = {
             str(x): {"image": c.image, "bound": c.bound_member, "kind": c.kind}
             for x, c in sorted(br.certificates.items())
         }
         return doc
     if op == "lr":
-        left, right = endpoint_LR(st, members)
+        left, right = simple.endpoint_LR(st, members)
         return {
             "v": 1,
             "kind": "endpoint-classes",
@@ -315,7 +316,7 @@ def _construct(st, op, args):
             "right": sorted(right),
             "neither": sorted(members - left - right),
         }
-    core = condensation_core(st, members)
+    core = simple.condensation_core(st, members)
     return {
         "v": 1,
         "kind": "condensation-core",
@@ -345,13 +346,13 @@ def cmd_staged_construct(args) -> int:
 
 def cmd_staged_partition(args) -> int:
     st = _staged_of(args)
-    p = partition_open(st)
-    problems = verify_open_partition(st, p)
+    p = openpart.partition_open(st)
+    problems = openpart.verify_open_partition(st, p)
     if problems:
         raise InternalInconsistency(f"the built partition fails: {problems[0]}")
     if args.dot:
         _write_text(staged_to_dot(st, p.as_cell_index()), args.dot)
-    _emit(partition_to_json(p), args)
+    _emit(openpart.partition_to_json(p), args)
     return 0
 
 
@@ -359,14 +360,14 @@ def cmd_staged_partition(args) -> int:
 
 
 def _emit_levels(K, levels, args) -> None:
-    doc = levels_to_json(K, levels)
+    doc = frag.levels_to_json(K, levels)
     doc["space"] = K.to_json()
     _emit(doc, args)
 
 
 def cmd_frag_ln(args) -> int:
     st = _staged_of(args)
-    levels = ln_decomposition(st, partition_open(st))
+    levels = frag.ln_decomposition(st, openpart.partition_open(st))
     _emit_levels(st.space, levels, args)
     return 0
 
@@ -377,7 +378,7 @@ def cmd_frag_delta(args) -> int:
         "v": 1,
         "kind": "gap-pairs",
         "space": K.to_json(),
-        "levels": [[_render_pair(K, pr) for pr in delta_pairs(K, pts)]
+        "levels": [[_render_pair(K, pr) for pr in frag.delta_pairs(K, pts)]
                    for pts in levels],
     }, args)
     return 0
@@ -393,7 +394,7 @@ def _density_pairs(K, levels, args):
 def cmd_frag_density(args) -> int:
     K, levels = _levels_of(args)
     pairs = _density_pairs(K, levels, args)
-    bad = verify_density(K, levels[-1], pairs)
+    bad = frag.verify_density(K, levels[-1], pairs)
     doc = {"v": 1, "kind": "density", "pairs_checked": len(pairs),
            "ok": bad is None}
     if bad is not None:
@@ -415,7 +416,7 @@ def cmd_frag_check(args) -> int:
     else:
         members = sorted(levels[-1], key=K.key)
     metric = rn.pseudo_metric(rn.separating_family(K, levels))
-    wit = fragment_check(K, members, metric.distance, eps)
+    wit = frag.fragment_check(K, members, metric.distance, eps)
     _emit({
         "v": 1,
         "kind": "fragment",
@@ -430,7 +431,7 @@ def cmd_frag_check(args) -> int:
 
 def cmd_frag_weight(args) -> int:
     st = _staged_of(args)
-    rep = weight_bound(st)
+    rep = frag.weight_bound(st)
     _emit({
         "v": 1,
         "kind": "weight",
@@ -452,7 +453,7 @@ def cmd_rn_witness(args) -> int:
     D = rn.dense_set(K, fam, levels, args.denbound)
     doc = rn.witness_bundle_to_json(K, fam, D)
     doc["space"] = K.to_json()
-    doc["levels"] = levels_to_json(K, levels)["levels"]
+    doc["levels"] = frag.levels_to_json(K, levels)["levels"]
     _emit(doc, args)
     return 0
 
@@ -665,7 +666,7 @@ def main(argv=None) -> int:
             "kind": "refusal",
             "error": "NotSimple",
             "message": str(err),
-            "violator": violator_to_json(err.violator),
+            "violator": simple.violator_to_json(err.violator),
         }, args)
         return 1
     except (NoRoom, NoSubsequence, GuaranteeFailure) as err:

@@ -4,14 +4,17 @@ Verified negative answers (NotSimpleError, NoRoom, NoSubsequence) are
 first-class results, not bugs: callers such as the CLI turn them into
 exit status 1 with a machine-readable report. A JSON document of the
 wrong shape is a DomainError (exit status 2): the bundle, map and
-partition decoders read their typed fields through `read_int` and
-`read_list`, and `document_decoder` turns what else goes wrong inside a
-decoder into the same error.
+partition decoders read their typed fields through `read_int`,
+`read_list` and `read_fraction`, and `document_decoder` turns what else
+goes wrong inside a decoder into the same error. Every document is
+written through `canonical_bytes`.
 """
 
 from __future__ import annotations
 
 import functools
+import json
+from fractions import Fraction
 
 
 class OrdfragError(Exception):
@@ -62,6 +65,21 @@ def read_list(x, what: str) -> list:
     if not isinstance(x, list):
         raise DomainError(f"{what} is not a list")
     return x
+
+
+def read_fraction(x, what: str) -> Fraction:
+    """The document field x, which must be a fraction string such as "-1/3"."""
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DomainError(f"{what} {x!r} is not a fraction string")
+
+
+def canonical_bytes(doc) -> bytes:
+    """doc as JSON with sorted keys and no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
 class RangeError(OrdfragError):

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import space as sp
-from .errors import DomainError, document_decoder
+from .errors import DomainError, document_decoder, read_list
 from .openpart import OpenPartition, rank, verify_open_partition
 from .ordinal import Ordinal, degree
 from .ptree import StagedTree
@@ -241,6 +241,8 @@ def levels_to_json(K, levels) -> dict:
 def levels_from_json(K, doc) -> list[tuple]:
     if not isinstance(doc, dict) or doc.get("kind") != "decomposition":
         raise DomainError("not a decomposition document")
-    if not doc["levels"]:
+    levels = read_list(doc["levels"], "levels")
+    if not levels:
         raise DomainError("a decomposition needs at least level 0")
-    return [tuple(sp.parse_point(K, t) for t in row) for row in doc["levels"]]
+    return [tuple(sp.parse_point(K, t) for t in read_list(row, "level row"))
+            for row in levels]

@@ -28,6 +28,7 @@ from .errors import (
     RangeError,
     document_decoder,
     plain_int,
+    read_list,
 )
 from .ordinal import Ordinal
 from .space import ClosedInterval
@@ -713,6 +714,15 @@ class StagedTree:
                     )
 
 
+def _node_rows(doc) -> list:
+    """The node rows of a tree or staged document, refused past the node
+    cap before any row is decoded."""
+    rows = read_list(doc["nodes"], "nodes")
+    if len(rows) > NODE_CAP:
+        raise RangeError(f"{len(rows)} node rows exceed the node cap {NODE_CAP}")
+    return rows
+
+
 def _row_id(row, k: int, field: str):
     """The id or parent field of node row k: an int that is not a bool,
     or null for a parent."""
@@ -845,7 +855,7 @@ def tree_from_json(doc) -> PartitionTree:
         raise DomainError("not a tree document")
     K = sp.space_from_json(doc["space"])
     rows = []
-    for k, r in enumerate(doc["nodes"]):
+    for k, r in enumerate(_node_rows(doc)):
         iv = sp.interval_from_json(K, r["interval"])
         rows.append((_row_id(r, k, "id"), iv.lo, iv.hi, ord_.parse(r["level"]),
                      _row_id(r, k, "parent")))
@@ -880,7 +890,7 @@ def staged_from_json(doc) -> StagedTree:
     parent = {}
     level = {}
     payload = {}
-    for k, r in enumerate(doc["nodes"]):
+    for k, r in enumerate(_node_rows(doc)):
         i = _row_id(r, k, "id")
         if i in parent:
             raise DomainError(f"node id {i} is repeated")

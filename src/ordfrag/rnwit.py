@@ -26,6 +26,7 @@ from .errors import (
     InternalInconsistency,
     document_decoder,
     plain_int,
+    read_fraction,
     read_int,
     read_list,
 )
@@ -633,10 +634,10 @@ def _pair(parse, x, what: str) -> tuple:
 
 @document_decoder
 def dense_from_json(K, doc) -> DenseSetRecord:
-    """Each distinct point text and box string is parsed once."""
+    """Each distinct point text and box bound is parsed once."""
     _check_kind(doc, "rn-dense", "dense-set document")
     parse = functools.cache(functools.partial(sp.parse_point, K))
-    fraction = functools.cache(Fraction)
+    fraction = functools.cache(functools.partial(read_fraction, what="box bound"))
     points = tuple(map(parse, read_list(doc["points"], "points")))
     m_sets = tuple((read_int(n, "m-set depth", 1), tuple(map(parse, read_list(pts, "m-set"))))
                    for n, pts in read_list(doc["m"], "m"))

@@ -8,7 +8,6 @@ two runs with one seed are byte-identical.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from . import bruteforce as bf
 from . import generators as gen
 from . import rnwit as rn
 from . import space as sp
+from .errors import canonical_bytes
 from .frag import (
     cb_degree,
     ln_decomposition,
@@ -440,10 +440,6 @@ def result_to_json(r: CriterionResult) -> dict:
 def core_to_json(results) -> dict:
     return {"v": 1, "kind": "acceptance-core",
             "criteria": [result_to_json(r) for r in results]}
-
-
-def canonical_bytes(doc) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
 def criterion_9(seed, first, spent_seconds) -> CriterionResult:

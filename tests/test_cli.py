@@ -57,17 +57,6 @@ def comb_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def comb0_bundle(tmp_path_factory):
-    """The `rn witness` bundle of the seed-0 comb, built in-process."""
-    d = tmp_path_factory.mktemp("bundle")
-    for argv in (["staged", "gen", "--kind", "comb", "--seed", "0", "--out", d / "comb.json"],
-                 ["frag", "ln", "--in", d / "comb.json", "--out", d / "levels.json"],
-                 ["rn", "witness", "--in", d / "levels.json", "--out", d / "bundle.json"]):
-        assert cli.main([str(a) for a in argv]) == 0
-    return d / "bundle.json"
-
-
-@pytest.fixture(scope="module")
 def levels_file(comb_file, tmp_path_factory):
     path = comb_file.parent / "levels.json"
     proc = run_cli("frag", "ln", "--in", str(comb_file), "--out", str(path))
@@ -652,7 +641,7 @@ class TestTriage:
                                 "binary-split at nodes [0]: probe\n")
 
     def test_a_failed_partition_self_check_is_exit_3(self, comb_file, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "verify_open_partition", lambda st, p: ["cover: probe"])
+        monkeypatch.setattr(cli.openpart, "verify_open_partition", lambda st, p: ["cover: probe"])
         assert cli.main(["staged", "partition", "--in", str(comb_file)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -17,7 +17,7 @@ from hypothesis import strategies as hst
 from ordfrag import cli
 from ordfrag import generators as gen
 from ordfrag.ordinal import parse
-from ordfrag.ptree import build_tree, staged_to_json, tree_to_json
+from ordfrag.ptree import NODE_CAP, build_tree, staged_to_json, tree_to_json
 from ordfrag.space import FiniteChain, OrderSum, OrdinalInterval, SplitChain
 
 # every subcommand with --in, with the flags it needs and the kind of
@@ -240,14 +240,18 @@ def malformed_stages(draw):
     return doc
 
 
-def assert_exit_2(commands, flag, capsys, doc):
+def assert_exit_2(commands, flag, capsys, doc) -> list[str]:
     """Each command, given `flag` (an --in or --space argument), exits 2
-    with nothing on stdout and one error line on stderr."""
+    with nothing on stdout and one error line on stderr; the lines, in
+    the order of `commands`."""
+    errors = []
     for argv in commands:
         code = cli.main([*argv, flag])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), (argv, doc, captured.err)
         assert captured.err.startswith("ordfrag: error: ") and "Traceback" not in captured.err
+        errors.append(captured.err)
+    return errors
 
 
 @given(doc=malformed_stages())
@@ -315,3 +319,51 @@ def test_deep_nesting_through_in_is_exit_2(documents, capsys, argv, kind):
 def test_deep_nesting_through_space_is_exit_2(capsys, argv):
     for text in (DEEP_ARRAY, json.dumps(DEEP_SUM)):
         assert_exit_2([argv], f"--space={text}", capsys, text[:40])
+
+
+@pytest.mark.parametrize("argv, kind", [(TREE_COMMANDS[0], "tree"), (STAGED_COMMANDS[0], "staged")],
+                         ids=["tree", "staged"])
+def test_node_rows_past_the_cap_are_refused_before_any_is_read(documents, tmp_path, capsys,
+                                                                argv, kind):
+    _, docs = documents
+    path = tmp_path / "nodes.json"
+    # an empty row fails its decoder, so only a refusal before decoding
+    # names the cap; at the cap itself the rows are decoded
+    for rows, cap_named in ((NODE_CAP + 1, True), (NODE_CAP, False)):
+        path.write_text(json.dumps(dict(docs[kind], nodes=[{}] * rows)))
+        (err,) = assert_exit_2([argv], f"--in={path}", capsys, rows)
+        assert (f"{rows} node rows exceed the node cap {NODE_CAP}" in err) == cap_named, err
+
+
+# every command that reads a decomposition through --in
+DECOMPOSITION_COMMANDS = [argv for argv, kind in DOC_COMMANDS if kind == "decomposition"]
+
+
+@pytest.mark.parametrize("levels, field", [("ab", "levels"), ({"0": ["0"]}, "levels"),
+                                           (["0", "1"], "level row"), ([["0"], "01"], "level row")],
+                         ids=["string", "object", "string-rows", "one-string-row"])
+def test_decomposition_levels_that_are_not_lists_are_exit_2(documents, tmp_path, capsys,
+                                                             levels, field):
+    """A string of levels was once read as the point texts of its letters."""
+    _, docs = documents
+    doc = dict(docs["decomposition"], levels=levels)
+    path = tmp_path / "levels.json"
+    path.write_text(json.dumps(doc))
+    for err in assert_exit_2(DECOMPOSITION_COMMANDS, f"--in={path}", capsys, doc):
+        assert f"{field} is not a list" in err, err
+
+
+@pytest.mark.parametrize("value", [3, 2.5, True, None, "1/0", "half"], ids=repr)
+def test_box_bound_that_is_not_a_fraction_string_is_exit_2(comb0_bundle, tmp_path, capsys,
+                                                            value):
+    """A JSON number or bool where a box bound belongs was once read as
+    a fraction and answered with exit 0."""
+    argv = ["rn", "approx", "--point", "3", "--n", "2"]
+    assert cli.main([*argv, f"--in={comb0_bundle}"]) == 0
+    capsys.readouterr()
+    doc = json.loads(comb0_bundle.read_text())
+    doc["dense"]["z"][0]["box"][0][0] = value
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    (err,) = assert_exit_2([argv], f"--in={path}", capsys, value)
+    assert f"box bound {value!r} is not a fraction string" in err, err
