@@ -4,8 +4,9 @@ Exit status triage: 0 means the requested check or build succeeded,
 1 means a verified negative answer (a refusal, a violated bound, an
 unseparated pair) reported as machine-readable JSON, 2 means the
 invocation itself was broken (usage, unreadable input, malformed JSON,
-or valid JSON of the wrong shape), and 3 means a bug: a guaranteed
-postcondition failed (InternalInconsistency).
+or valid JSON of the wrong shape, refused by naming the field), and 3
+means a bug: a guaranteed postcondition failed (InternalInconsistency);
+any other exception is a bug too, and escapes with its traceback.
 All JSON artifacts are emitted canonically: sorted keys, no spaces,
 one trailing newline, so identical configurations give identical bytes.
 """

@@ -3,16 +3,14 @@
 Verified negative answers (NotSimpleError, NoRoom, NoSubsequence) are
 first-class results, not bugs: callers such as the CLI turn them into
 exit status 1 with a machine-readable report. A JSON document of the
-wrong shape is a DomainError (exit status 2): the bundle, map and
-partition decoders read their typed fields through `read_int`,
-`read_list` and `read_fraction`, and `document_decoder` turns what else
-goes wrong inside a decoder into the same error. Every document is
-written through `canonical_bytes`.
+wrong shape is a DomainError (exit status 2) that names the field: each
+decoder reads every value it uses through the readers below, or through
+a parser that refuses bad input itself, so a bug inside a decoder
+surfaces as itself. Every document is written through `canonical_bytes`.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from fractions import Fraction
 
@@ -23,27 +21,6 @@ class OrdfragError(Exception):
 
 class DomainError(OrdfragError):
     """An argument violates a documented precondition."""
-
-
-def document_decoder(fn):
-    """Make a JSON decoder raise DomainError on a document of the wrong shape.
-
-    A missing or ill-typed field surfaces inside the decoder as one of
-    Python's lookup, type, value or division errors; it is reported as
-    bad input.
-    """
-
-    @functools.wraps(fn)
-    def decode(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError,
-                ZeroDivisionError) as err:
-            raise DomainError(
-                f"{fn.__name__}: document of the wrong shape "
-                f"({type(err).__name__}: {err})") from err
-
-    return decode
 
 
 def plain_int(x) -> bool:
@@ -60,11 +37,35 @@ def read_int(x, what: str, least: int | None = None) -> int:
     return x
 
 
-def read_list(x, what: str) -> list:
-    """The document field x, which must be a list."""
-    if not isinstance(x, list):
-        raise DomainError(f"{what} is not a list")
+def read_list(x, what: str, length: int | None = None, texts: bool = False) -> list:
+    """The document field x, which must be a list, of `length` entries
+    when that is given, and of strings only when `texts` is set."""
+    if (not isinstance(x, list) or length is not None and len(x) != length
+            or texts and not all(type(t) is str for t in x)):
+        shape = f" of {length}" if length is not None else " of strings" if texts else ""
+        raise DomainError(f"{what} is not a list{shape}")
     return x
+
+
+def read_object(x, what: str, *fields: str) -> dict:
+    """The document field x, which must be an object holding `fields`."""
+    if not isinstance(x, dict):
+        raise DomainError(f"{what} is not an object")
+    for name in fields:
+        if name not in x:
+            raise DomainError(f"{what} has no {name!r}")
+    return x
+
+
+def read_kind(doc, kind: str, *fields: str) -> dict:
+    """doc, which must be a document of kind `kind` and version 1
+    holding `fields`."""
+    if read_object(doc, f"{kind} document", "kind")["kind"] != kind:
+        raise DomainError(f"not {'an' if kind[0] in 'aeiou' else 'a'} {kind} document: kind {doc['kind']!r}")
+    v = read_object(doc, f"{kind} document", "v", *fields)["v"]
+    if not plain_int(v) or v != 1:
+        raise DomainError(f"{kind} document: v {v!r} is not 1")
+    return doc
 
 
 def read_fraction(x, what: str) -> Fraction:

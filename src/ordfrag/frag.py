@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import space as sp
-from .errors import DomainError, document_decoder, read_list
+from .errors import DomainError, read_kind, read_list
 from .openpart import OpenPartition, rank, verify_open_partition
 from .ordinal import Ordinal, degree
 from .ptree import StagedTree
@@ -237,12 +237,9 @@ def levels_to_json(K, levels) -> dict:
     }
 
 
-@document_decoder
 def levels_from_json(K, doc) -> list[tuple]:
-    if not isinstance(doc, dict) or doc.get("kind") != "decomposition":
-        raise DomainError("not a decomposition document")
-    levels = read_list(doc["levels"], "levels")
+    levels = read_list(read_kind(doc, "decomposition", "levels")["levels"], "levels")
     if not levels:
         raise DomainError("a decomposition needs at least level 0")
-    return [tuple(sp.parse_point(K, t) for t in read_list(row, "level row"))
+    return [tuple(sp.parse_point(K, t) for t in read_list(row, "level row", texts=True))
             for row in levels]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, read_int
+from .errors import DomainError, read_int, read_kind, read_list
 from .ptree import StagedTree
 from .simple import disjoint_intervals, pool_ancestors, segments
 
@@ -132,9 +132,6 @@ def partition_to_json(p: OpenPartition) -> dict:
 
 
 def partition_from_json(doc) -> OpenPartition:
-    if not isinstance(doc, dict) or doc.get("kind") != "open-partition":
-        raise DomainError("not an open partition document")
-    cells = doc["cells"]
-    if not isinstance(cells, list) or not all(isinstance(c, list) for c in cells):
-        raise DomainError("cells must be a list of lists")
-    return OpenPartition(tuple(frozenset(read_int(v, "cell node") for v in c) for c in cells))
+    cells = read_list(read_kind(doc, "open-partition", "cells")["cells"], "cells")
+    return OpenPartition(tuple(frozenset(read_int(v, "cell node") for v in read_list(c, "cell"))
+                               for c in cells))

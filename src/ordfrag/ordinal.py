@@ -144,14 +144,15 @@ def fundamental_sequence(a: Ordinal, i: int) -> Ordinal:
 _TERM = re.compile(r"^w(?:\^(\d+))?(?:\*(\d+))?$")
 
 
-def parse(text: str) -> Ordinal:
+def parse(text: str, what: str = "a string") -> Ordinal:
     """Parse the compact CNF notation, e.g. 'w^2*3+w*2+5' or '0'.
 
     Strict: exponent 1 must be written 'w', coefficient 1 omitted,
     finite part without 'w^0*', terms in decreasing exponent order.
+    `what` names the expected text when text is not a string.
     """
     if not isinstance(text, str):
-        raise DomainError(f"expected a string, got {text!r}")
+        raise DomainError(f"expected {what}, got {text!r}")
     s = text.strip()
     if s == "0":
         return ZERO

@@ -26,8 +26,9 @@ from .errors import (
     DomainError,
     InsufficientMaterialization,
     RangeError,
-    document_decoder,
     plain_int,
+    read_int,
+    read_kind,
     read_list,
 )
 from .ordinal import Ordinal
@@ -585,11 +586,6 @@ class StagedTree:
 
     def __post_init__(self):
         self.pool = frozenset(self.pool)
-        kids: dict[int, list[int]] = {i: [] for i in self.parent}
-        for i, p in self.parent.items():
-            if p is not None and p in kids:
-                kids[p].append(i)
-        self._children = {i: tuple(sorted(c)) for i, c in kids.items()}
 
     @cached_property
     def payload_keys(self) -> tuple[dict, dict]:
@@ -608,7 +604,7 @@ class StagedTree:
         return sorted(self.parent)
 
     def children(self, i: int) -> tuple[int, ...]:
-        return self._children[i]
+        return tuple(sorted(c for c, p in self.parent.items() if p == i))
 
     def tops(self) -> list[int]:
         return sorted(i for i, l in self.level.items() if l == self.top_level)
@@ -668,9 +664,10 @@ class StagedTree:
             if p is not None:
                 if p not in ids:
                     raise DomainError(f"node {i} has missing parent {p}")
-                if self.level[i] != self.level[p] + 1:
+                if self.level[p] != l - 1:  # the parent's level may not be checked yet
                     raise DomainError(f"edge {p}->{i} does not step one level")
-        _check_pool_types(self.pool)
+        for l in sorted(self.pool, key=repr):
+            read_int(l, "pool level")
         if not self.pool <= set(range(self.top_level)):
             raise DomainError(
                 f"pool {sorted(self.pool)} must lie strictly below the top level {self.top_level}"
@@ -694,8 +691,7 @@ class StagedTree:
             for i in ids:
                 if lo[i] > hi[i]:
                     raise DomainError(f"payload of {i} out of order")
-                cnt = K.count(self.payload[i].lo, self.payload[i].hi)
-                if cnt is not sp.INFINITE and cnt < 2:
+                if lo[i] == hi[i]:  # keys are injective
                     raise DomainError(f"payload of {i} is trivial")
                 p = self.parent[i]
                 if p is None:
@@ -726,16 +722,12 @@ def _node_rows(doc) -> list:
 def _row_id(row, k: int, field: str):
     """The id or parent field of node row k: an int that is not a bool,
     or null for a parent."""
+    if not isinstance(row, dict) or field not in row:
+        raise DomainError(f"node row {k} has no {field!r}")
     x = row[field]
     if not plain_int(x) and not (field == "parent" and x is None):
         raise DomainError(f"node row {k}: {field} {x!r} is not an int")
     return x
-
-
-def _check_pool_types(pool) -> None:
-    for l in sorted(pool, key=repr):
-        if not plain_int(l):
-            raise DomainError(f"pool level {l!r} is not an int")
 
 
 def _first_overlap(row: list[int], lo: dict, hi: dict) -> tuple[int, int] | None:
@@ -849,17 +841,17 @@ def tree_to_json(tree: PartitionTree) -> dict:
     return doc
 
 
-@document_decoder
 def tree_from_json(doc) -> PartitionTree:
-    if not isinstance(doc, dict) or doc.get("kind") != "tree":
-        raise DomainError("not a tree document")
+    read_kind(doc, "tree", "space", "nodes")
     K = sp.space_from_json(doc["space"])
     rows = []
     for k, r in enumerate(_node_rows(doc)):
-        iv = sp.interval_from_json(K, r["interval"])
-        rows.append((_row_id(r, k, "id"), iv.lo, iv.hi, ord_.parse(r["level"]),
+        i = _row_id(r, k, "id")
+        iv = sp.interval_from_json(K, r.get("interval"))
+        rows.append((i, iv.lo, iv.hi, ord_.parse(r.get("level"), "a level string"),
                      _row_id(r, k, "parent")))
-    return make_tree(K, rows, doc.get("budget"))
+    budget = read_int(doc["budget"], "budget", 1) if "budget" in doc else None
+    return make_tree(K, rows, budget)
 
 
 def staged_to_json(st: StagedTree) -> dict:
@@ -882,10 +874,8 @@ def staged_to_json(st: StagedTree) -> dict:
     return doc
 
 
-@document_decoder
 def staged_from_json(doc) -> StagedTree:
-    if not isinstance(doc, dict) or doc.get("kind") != "staged":
-        raise DomainError("not a staged tree document")
+    read_kind(doc, "staged", "top_level", "pool", "nodes")
     K = sp.space_from_json(doc["space"]) if "space" in doc else None
     parent = {}
     level = {}
@@ -895,12 +885,11 @@ def staged_from_json(doc) -> StagedTree:
         if i in parent:
             raise DomainError(f"node id {i} is repeated")
         parent[i] = _row_id(r, k, "parent")
-        level[i] = r["level"]
+        level[i] = r.get("level")  # validate names a level that is not an int
         if "payload" in r:
             if K is None:
                 raise DomainError("payload rows need a space")
-            payload[i] = sp.interval_from_json(K, r["payload"])
-    _check_pool_types(doc["pool"])  # a frozenset would merge true into 1
+            payload[i] = sp.interval_from_json(K, r["payload"], "payload")
     limit_top = doc.get("limit_top", True)
     if not isinstance(limit_top, bool):
         raise DomainError(f"limit_top {limit_top!r} is not a bool")
@@ -908,7 +897,8 @@ def staged_from_json(doc) -> StagedTree:
         parent=parent,
         level=level,
         top_level=doc["top_level"],
-        pool=frozenset(doc["pool"]),
+        # read before the frozenset, which would merge true into 1
+        pool=frozenset(read_int(l, "pool level") for l in read_list(doc["pool"], "pool")),
         payload=payload if payload else None,
         space=K,
         limit_top=limit_top,

@@ -24,11 +24,11 @@ from .errors import (
     DomainError,
     GuaranteeFailure,
     InternalInconsistency,
-    document_decoder,
-    plain_int,
     read_fraction,
     read_int,
+    read_kind,
     read_list,
+    read_object,
 )
 from .frag import delta_pairs
 
@@ -622,36 +622,41 @@ def dense_to_json(K, D: DenseSetRecord) -> dict:
     }
 
 
-def _check_kind(doc, kind: str, what: str) -> None:
-    if doc.get("kind") != kind or not (plain_int(doc.get("v")) and doc["v"] == 1):
-        raise DomainError(f"not a {what}")
-
-
 def _pair(parse, x, what: str) -> tuple:
-    lo, hi = read_list(x, what)
-    return parse(lo), parse(hi)
+    # checked before the cached parse, which would hash a list
+    if type(x) is not list or len(x) != 2 or type(x[0]) is not str or type(x[1]) is not str:
+        raise DomainError(f"{what} {x!r} is not a pair of point texts")
+    return parse(x[0]), parse(x[1])
 
 
-@document_decoder
 def dense_from_json(K, doc) -> DenseSetRecord:
     """Each distinct point text and box bound is parsed once."""
-    _check_kind(doc, "rn-dense", "dense-set document")
+    read_kind(doc, "rn-dense", "points", "m", "z", "denbound")
     parse = functools.cache(functools.partial(sp.parse_point, K))
     fraction = functools.cache(functools.partial(read_fraction, what="box bound"))
-    points = tuple(map(parse, read_list(doc["points"], "points")))
-    m_sets = tuple((read_int(n, "m-set depth", 1), tuple(map(parse, read_list(pts, "m-set"))))
-                   for n, pts in read_list(doc["m"], "m"))
-    selections = tuple(
-        ZSelection(
-            read_int(e["level"], "selection level", 1),
-            _pair(parse, e["gap"], "gap"),
-            read_int(e["j"], "selection j", 0),
-            _pair(parse, e["region"], "region"),
+    points = tuple(map(parse, read_list(doc["points"], "points", texts=True)))
+    m_sets = tuple((read_int(n, "m-set depth", 1), tuple(map(parse, read_list(pts, "m-set", texts=True))))
+                   for n, pts in (read_list(x, "m entry", 2) for x in read_list(doc["m"], "m")))
+    selections = []
+    for e in read_list(doc["z"], "z"):
+        if not isinstance(e, dict) or type(e.get("z")) is not str:
+            raise DomainError(f"selection {e!r} has no point text z")
+        box = []
+        for b in read_list(e.get("box"), "box"):
+            if type(b) is not list or len(b) != 2 or type(b[0]) is not str or type(b[1]) is not str:
+                for t in read_list(b, "box bounds", 2):
+                    read_fraction(t, "box bound")  # raises on the one that is not a string
+            box.append((fraction(b[0]), fraction(b[1])))
+        selections.append(ZSelection(
+            read_int(e.get("level"), "selection level", 1),
+            _pair(parse, e.get("gap"), "gap"),
+            read_int(e.get("j"), "selection j", 0),
+            _pair(parse, e.get("region"), "region"),
             parse(e["z"]),
-            tuple((fraction(q), fraction(r)) for q, r in read_list(e["box"], "box")),
-        )
-        for e in read_list(doc["z"], "z"))
-    return DenseSetRecord(K, points, m_sets, selections, read_int(doc["denbound"], "denbound", 4))
+            tuple(box),
+        ))
+    return DenseSetRecord(K, points, m_sets, tuple(selections),
+                          read_int(doc["denbound"], "denbound", 4))
 
 
 def witness_bundle_to_json(K, family, D: DenseSetRecord) -> dict:
@@ -670,14 +675,13 @@ def witness_bundle_to_json(K, family, D: DenseSetRecord) -> dict:
     return {"v": 1, "kind": "rn-witness", "family": entries, "dense": dense_to_json(K, D)}
 
 
-@document_decoder
 def witness_bundle_from_json(K, doc) -> tuple:
     """Each distinct point text of the family is parsed once."""
-    _check_kind(doc, "rn-witness", "witness bundle")
+    read_kind(doc, "rn-witness", "family", "dense")
     parse = functools.cache(functools.partial(sp.parse_point, K))
     family = []
     for entry in read_list(doc["family"], "family"):
-        x, y = _pair(parse, entry["gap"], "gap")
+        x, y = _pair(parse, read_object(entry, "family entry", "gap", "n", "cut")["gap"], "gap")
         n = read_int(entry["n"], "family n", 1)
         lo, hi = _pair(parse, entry["cut"], "cut")
         family.append(StepFunction(K, ((lo, hi, Fraction(1, n)),), (x, y, n)))

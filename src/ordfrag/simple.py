@@ -21,8 +21,9 @@ from .errors import (
     NoRoom,
     NoSubsequence,
     NotSimpleError,
-    document_decoder,
     read_int,
+    read_kind,
+    read_object,
 )
 from .ptree import StagedTree
 
@@ -539,11 +540,10 @@ def witness_to_json(rm: RegressiveMap) -> dict:
     return {"v": 1, "kind": "regressive-map", "map": {str(x): a for x, a in rm.mapping.items()}}
 
 
-@document_decoder
 def witness_from_json(doc) -> RegressiveMap:
-    if not isinstance(doc, dict) or doc.get("kind") != "regressive-map":
-        raise DomainError("not a regressive map document")
-    return RegressiveMap({int(x): read_int(a, f"image of {x}") for x, a in doc["map"].items()})
+    images = read_object(read_kind(doc, "regressive-map", "map")["map"], "map")
+    return RegressiveMap({read_int(int(x) if str(x).isdecimal() else x, "map key"):
+                          read_int(a, f"image of {x}") for x, a in images.items()})
 
 
 def violator_to_json(hv: HallViolator) -> dict:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ordinal as ord_
-from .errors import DomainError, document_decoder
+from .errors import DomainError, read_list, read_object
 from .ordinal import Ordinal
 
 
@@ -443,26 +443,23 @@ def parse_point(space, text: str):
 SUM_DEPTH_CAP = 100
 
 
-@document_decoder
 def space_from_json(doc) -> SpaceDescriptor:
     return _space_from_json(doc, SUM_DEPTH_CAP)
 
 
 def _space_from_json(doc, room: int) -> SpaceDescriptor:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise DomainError(f"bad space document {doc!r}")
-    kind = doc["kind"]
+    kind = read_object(doc, "space", "kind")["kind"]
     if kind == "finite":
-        labels = tuple(doc["labels"]) if "labels" in doc else None
-        return FiniteChain(doc["size"], labels)
+        labels = tuple(read_list(doc["labels"], "labels", texts=True)) if "labels" in doc else None
+        return FiniteChain(doc.get("size"), labels)
     if kind == "ordinal":
-        return OrdinalInterval(ord_.parse(doc["alpha"]))
+        return OrdinalInterval(ord_.parse(doc.get("alpha"), "an alpha string"))
     if kind == "split":
-        return SplitChain(doc["size"])
+        return SplitChain(doc.get("size"))
     if kind == "sum":
         if room == 0:
             raise DomainError(f"order sums nest more than {SUM_DEPTH_CAP} deep")
-        return OrderSum(tuple(_space_from_json(p, room - 1) for p in doc["parts"]))
+        return OrderSum(tuple(_space_from_json(p, room - 1) for p in read_list(doc.get("parts"), "parts")))
     raise DomainError(f"unknown space kind {kind!r}")
 
 
@@ -470,9 +467,9 @@ def interval_to_json(space, iv: ClosedInterval) -> list:
     return [render_point(space, iv.lo), render_point(space, iv.hi)]
 
 
-def interval_from_json(space, doc) -> ClosedInterval:
-    if not isinstance(doc, (list, tuple)) or len(doc) != 2:
-        raise DomainError(f"bad interval document {doc!r}")
+def interval_from_json(space, doc, what: str = "interval") -> ClosedInterval:
+    if type(doc) is not list or len(doc) != 2:
+        raise DomainError(f"{what} {doc!r} is not a pair of points")
     lo, hi = parse_point(space, doc[0]), parse_point(space, doc[1])
     if space.key(lo) > space.key(hi):
         raise DomainError(f"interval endpoints out of order: {render_point(space, lo)} > {render_point(space, hi)}")

@@ -162,6 +162,25 @@ class TestTree:
         assert proc.stdout == ""
         assert proc.stderr == "ordfrag: error: node id 1 is repeated\n"
 
+    @pytest.mark.parametrize("budget", ["x", 0, -3, True, [1], {"a": 1}, 2.5], ids=repr)
+    def test_a_budget_that_is_not_a_positive_int_is_exit_2(self, tmp_path, capsys, budget):
+        """The budget was once never read, and `tree verify` passed the
+        tree whatever it held."""
+        path = tmp_path / "tree.json"
+        assert cli.main(["tree", "build", "--space", SPACE8, "--budget", "9",
+                         "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        for value, code in ((budget, 2), (KeyError, 0)):
+            if value is KeyError:
+                del doc["budget"]
+            else:
+                doc["budget"] = value
+            path.write_text(json.dumps(doc))
+            assert cli.main(["tree", "verify", "--in", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"ordfrag: error: budget {budget!r} is not an int >= 1\n"
+        assert json.loads(captured.out)["ok"] is True  # without a budget the tree decodes
+
     def test_export_writes_dot(self, tmp_path):
         path = tmp_path / "tree.json"
         run_cli("tree", "build", "--space", SPACE8, "--budget", "40",

@@ -8,7 +8,10 @@ with its own traceback. Documents are either arbitrary JSON values or
 valid documents with one part replaced or removed.
 """
 
+import functools
 import json
+import operator
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,8 +19,11 @@ from hypothesis import strategies as hst
 
 from ordfrag import cli
 from ordfrag import generators as gen
+from ordfrag.errors import DomainError
+from ordfrag.openpart import partition_open, partition_from_json, partition_to_json
 from ordfrag.ordinal import parse
 from ordfrag.ptree import NODE_CAP, build_tree, staged_to_json, tree_to_json
+from ordfrag.simple import is_simple, witness_from_json, witness_to_json
 from ordfrag.space import FiniteChain, OrderSum, OrdinalInterval, SplitChain
 
 # every subcommand with --in, with the flags it needs and the kind of
@@ -353,7 +359,8 @@ def test_decomposition_levels_that_are_not_lists_are_exit_2(documents, tmp_path,
         assert f"{field} is not a list" in err, err
 
 
-@pytest.mark.parametrize("value", [3, 2.5, True, None, "1/0", "half"], ids=repr)
+@pytest.mark.parametrize("value", [3, 2.5, True, None, "1/0", "half", ["1/2"], {"1/2": 1}],
+                         ids=repr)
 def test_box_bound_that_is_not_a_fraction_string_is_exit_2(comb0_bundle, tmp_path, capsys,
                                                             value):
     """A JSON number or bool where a box bound belongs was once read as
@@ -367,3 +374,130 @@ def test_box_bound_that_is_not_a_fraction_string_is_exit_2(comb0_bundle, tmp_pat
     path.write_text(json.dumps(doc))
     (err,) = assert_exit_2([argv], f"--in={path}", capsys, value)
     assert f"box bound {value!r} is not a fraction string" in err, err
+
+
+# -- every field the readers read, deleted or given another JSON type ----------
+
+# one value of each JSON type; a field is given each one not of its own
+# type (a parent's type is int or null)
+WRONG_TYPES = [None, True, 2.5, 7, "x", [7], {"x": 7}]
+OWN_TYPES = {"parent": (int, type(None))}
+DELETE = object()
+# fields a document may leave out, and fields no command reads
+OPTIONAL = {"budget", "limit_top", "labels"}
+UNREAD = {"rn-witness": {"levels"}}
+
+
+def fields(doc, here=()):
+    """The path of every object field in doc, descending into the first
+    and the last entry of each list."""
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield here + (k,)
+            yield from fields(v, here + (k,))
+    elif isinstance(doc, list):
+        for i in sorted({0, len(doc) - 1} if doc else ()):
+            yield from fields(doc[i], here + (i,))
+
+
+def mutations(doc, optional=OPTIONAL, unread=()):
+    """(field name, copy of doc) for each field of doc deleted, unless it
+    is optional, and for each value of another JSON type put in its place."""
+    for where in fields(doc):
+        if where[0] in unread:
+            continue
+        *up, name = where
+        own = OWN_TYPES.get(name, (type(functools.reduce(operator.getitem, up, doc)[name]),))
+        for value in ([] if name in optional else [DELETE]) + WRONG_TYPES:
+            if type(value) in own:
+                continue
+            bad = json.loads(json.dumps(doc))
+            holder = functools.reduce(operator.getitem, up, bad)
+            if value is DELETE:
+                del holder[name]
+            else:
+                holder[name] = value
+            yield name, bad
+
+
+def names(name: str, message: str) -> bool:
+    """message names the field, as a word, with its underscores read as
+    spaces where it has any."""
+    return any(re.search(rf"\b{re.escape(n)}\b", message) for n in (name, name.replace("_", " ")))
+
+
+def refusal(argv, flag, capsys) -> str:
+    """The one error line that `argv` with `flag` must exit 2 with."""
+    code = cli.main([*argv, flag])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, ""), (argv, captured.err)
+    assert captured.err.startswith("ordfrag: error: ") and captured.err.count("\n") == 1, captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("kind", ["tree", "staged", "decomposition", "rn-witness"])
+def test_every_field_of_a_document_is_refused_by_name(documents, tmp_path, capsys, kind):
+    where, docs = documents
+    commands = [argv + ["disjoint"] if argv[-1] == "construct" else argv
+                for argv, k in DOC_COMMANDS if k == kind]
+    path = tmp_path / "doc.json"
+    unnamed = []
+    for name, bad in mutations(docs[kind], unread=UNREAD.get(kind, ())):
+        path.write_text(json.dumps(bad))
+        for argv in commands:
+            err = refusal(argv, f"--in={path}", capsys)
+            if not names(name, err):
+                unnamed.append((name, argv, err))
+    assert unnamed == []
+
+
+SPACES = [{"kind": "finite", "size": 3, "labels": ["a", "b", "c"]}, {"kind": "ordinal", "alpha": "w^2"},
+          {"kind": "split", "size": 4},
+          {"kind": "sum", "parts": [{"kind": "split", "size": 2}, {"kind": "ordinal", "alpha": "w"}]}]
+
+
+@pytest.mark.parametrize("doc", SPACES, ids=lambda d: d["kind"])
+def test_every_field_of_an_inline_space_is_refused_by_name(capsys, doc):
+    for argv in SPACE_COMMANDS:
+        assert cli.main([*argv, f"--space={json.dumps(doc)}"]) == 0
+    capsys.readouterr()
+    unnamed = []
+    for name, bad in mutations(doc):
+        for argv in SPACE_COMMANDS:
+            err = refusal(argv, f"--space={json.dumps(bad)}", capsys)
+            if not names(name, err):
+                unnamed.append((name, argv, err))
+    assert unnamed == []
+
+
+def test_a_box_bound_that_is_a_list_is_refused_by_name(comb0_bundle, tmp_path, capsys):
+    """It was once hashed by the cached bound parser first, and refused
+    as `unhashable type: 'list'` without naming the field."""
+    doc = json.loads(comb0_bundle.read_text())
+    doc["dense"]["z"][0]["box"] = [[["1/2"], "1"]]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    err = refusal(["rn", "approx", "--point", "3", "--n", "2"], f"--in={path}", capsys)
+    assert err == "ordfrag: error: box bound ['1/2'] is not a fraction string\n"
+
+
+def _witness():
+    st = gen.gen_comb(1)
+    return witness_to_json(is_simple(st, frozenset(st.tops())))
+
+
+def _partition():
+    return partition_to_json(partition_open(gen.gen_comb(1)))
+
+
+@pytest.mark.parametrize("decode, make", [(witness_from_json, _witness),
+                                          (partition_from_json, _partition)],
+                         ids=["regressive-map", "open-partition"])
+def test_decoders_with_no_command_refuse_only_with_domain_error(decode, make):
+    doc = make()
+    assert decode(json.loads(json.dumps(doc))) is not None
+    # a map may leave out any of its members
+    for name, bad in mutations(doc, OPTIONAL | set(doc.get("map", ()))):
+        with pytest.raises(DomainError) as err:
+            decode(bad)
+        assert names(name, str(err.value)), (name, err.value)

@@ -1,5 +1,7 @@
 """Open partitions: construction, verification, rank, and stages."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -242,6 +244,17 @@ class TestExport:
             partition_from_json({"kind": "nope"})
         with pytest.raises(DomainError):
             partition_from_json({"v": 1, "kind": "open-partition", "cells": "x"})
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "open-partition"}, "open-partition document has no 'v'"),
+        ({"v": 1, "kind": "open-partition"}, "open-partition document has no 'cells'"),
+        ({"v": 1, "kind": "open-partition", "cells": [[0], 1]}, "cell is not a list"),
+        ({"v": 1, "kind": "open-partition", "cells": [[0, "1"]]}, "cell node '1' is not an int"),
+    ], ids=["no-v", "no-cells", "cell-not-a-list", "string-node"])
+    def test_a_malformed_document_names_its_field(self, doc, message):
+        """A document without cells once raised KeyError."""
+        with pytest.raises(DomainError, match=re.escape(message)):
+            partition_from_json(doc)
 
     def test_dot_coloring_uses_the_cells(self):
         st = comb(teeth=3, room=2)
