@@ -19,7 +19,6 @@ import importlib.util
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import space as sp
 from .errors import (
@@ -32,6 +31,7 @@ from .errors import (
     OrdfragError,
     RangeError,
     canonical_bytes,
+    read_fraction,
 )
 from .ptree import (
     NODE_CAP,
@@ -87,6 +87,8 @@ def _load(text: str, where: str) -> dict:
         ) from err
     except RecursionError as err:
         raise DomainError(f"malformed JSON in {where}: nested too deeply") from err
+    except ValueError as err:  # an integer longer than int() reads
+        raise DomainError(f"malformed JSON in {where}: an integer has too many digits") from err
 
 
 def _read_doc(args) -> dict:
@@ -406,10 +408,7 @@ def cmd_frag_density(args) -> int:
 
 def cmd_frag_check(args) -> int:
     K, levels = _levels_of(args)
-    try:
-        eps = Fraction(args.eps)
-    except (ValueError, ZeroDivisionError) as err:
-        raise DomainError(f"--eps takes a fraction such as 1/8, got {args.eps!r}") from err
+    eps = read_fraction(args.eps, "--eps")
     if args.members:
         members = _points(K, args.members)
     elif sp.is_finite_space(K):

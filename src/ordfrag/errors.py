@@ -37,6 +37,17 @@ def read_int(x, what: str, least: int | None = None) -> int:
     return x
 
 
+def read_digits(s: str, what: str) -> int:
+    """The text s, which must be a run of decimal digits, as an int; a run
+    longer than int() reads (sys.get_int_max_str_digits()) is refused too."""
+    if s.isdecimal():
+        try:
+            return int(s)
+        except ValueError:
+            raise DomainError(f"{what} has {len(s)} digits, more than int() reads") from None
+    raise DomainError(f"bad {what} {s!r}")
+
+
 def read_list(x, what: str, length: int | None = None, texts: bool = False) -> list:
     """The document field x, which must be a list, of `length` entries
     when that is given, and of strings only when `texts` is set."""

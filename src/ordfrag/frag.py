@@ -241,5 +241,5 @@ def levels_from_json(K, doc) -> list[tuple]:
     levels = read_list(read_kind(doc, "decomposition", "levels")["levels"], "levels")
     if not levels:
         raise DomainError("a decomposition needs at least level 0")
-    return [tuple(sp.parse_point(K, t) for t in read_list(row, "level row", texts=True))
+    return [tuple(sp.parse_point(K, t, "a point text in a level row") for t in read_list(row, "level row"))
             for row in levels]

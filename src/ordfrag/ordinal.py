@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, read_digits
 
 # A fixed bound: an ordinal with a larger exponent is rejected outright
 # with a RangeError.
@@ -162,7 +162,7 @@ def parse(text: str, what: str = "a string") -> Ordinal:
     for chunk in s.split("+"):
         chunk = chunk.strip()
         if chunk.isdecimal():
-            v = int(chunk)
+            v = read_digits(chunk, "ordinal term")
             if v == 0:
                 raise DomainError("'0' is only valid as the whole ordinal")
             terms.append((0, v))
@@ -170,8 +170,8 @@ def parse(text: str, what: str = "a string") -> Ordinal:
         m = _TERM.match(chunk)
         if not m:
             raise DomainError(f"malformed term {chunk!r} in {text!r}")
-        e = int(m.group(1)) if m.group(1) else 1
-        c = int(m.group(2)) if m.group(2) else 1
+        e = read_digits(m.group(1), "ordinal exponent") if m.group(1) else 1
+        c = read_digits(m.group(2), "ordinal coefficient") if m.group(2) else 1
         if m.group(1) == "1":
             raise DomainError(f"write 'w', not 'w^1', in {text!r}")
         if m.group(1) == "0":

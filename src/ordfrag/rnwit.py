@@ -622,10 +622,12 @@ def dense_to_json(K, D: DenseSetRecord) -> dict:
     }
 
 
-def _pair(parse, x, what: str) -> tuple:
+def _pair(parse, x, what: str, text: str = "point text") -> tuple:
     # checked before the cached parse, which would hash a list
     if type(x) is not list or len(x) != 2 or type(x[0]) is not str or type(x[1]) is not str:
-        raise DomainError(f"{what} {x!r} is not a pair of point texts")
+        if type(x) is not list or len(x) != 2:
+            raise DomainError(f"{what} {x!r} is not a pair")
+        raise DomainError(f"{what} {x[1] if type(x[0]) is str else x[0]!r} is not a {text}")
     return parse(x[0]), parse(x[1])
 
 
@@ -643,9 +645,9 @@ def dense_from_json(K, doc) -> DenseSetRecord:
             raise DomainError(f"selection {e!r} has no point text z")
         box = []
         for b in read_list(e.get("box"), "box"):
+            # _pair's test, inline to save a call per entry; _pair names the bad bound
             if type(b) is not list or len(b) != 2 or type(b[0]) is not str or type(b[1]) is not str:
-                for t in read_list(b, "box bounds", 2):
-                    read_fraction(t, "box bound")  # raises on the one that is not a string
+                _pair(fraction, b, "box bound", "fraction string")
             box.append((fraction(b[0]), fraction(b[1])))
         selections.append(ZSelection(
             read_int(e.get("level"), "selection level", 1),

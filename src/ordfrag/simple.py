@@ -21,6 +21,7 @@ from .errors import (
     NoRoom,
     NoSubsequence,
     NotSimpleError,
+    read_digits,
     read_int,
     read_kind,
     read_object,
@@ -542,7 +543,7 @@ def witness_to_json(rm: RegressiveMap) -> dict:
 
 def witness_from_json(doc) -> RegressiveMap:
     images = read_object(read_kind(doc, "regressive-map", "map")["map"], "map")
-    return RegressiveMap({read_int(int(x) if str(x).isdecimal() else x, "map key"):
+    return RegressiveMap({read_digits(str(x), "map key"):
                           read_int(a, f"image of {x}") for x, a in images.items()})
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ordinal as ord_
-from .errors import DomainError, read_list, read_object
+from .errors import DomainError, read_digits, read_list, read_object
 from .ordinal import Ordinal
 
 
@@ -113,10 +113,7 @@ class FiniteChain(_Chain):
         return str(p)
 
     def parse(self, text: str):
-        s = text.strip()
-        if not s.isdecimal():
-            raise DomainError(f"bad chain point {text!r}")
-        return int(s)
+        return read_digits(text.strip(), "chain point")
 
     def to_json(self) -> dict:
         d = {"kind": "finite", "size": self.size}
@@ -156,7 +153,7 @@ class SplitChain(_Chain):
         body = s[1:-1].split(",")
         if len(body) != 2 or not body[0].strip().isdecimal() or body[1].strip() not in ("+", "-"):
             raise DomainError(f"bad split point {text!r}")
-        return (int(body[0]), PLUS if body[1].strip() == "+" else MINUS)
+        return (read_digits(body[0].strip(), "split point"), PLUS if body[1].strip() == "+" else MINUS)
 
     def to_json(self) -> dict:
         return {"kind": "split", "size": self.size}
@@ -317,7 +314,7 @@ class OrderSum:
         head, _, rest = s[4:].partition(":")
         if not head.isdecimal() or not rest:
             raise DomainError(f"bad sum point {text!r}")
-        idx = int(head)
+        idx = read_digits(head, "sum part index")
         if not 0 <= idx < len(self.parts):
             raise DomainError(f"part index out of range in {text!r}")
         return (idx, self.parts[idx].parse(rest))
@@ -426,9 +423,10 @@ def render_point(space, p) -> str:
     return space.render(p)
 
 
-def parse_point(space, text: str):
+def parse_point(space, text: str, what: str = "a string"):
+    """The point `text` names; `what` names a text that is not a string."""
     if not isinstance(text, str):
-        raise DomainError(f"expected a string, got {text!r}")
+        raise DomainError(f"expected {what}, got {text!r}")
     p = space.parse(text)
     validate_point(space, p)
     return p

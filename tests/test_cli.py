@@ -437,7 +437,7 @@ class TestFrag:
         assert cli.main(["frag", "check", "--in", str(levels_file), f"--eps={eps}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"ordfrag: error: --eps takes a fraction such as 1/8, got {eps!r}\n"
+        assert captured.err == f"ordfrag: error: --eps {eps!r} is not a fraction string\n"
 
     def test_weight_triage(self, comb_file, tmp_path):
         good = run_cli("frag", "weight", "--in", str(comb_file))

@@ -359,6 +359,16 @@ def test_decomposition_levels_that_are_not_lists_are_exit_2(documents, tmp_path,
         assert f"{field} is not a list" in err, err
 
 
+@pytest.mark.parametrize("value", [3, None, ["0"]], ids=repr)
+def test_a_level_row_point_that_is_not_a_string_is_exit_2(documents, tmp_path, capsys, value):
+    _, docs = documents
+    doc = dict(docs["decomposition"], levels=[docs["decomposition"]["levels"][0], [value]])
+    path = tmp_path / "levels.json"
+    path.write_text(json.dumps(doc))
+    for err in assert_exit_2(DECOMPOSITION_COMMANDS, f"--in={path}", capsys, doc):
+        assert f"expected a point text in a level row, got {value!r}" in err, err
+
+
 @pytest.mark.parametrize("value", [3, 2.5, True, None, "1/0", "half", ["1/2"], {"1/2": 1}],
                          ids=repr)
 def test_box_bound_that_is_not_a_fraction_string_is_exit_2(comb0_bundle, tmp_path, capsys,
@@ -501,3 +511,56 @@ def test_decoders_with_no_command_refuse_only_with_domain_error(decode, make):
         with pytest.raises(DomainError) as err:
             decode(bad)
         assert names(name, str(err.value)), (name, err.value)
+
+
+# -- digit runs longer than int() reads (4300 digits by default) ----------------
+
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("field, text, message", [
+    ("interval", "part" + LONG + ":0", "sum part index has 5000 digits"),
+    ("interval", "part0:" + LONG, "chain point has 5000 digits"),
+    ("interval", "part1:" + LONG, "ordinal term has 5000 digits"),
+    ("interval", "part1:w^" + LONG, "ordinal exponent has 5000 digits"),
+    ("interval", "part1:w*" + LONG, "ordinal coefficient has 5000 digits"),
+    ("level", LONG, "ordinal term has 5000 digits"),
+    ("level", "w^" + LONG, "ordinal exponent has 5000 digits"),
+    ("budget", None, "an integer has too many digits"),
+], ids=lambda x: x[:12] if isinstance(x, str) else repr(x))
+def test_an_overlong_digit_run_in_a_tree_is_exit_2(documents, tmp_path, capsys, field, text,
+                                                    message):
+    """int() raises ValueError on such a run, which once escaped as a
+    traceback with exit 1, the status of a verified negative answer."""
+    _, docs = documents
+    doc = json.loads(json.dumps(docs["tree"]))
+    if field == "interval":
+        doc["nodes"][0]["interval"][1] = text
+    elif field == "level":
+        doc["nodes"][0]["level"] = text
+    path = tmp_path / "tree.json"
+    # json.dumps cannot write an int that long either, so it goes in as text
+    path.write_text(json.dumps(doc).replace('"v": 1', f'"{field}": {LONG}, "v": 1')
+                    if text is None else json.dumps(doc))
+    for err in assert_exit_2(TREE_COMMANDS, f"--in={path}", capsys, (field, text and text[:12])):
+        assert message in err, err
+
+
+def test_an_overlong_digit_run_in_a_split_point_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "tree.json"
+    assert cli.main(["tree", "build", "--space", '{"kind":"split","size":4}', "--budget", "9",
+                     "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["nodes"][0]["interval"][1] = f"({LONG},+)"
+    path.write_text(json.dumps(doc))
+    (err,) = assert_exit_2(TREE_COMMANDS[:1], f"--in={path}", capsys, "split")
+    assert "split point has 5000 digits" in err, err
+
+
+@pytest.mark.parametrize("key, message", [(LONG, "map key has 5000 digits"), ("-1", "bad map key '-1'"),
+                                          ("07x", "bad map key '07x'")], ids=["long", "negative", "letter"])
+def test_a_map_key_that_is_not_a_digit_run_is_a_domain_error(key, message):
+    doc = _witness()
+    doc["map"][key] = 0
+    with pytest.raises(DomainError, match=message):
+        witness_from_json(doc)

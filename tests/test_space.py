@@ -296,6 +296,9 @@ class TestRendering:
         assert render_point(K, p) == s
         assert parse_point(K, s) == p
 
+    def test_split_point_with_spaces_inside_parses(self):
+        assert parse_point(SplitChain(4), "( 3 , + )") == (3, PLUS)
+
     def test_roundtrip_random(self):
         rng = random.Random(112)
         for _ in range(1_000):
