@@ -451,9 +451,8 @@ def cmd_rn_witness(args) -> int:
     K, levels = _levels_of(args)
     fam = rn.separating_family(K, levels)
     D = rn.dense_set(K, fam, levels, args.denbound)
-    doc = rn.witness_bundle_to_json(K, fam, D)
+    doc = rn.witness_bundle_to_json(K, fam, D, levels)
     doc["space"] = K.to_json()
-    doc["levels"] = frag.levels_to_json(K, levels)["levels"]
     _emit(doc, args)
     return 0
 
@@ -470,7 +469,7 @@ def cmd_rn_dense(args) -> int:
 def cmd_rn_approx(args) -> int:
     doc = _read_doc(args)
     K = _doc_space(doc)
-    family, D = rn.witness_bundle_from_json(K, doc)
+    family, D, _levels = rn.witness_bundle_from_json(K, doc)
     w = sp.parse_point(K, args.point)
     metric = rn.pseudo_metric(family)
     z = rn.approximate(K, w, args.n, metric, D)

@@ -237,9 +237,17 @@ def levels_to_json(K, levels) -> dict:
     }
 
 
-def levels_from_json(K, doc) -> list[tuple]:
-    levels = read_list(read_kind(doc, "decomposition", "levels")["levels"], "levels")
-    if not levels:
+def read_levels(K, rows) -> list[tuple]:
+    """A document's `levels`: a nonempty list of rows of point texts.
+    A refusal of any row names the field."""
+    if not read_list(rows, "levels"):
         raise DomainError("a decomposition needs at least level 0")
-    return [tuple(sp.parse_point(K, t, "a point text in a level row") for t in read_list(row, "level row"))
-            for row in levels]
+    try:
+        return [tuple(sp.parse_point(K, t, "a point text in a level row") for t in read_list(row, "level row"))
+                for row in rows]
+    except DomainError as bad:
+        raise DomainError(f"levels: {bad}") from None
+
+
+def levels_from_json(K, doc) -> list[tuple]:
+    return read_levels(K, read_kind(doc, "decomposition", "levels")["levels"])

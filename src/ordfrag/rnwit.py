@@ -15,7 +15,6 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -24,13 +23,12 @@ from .errors import (
     DomainError,
     GuaranteeFailure,
     InternalInconsistency,
-    read_fraction,
     read_int,
     read_kind,
     read_list,
     read_object,
 )
-from .frag import delta_pairs
+from .frag import delta_pairs, levels_to_json, read_levels
 
 _ZERO = Fraction(0)
 _first = itemgetter(0)
@@ -155,11 +153,8 @@ def check_separation(K, family, pairs):
 class PseudoMetric:
     """d(u, v) = max over the family of |f(u) - f(v)|, exact rationals.
 
-    The family is indexed by order key on first use: every cut post
-    (the key of a cut's hi) sorted, for `distance` and
-    `check_separation`, and per depth the tagged gaps sorted by left
-    end, which only `approximate` reads. Built eagerly, the gap index
-    slowed `frag check`, which measures a few distances once.
+    Every cut post (the key of a cut's hi) is indexed, sorted, on first
+    use by `distance` or `check_separation`.
     """
 
     family: tuple
@@ -169,20 +164,6 @@ class PseudoMetric:
         posts = sorted(((f.space.key(hi), f) for f in self.family
                         for _lo, hi, _jump in f.cuts), key=_first)
         return [k for k, _f in posts], [f for _k, f in posts]
-
-    @functools.cached_property
-    def _gaps(self) -> dict:
-        rows: dict = {}
-        for order, f in enumerate(self.family):
-            x, y, depth = f.tag
-            if depth >= 1:
-                rows.setdefault(depth, []).append(
-                    (f.space.key(x), f.space.key(y), order, (x, y)))
-        gaps = {}
-        for depth in sorted(rows):
-            row = sorted(rows[depth], key=_first)
-            gaps[depth] = ([r[0] for r in row], list(accumulate((r[1] for r in row), max)), row)
-        return gaps
 
     def posted(self, ku, kv):
         """Yield the members with a cut post in (ku, kv], once per post,
@@ -211,24 +192,6 @@ class PseudoMetric:
                 best = d
         return best
 
-    def deepest_gap(self, kw, n: int):
-        """(k, gap): the deepest depth k <= n at which a member's gap
-        strictly contains the point keyed kw, and the gap of the first
-        such member in family order; (0, None) when there is none."""
-        for depth in sorted((d for d in self._gaps if d <= n), reverse=True):
-            lefts, reach, row = self._gaps[depth]
-            hit = None
-            # row[:i+1] opens below kw; reach[i] is the farthest it closes
-            i = bisect_left(lefts, kw) - 1
-            while i >= 0 and reach[i] > kw:
-                _kx, ky, order, gap = row[i]
-                if ky > kw and (hit is None or order < hit[0]):
-                    hit = (order, gap)
-                i -= 1
-            if hit is not None:
-                return depth, hit[1]
-        return 0, None
-
 
 def pseudo_metric(A) -> PseudoMetric:
     return A if isinstance(A, PseudoMetric) else PseudoMetric(tuple(A))
@@ -252,11 +215,10 @@ class ZSelection(NamedTuple):
 
     A depth-`level` gap is bracketed by the staircase x_0 <= ... <=
     x_level of greatest lower level points; stair j covers the region
-    (x_j, x_{j+1}] (the final stair runs to max K) and `boxes` holds the
-    canonical rational brackets around the depth-i values 1/i (i <= j)
-    and 0 (i > j) at the configured denominator bound. A named tuple:
-    a dense set holds about n log n of them, and a frozen dataclass
-    costs nearly three times as much to build.
+    (x_j, x_{j+1}] (the final stair runs to max K). Its rational boxes
+    are `_value_boxes(level, j, denominator_bound)`. A named tuple: a
+    dense set holds about n log n of them, and a frozen dataclass costs
+    nearly three times as much to build.
     """
 
     level: int
@@ -264,7 +226,6 @@ class ZSelection(NamedTuple):
     j: int
     region: tuple
     z: object
-    boxes: tuple
 
 
 @dataclass(frozen=True)
@@ -279,7 +240,8 @@ class DenseSetRecord:
 
     Construction indexes the record by order key: the point keys, one
     fence per depth (the extremes plus every m-set up to that depth,
-    sorted) and the depth-j stair points by (level, key x, key y).
+    sorted) and, deepest depth first, the gaps of each depth sorted by
+    left end, each with its final-stair point.
     """
 
     space: object
@@ -289,7 +251,7 @@ class DenseSetRecord:
     denominator_bound: int
     _keys: frozenset = field(init=False, repr=False, compare=False)
     _fences: tuple = field(init=False, repr=False, compare=False)
-    _z: dict = field(init=False, repr=False, compare=False)
+    _gaps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         key = self.space.key
@@ -304,11 +266,15 @@ class DenseSetRecord:
             depths.append(depth)
             fences.append(_sorted_by_key(fence))
         object.__setattr__(self, "_fences", (depths, fences))
-        z = {}
-        for level, (x, y), j, _region, point, _boxes in self.selections:
+        rows: dict = {}
+        for level, (x, y), j, _region, point in self.selections:
             if j == level:
-                z.setdefault((level, key(x), key(y)), point)
-        object.__setattr__(self, "_z", z)
+                rows.setdefault(level, []).append((key(x), key(y), (x, y), point))
+        gaps = {}
+        for depth in sorted(rows, reverse=True):
+            row = sorted(rows[depth], key=_first)
+            gaps[depth] = ([r[0] for r in row], row)
+        object.__setattr__(self, "_gaps", gaps)
 
     @property
     def n_cap(self) -> int:
@@ -323,8 +289,18 @@ class DenseSetRecord:
         depths, fences = self._fences
         return fences[bisect_right(depths, n)]
 
-    def z_for(self, level: int, gap):
-        return self._z.get((level, self.space.key(gap[0]), self.space.key(gap[1])))
+    def deepest_gap(self, kw, n: int):
+        """(k, gap, z): the deepest depth k <= n at which a gap of the
+        record strictly contains the point keyed kw, that gap and its
+        final-stair point; (0, None, None) when none does. The gaps of one
+        depth are consecutive points of one level, so only the last gap
+        opening below kw can contain it."""
+        for depth, (lefts, row) in self._gaps.items():
+            if depth <= n:
+                i = bisect_left(lefts, kw) - 1
+                if i >= 0 and row[i][1] > kw:
+                    return depth, row[i][2], row[i][3]
+        return 0, None, None
 
 
 def _sorted_by_key(by_key: dict) -> tuple:
@@ -332,9 +308,12 @@ def _sorted_by_key(by_key: dict) -> tuple:
     return keys, [by_key[k] for k in keys]
 
 
+@functools.cache
 def _value_boxes(level: int, j: int, bound: int) -> tuple:
     """Nearest fractions with denominator <= bound strictly around each
     depth-i value: 1/i for i <= j (stair j sits above those cuts), else 0.
+    Cached: the rows are immutable, and every document of one
+    decomposition asks for the same few.
 
     Closed form (Hardy & Wright, ch. III): the Farey neighbours of 1/i
     are k/(k*i+1) below, k = (bound-1)//i, and k/(k*i-1) above,
@@ -357,10 +336,9 @@ def dense_set(K, A, levels, denominator_bound: int = 16) -> DenseSetRecord:
 
     For each gap of A at depth n the staircase of greatest lower level
     points is computed, one least decomposition point is selected per
-    realizable stair region, and the selection is recorded together
-    with its rational box. D is the extremes, the gap endpoint sets,
-    and the selected points. Every point is keyed once, and the boxes
-    of each (depth, stair) are built once, from two `_value_boxes` rows.
+    realizable stair region, and the selection is recorded. D is the
+    extremes, the gap endpoint sets, and the selected points. Every
+    point is keyed once.
     """
     fams = _functions(A)
     if denominator_bound < 4:
@@ -400,10 +378,6 @@ def dense_set(K, A, levels, denominator_bound: int = 16) -> DenseSetRecord:
         # finite endpoint sets are closed as-is in every space kind here
         m_sets.append((n, tuple(_sorted_by_key(ends)[1])))
 
-    # box i of a depth-n stair j depends on i <= j only: slice it from two rows
-    deepest = max(by_level, default=0)
-    ones = _value_boxes(deepest, deepest, denominator_bound)
-    zeros = _value_boxes(deepest, 0, denominator_bound)
     selections = []
     # per left end x: its stairs x_0 <= x_1 <= ..., and the (j, region, z)
     # of each stair j < len - 1 with x_j < x_{j+1}; neither depends on the
@@ -419,7 +393,6 @@ def dense_set(K, A, levels, denominator_bound: int = 16) -> DenseSetRecord:
         return L[at]
 
     for n in sorted(by_level):
-        boxes = [ones[:j] + zeros[j:n] for j in range(n + 1)]
         for kx, ky, x, y in sorted(by_level[n], key=_first):
             i = bisect_left(level_keys[n], kx)
             if not (i + 1 < len(level_keys[n])
@@ -443,9 +416,9 @@ def dense_set(K, A, levels, denominator_bound: int = 16) -> DenseSetRecord:
                     rises.append((j, (p0, p1), pick(k0, k1)))
             gap = (x, y)
             for j, region, z in rises:
-                selections.append(ZSelection(n, gap, j, region, z, boxes[j]))
+                selections.append(ZSelection(n, gap, j, region, z))
             k0, p0 = stairs[n]
-            selections.append(ZSelection(n, gap, n, (p0, hi), pick(k0, k_hi), boxes[n]))
+            selections.append(ZSelection(n, gap, n, (p0, hi), pick(k0, k_hi)))
 
     return DenseSetRecord(K, tuple(_sorted_by_key(pool)[1]), tuple(m_sets),
                           tuple(selections), denominator_bound)
@@ -456,9 +429,9 @@ def approximate(K, w, n: int, A, D: DenseSetRecord):
 
     Dense-set members answer for themselves. Otherwise w is bracketed
     by its gap-endpoint neighbours u < w < v; with k the deepest depth
-    <= n whose gap strictly contains w, the recorded stair point of
-    that gap steers the choice between u and v. The bound is then
-    re-evaluated literally; a miss raises GuaranteeFailure. `A` may be
+    <= n at which a gap of D strictly contains w, that gap's final-stair
+    point steers the choice between u and v. Only the literal re-check
+    of the bound reads `A`; a miss raises GuaranteeFailure. `A` may be
     a `PseudoMetric`, whose index then serves every call.
     """
     sp.validate_point(K, w)
@@ -466,7 +439,6 @@ def approximate(K, w, n: int, A, D: DenseSetRecord):
         raise DomainError(f"depth {n} is outside 1..{D.n_cap}")
     if D.contains(w):
         return w
-    metric = pseudo_metric(A)
     key = K.key
     kw = key(w)
 
@@ -476,20 +448,17 @@ def approximate(K, w, n: int, A, D: DenseSetRecord):
         raise InternalInconsistency("query escaped the extremes")
     u, v = M[at - 1], M[at]
 
-    k, gap = metric.deepest_gap(kw, n)
+    k, gap, z_rec = D.deepest_gap(kw, n)
     if k == 0:
         z = u
     else:
-        z_rec = D.z_for(k, gap)
-        if z_rec is None:
-            raise DomainError("the dense set was not built for this family")
         kz = key(z_rec)
         if kz <= kw:
             z = z_rec if kz > M_keys[at - 1] else u
         else:
             z = z_rec if kz < M_keys[at] else v
 
-    dist = metric.distance(w, z)
+    dist = pseudo_metric(A).distance(w, z)
     if dist >= Fraction(1, n):
         raise GuaranteeFailure(
             f"d_A({sp.render_point(K, w)}, {sp.render_point(K, z)}) = {dist} >= 1/{n}",
@@ -592,16 +561,17 @@ def namioka_check(K, family, levels, *, pairs=None, sample_points=None,
                          tuple(density_failures), subsets_checked, points_checked)
 
 
+def _box_json(bound: int, level: int, j: int) -> list:
+    """The boxes of stair j of a depth-`level` gap as a document writes
+    them: one [lo, hi] pair of fraction strings per depth."""
+    return [[str(lo), str(hi)] for lo, hi in _value_boxes(level, j, bound)]
+
+
 def dense_to_json(K, D: DenseSetRecord) -> dict:
-    """Each distinct point is rendered once, and each box tuple once."""
+    """Each distinct point is rendered once, and the boxes of each
+    (level, j) once."""
     render = functools.cache(functools.partial(sp.render_point, K))
-    boxes: dict = {}
-
-    def box(s):
-        if id(s.boxes) not in boxes:
-            boxes[id(s.boxes)] = [[str(q), str(r)] for q, r in s.boxes]
-        return boxes[id(s.boxes)]
-
+    box = functools.cache(functools.partial(_box_json, D.denominator_bound))
     return {
         "v": 1,
         "kind": "rn-dense",
@@ -615,27 +585,30 @@ def dense_to_json(K, D: DenseSetRecord) -> dict:
                 "j": s.j,
                 "region": [render(s.region[0]), render(s.region[1])],
                 "z": render(s.z),
-                "box": box(s),
+                "box": box(s.level, s.j),
             }
             for s in D.selections
         ],
     }
 
 
-def _pair(parse, x, what: str, text: str = "point text") -> tuple:
+def _pair(parse, x, what: str) -> tuple:
     # checked before the cached parse, which would hash a list
-    if type(x) is not list or len(x) != 2 or type(x[0]) is not str or type(x[1]) is not str:
-        if type(x) is not list or len(x) != 2:
-            raise DomainError(f"{what} {x!r} is not a pair")
-        raise DomainError(f"{what} {x[1] if type(x[0]) is str else x[0]!r} is not a {text}")
+    if type(x) is not list or len(x) != 2:
+        raise DomainError(f"{what} {x!r} is not a pair")
+    if type(x[0]) is not str or type(x[1]) is not str:
+        raise DomainError(f"{what} {x[1] if type(x[0]) is str else x[0]!r} is not a point text")
     return parse(x[0]), parse(x[1])
 
 
 def dense_from_json(K, doc) -> DenseSetRecord:
-    """Each distinct point text and box bound is parsed once."""
+    """Each distinct point text is parsed once. A selection's box must be
+    the canonical rendering of its stair's boxes; its length is checked
+    first, so a forged level costs nothing."""
     read_kind(doc, "rn-dense", "points", "m", "z", "denbound")
+    bound = read_int(doc["denbound"], "denbound", 4)
     parse = functools.cache(functools.partial(sp.parse_point, K))
-    fraction = functools.cache(functools.partial(read_fraction, what="box bound"))
+    canonical = functools.cache(functools.partial(_box_json, bound))
     points = tuple(map(parse, read_list(doc["points"], "points", texts=True)))
     m_sets = tuple((read_int(n, "m-set depth", 1), tuple(map(parse, read_list(pts, "m-set", texts=True))))
                    for n, pts in (read_list(x, "m entry", 2) for x in read_list(doc["m"], "m")))
@@ -643,26 +616,20 @@ def dense_from_json(K, doc) -> DenseSetRecord:
     for e in read_list(doc["z"], "z"):
         if not isinstance(e, dict) or type(e.get("z")) is not str:
             raise DomainError(f"selection {e!r} has no point text z")
-        box = []
-        for b in read_list(e.get("box"), "box"):
-            # _pair's test, inline to save a call per entry; _pair names the bad bound
-            if type(b) is not list or len(b) != 2 or type(b[0]) is not str or type(b[1]) is not str:
-                _pair(fraction, b, "box bound", "fraction string")
-            box.append((fraction(b[0]), fraction(b[1])))
-        selections.append(ZSelection(
-            read_int(e.get("level"), "selection level", 1),
-            _pair(parse, e.get("gap"), "gap"),
-            read_int(e.get("j"), "selection j", 0),
-            _pair(parse, e.get("region"), "region"),
-            parse(e["z"]),
-            tuple(box),
-        ))
-    return DenseSetRecord(K, points, m_sets, tuple(selections),
-                          read_int(doc["denbound"], "denbound", 4))
+        level = read_int(e.get("level"), "selection level", 1)
+        j = read_int(e.get("j"), "selection j", 0)
+        box, want = read_list(e.get("box"), "box", level), canonical(level, j)
+        if box != want:
+            i = next(i for i, (got, ok) in enumerate(zip(box, want)) if got != ok)
+            raise DomainError(f"box {box[i]!r} at depth {i + 1} is not the canonical {want[i]!r}")
+        selections.append(ZSelection(level, _pair(parse, e.get("gap"), "gap"), j,
+                                     _pair(parse, e.get("region"), "region"), parse(e["z"])))
+    return DenseSetRecord(K, points, m_sets, tuple(selections), bound)
 
 
-def witness_bundle_to_json(K, family, D: DenseSetRecord) -> dict:
-    """The family sorted by tag, each single cut with its gap and depth."""
+def witness_bundle_to_json(K, family, D: DenseSetRecord, levels) -> dict:
+    """The family sorted by tag, each single cut with its gap and depth,
+    the dense set and the decomposition it was built from."""
     render = functools.cache(functools.partial(sp.render_point, K))
     entries = []
     for f in sorted(_functions(family), key=lambda f: _tag_key(K, f)):
@@ -674,12 +641,14 @@ def witness_bundle_to_json(K, family, D: DenseSetRecord) -> dict:
             "n": f.tag[2],
             "cut": [render(lo), render(hi)],
         })
-    return {"v": 1, "kind": "rn-witness", "family": entries, "dense": dense_to_json(K, D)}
+    return {"v": 1, "kind": "rn-witness", "family": entries, "dense": dense_to_json(K, D),
+            "levels": levels_to_json(K, levels)["levels"]}
 
 
 def witness_bundle_from_json(K, doc) -> tuple:
-    """Each distinct point text of the family is parsed once."""
-    read_kind(doc, "rn-witness", "family", "dense")
+    """(family, dense set, levels). Each distinct point text of the
+    family is parsed once."""
+    read_kind(doc, "rn-witness", "family", "dense", "levels")
     parse = functools.cache(functools.partial(sp.parse_point, K))
     family = []
     for entry in read_list(doc["family"], "family"):
@@ -687,4 +656,4 @@ def witness_bundle_from_json(K, doc) -> tuple:
         n = read_int(entry["n"], "family n", 1)
         lo, hi = _pair(parse, entry["cut"], "cut")
         family.append(StepFunction(K, ((lo, hi, Fraction(1, n)),), (x, y, n)))
-    return tuple(family), dense_from_json(K, doc["dense"])
+    return tuple(family), dense_from_json(K, doc["dense"]), read_levels(K, doc["levels"])

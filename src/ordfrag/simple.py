@@ -541,10 +541,18 @@ def witness_to_json(rm: RegressiveMap) -> dict:
     return {"v": 1, "kind": "regressive-map", "map": {str(x): a for x, a in rm.mapping.items()}}
 
 
+def _node_key(x: str) -> int:
+    """The node id a map key names, written as its canonical decimal, so
+    that no two keys name one node."""
+    node = read_digits(x, "map key")
+    if str(node) != x:
+        raise DomainError(f"map key {x!r} is not the canonical decimal {node}")
+    return node
+
+
 def witness_from_json(doc) -> RegressiveMap:
     images = read_object(read_kind(doc, "regressive-map", "map")["map"], "map")
-    return RegressiveMap({read_digits(str(x), "map key"):
-                          read_int(a, f"image of {x}") for x, a in images.items()})
+    return RegressiveMap({_node_key(str(x)): read_int(a, f"image of {x}") for x, a in images.items()})
 
 
 def violator_to_json(hv: HallViolator) -> dict:

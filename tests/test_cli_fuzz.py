@@ -19,6 +19,7 @@ from hypothesis import strategies as hst
 
 from ordfrag import cli
 from ordfrag import generators as gen
+from ordfrag import rnwit as rn
 from ordfrag.errors import DomainError
 from ordfrag.openpart import partition_open, partition_from_json, partition_to_json
 from ordfrag.ordinal import parse
@@ -369,12 +370,13 @@ def test_a_level_row_point_that_is_not_a_string_is_exit_2(documents, tmp_path, c
         assert f"expected a point text in a level row, got {value!r}" in err, err
 
 
-@pytest.mark.parametrize("value", [3, 2.5, True, None, "1/0", "half", ["1/2"], {"1/2": 1}],
-                         ids=repr)
-def test_box_bound_that_is_not_a_fraction_string_is_exit_2(comb0_bundle, tmp_path, capsys,
-                                                            value):
+@pytest.mark.parametrize("value", [3, 2.5, True, None, "1/0", "half", ["1/2"], {"1/2": 1},
+                                   "30/32", "7/8"], ids=repr)
+def test_box_bound_that_is_not_canonical_is_exit_2(comb0_bundle, tmp_path, capsys, value):
     """A JSON number or bool where a box bound belongs was once read as
-    a fraction and answered with exit 0."""
+    a fraction and answered with exit 0. A box is fixed by its level,
+    stair and denominator bound; one naming another fraction, or the
+    same fraction unreduced, was once read as it stood, with exit 0."""
     argv = ["rn", "approx", "--point", "3", "--n", "2"]
     assert cli.main([*argv, f"--in={comb0_bundle}"]) == 0
     capsys.readouterr()
@@ -383,7 +385,26 @@ def test_box_bound_that_is_not_a_fraction_string_is_exit_2(comb0_bundle, tmp_pat
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(doc))
     (err,) = assert_exit_2([argv], f"--in={path}", capsys, value)
-    assert f"box bound {value!r} is not a fraction string" in err, err
+    assert f"box {[value, '17/16']!r} at depth 1 is not the canonical ['15/16', '17/16']" in err, err
+
+
+def test_a_forged_level_is_refused_before_its_boxes_are_built(comb0_bundle, tmp_path, capsys,
+                                                              monkeypatch):
+    """The length of a box is checked before the canonical box of its
+    level is built, which at level 10^9 would take minutes."""
+    value_boxes = rn._value_boxes
+
+    def small(level, j, bound):
+        assert level < 1000, "the boxes of a forged level were built"
+        return value_boxes(level, j, bound)
+
+    monkeypatch.setattr(rn, "_value_boxes", small)
+    doc = json.loads(comb0_bundle.read_text())
+    doc["dense"]["z"][0]["level"] = 10 ** 9
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    err = refusal(["rn", "approx", "--point", "3", "--n", "2"], f"--in={path}", capsys)
+    assert err == "ordfrag: error: box is not a list of 1000000000\n"
 
 
 # -- every field the readers read, deleted or given another JSON type ----------
@@ -393,9 +414,8 @@ def test_box_bound_that_is_not_a_fraction_string_is_exit_2(comb0_bundle, tmp_pat
 WRONG_TYPES = [None, True, 2.5, 7, "x", [7], {"x": 7}]
 OWN_TYPES = {"parent": (int, type(None))}
 DELETE = object()
-# fields a document may leave out, and fields no command reads
+# fields a document may leave out
 OPTIONAL = {"budget", "limit_top", "labels"}
-UNREAD = {"rn-witness": {"levels"}}
 
 
 def fields(doc, here=()):
@@ -410,12 +430,10 @@ def fields(doc, here=()):
             yield from fields(doc[i], here + (i,))
 
 
-def mutations(doc, optional=OPTIONAL, unread=()):
+def mutations(doc, optional=OPTIONAL):
     """(field name, copy of doc) for each field of doc deleted, unless it
     is optional, and for each value of another JSON type put in its place."""
     for where in fields(doc):
-        if where[0] in unread:
-            continue
         *up, name = where
         own = OWN_TYPES.get(name, (type(functools.reduce(operator.getitem, up, doc)[name]),))
         for value in ([] if name in optional else [DELETE]) + WRONG_TYPES:
@@ -452,7 +470,7 @@ def test_every_field_of_a_document_is_refused_by_name(documents, tmp_path, capsy
                 for argv, k in DOC_COMMANDS if k == kind]
     path = tmp_path / "doc.json"
     unnamed = []
-    for name, bad in mutations(docs[kind], unread=UNREAD.get(kind, ())):
+    for name, bad in mutations(docs[kind]):
         path.write_text(json.dumps(bad))
         for argv in commands:
             err = refusal(argv, f"--in={path}", capsys)
@@ -488,7 +506,7 @@ def test_a_box_bound_that_is_a_list_is_refused_by_name(comb0_bundle, tmp_path, c
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(doc))
     err = refusal(["rn", "approx", "--point", "3", "--n", "2"], f"--in={path}", capsys)
-    assert err == "ordfrag: error: box bound ['1/2'] is not a fraction string\n"
+    assert err == "ordfrag: error: box [['1/2'], '1'] at depth 1 is not the canonical ['15/16', '17/16']\n"
 
 
 def _witness():
@@ -546,6 +564,20 @@ def test_an_overlong_digit_run_in_a_tree_is_exit_2(documents, tmp_path, capsys, 
         assert message in err, err
 
 
+@pytest.mark.parametrize("text, message", [("zz", "levels: bad chain point 'zz'"),
+                                           (LONG, "levels: chain point has 5000 digits")],
+                         ids=["letters", "long"])
+def test_a_bad_point_in_a_bundles_levels_is_exit_2(comb0_bundle, tmp_path, capsys, text, message):
+    """The levels of a bundle were once read by no command: either text
+    left `rn approx` at exit 0."""
+    doc = json.loads(comb0_bundle.read_text())
+    doc["levels"][0][0] = text
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    err = refusal(["rn", "approx", "--point", "3", "--n", "2"], f"--in={path}", capsys)
+    assert message in err, err
+
+
 def test_an_overlong_digit_run_in_a_split_point_is_exit_2(tmp_path, capsys):
     path = tmp_path / "tree.json"
     assert cli.main(["tree", "build", "--space", '{"kind":"split","size":4}', "--budget", "9",
@@ -563,4 +595,12 @@ def test_a_map_key_that_is_not_a_digit_run_is_a_domain_error(key, message):
     doc = _witness()
     doc["map"][key] = 0
     with pytest.raises(DomainError, match=message):
+        witness_from_json(doc)
+
+
+@pytest.mark.parametrize("images", [{"07": 1}, {"7": 1, "07": 2}], ids=["alone", "alias"])
+def test_a_map_key_that_is_not_canonical_is_a_domain_error(images):
+    """"7" and "07" once named one node, and the later image was kept."""
+    doc = {"v": 1, "kind": "regressive-map", "map": images}
+    with pytest.raises(DomainError, match="map key '07' is not the canonical decimal 7"):
         witness_from_json(doc)

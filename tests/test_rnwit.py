@@ -179,7 +179,8 @@ class TestDenseSet:
     def test_farey_boxes_pinned(self):
         K = FiniteChain(5)
         D = rn.dense_set(K, toy_family(), TOY_LEVELS)
-        by = {(s.level, s.gap, s.j): s.boxes for s in D.selections}
+        by = {(s.level, s.gap, s.j): rn._value_boxes(s.level, s.j, D.denominator_bound)
+              for s in D.selections}
         one = (Fraction(15, 16), Fraction(17, 16))
         half = (Fraction(7, 15), Fraction(8, 15))
         zero = (Fraction(-1, 16), Fraction(1, 16))
@@ -282,7 +283,7 @@ class TestApproximate:
         D = rn.DenseSetRecord(
             K, (0, 4),
             ((1, (0, 4)),),
-            (rn.ZSelection(1, (0, 4), 1, (0, 4), 0, ()),),
+            (rn.ZSelection(1, (0, 4), 1, (0, 4), 0),),
             16)
         return K, (f,), D
 
@@ -311,12 +312,25 @@ class TestApproximate:
             rn.approximate(K, 1, 9, fam, D)
         with pytest.raises(DomainError, match="outside"):
             rn.approximate(K, 1, 0, fam, D)
-        # D built for the depth-1 function alone: w = 1 stays outside its
-        # points and resolves to the depth-2 gap (0, 2), which it never saw
+        # D built for the depth-1 function alone never saw the depth-2
+        # gaps: it steers by its own, and the literal re-check against the
+        # whole family keeps the answer or refuses it
         D_sub = rn.dense_set(K, fam[:1], TOY_LEVELS)
         assert not D_sub.contains(1)
-        with pytest.raises(DomainError, match="not built"):
-            rn.approximate(K, 1, 2, fam, D_sub)
+        d = rn.pseudo_metric(fam).distance
+        kept = missed = 0
+        for w in range(5):
+            for n in range(1, D_sub.n_cap + 1):
+                try:
+                    z = rn.approximate(K, w, n, fam, D_sub)
+                except rn.GuaranteeFailure as bad:
+                    assert bad.distance == d(w, bad.z) >= Fraction(1, n)
+                    missed += 1
+                    continue
+                assert D_sub.contains(z) and d(w, z) < Fraction(1, n)
+                kept += 1
+        assert rn.approximate(K, 1, 2, fam, D_sub) == 2
+        assert kept and missed
 
 
 class TestNamioka:
@@ -390,7 +404,7 @@ class TestFragmentBridge:
 class TestSerialization:
     def test_family_round_trip(self):
         K, levels, fam = chain_pipeline()
-        doc = rn.witness_bundle_to_json(K, fam, rn.dense_set(K, fam, levels))
+        doc = rn.witness_bundle_to_json(K, fam, rn.dense_set(K, fam, levels), levels)
         assert doc["v"] == 1 and doc["kind"] == "rn-witness"
         assert doc["family"][0] == {"gap": ["0", "7"], "n": 1, "cut": ["0", "1"]}
         assert rn.witness_bundle_from_json(K, doc)[0] == tuple(
@@ -399,15 +413,17 @@ class TestSerialization:
     def test_witness_bundle_round_trip_over_ordinals(self):
         K, levels, fam = ordinal_pipeline()
         D = rn.dense_set(K, fam, levels)
-        doc = rn.witness_bundle_to_json(K, fam, D)
-        fam2, D2 = rn.witness_bundle_from_json(K, doc)
+        doc = rn.witness_bundle_to_json(K, fam, D, levels)
+        fam2, D2, levels2 = rn.witness_bundle_from_json(K, doc)
         assert fam2 == tuple(sorted(fam, key=lambda f: rn._tag_key(K, f)))
-        assert D2 == D
+        assert D2 == D and levels2 == levels
         # the decoded record carries the same index
         assert [D2.m_upto(n) for n in range(len(levels) + 1)] == \
             [D.m_upto(n) for n in range(len(levels) + 1)]
-        for f in fam:
-            assert D2.z_for(f.level, f.gap) == D.z_for(f.level, f.gap) is not None
+        keys = [K.key(parse(t)) for t in ("1", "w+1", "w*3+4", "w*7")]
+        found = [D.deepest_gap(kw, n) for kw in keys for n in range(1, D.n_cap + 1)]
+        assert [D2.deepest_gap(kw, n) for kw in keys for n in range(1, D.n_cap + 1)] == found
+        assert any(k for k, _gap, _z in found)
 
     def test_dense_doc_carries_boxes_as_strings(self):
         K = FiniteChain(5)
@@ -430,4 +446,4 @@ class TestSerialization:
         f = rn.StepFunction(
             K, ((0, 1, Fraction(1, 2)), (2, 3, Fraction(1, 2))), (0, 4, 1))
         with pytest.raises(DomainError, match="single-cut"):
-            rn.witness_bundle_to_json(K, (f,), rn.dense_set(K, toy_family(), TOY_LEVELS))
+            rn.witness_bundle_to_json(K, (f,), rn.dense_set(K, toy_family(), TOY_LEVELS), TOY_LEVELS)
