@@ -2,10 +2,11 @@
 
 These are the slow, obviously-correct counterparts of the constructions
 in `simple` and `openpart`, of `ptree.verify_admissible`, of the indexed
-pseudo-metric and separation sweep of `rnwit`, and of the point count of
-an ordinal interval, plus the checked contract of a space's default
-split. Tests and the acceptance suite compare fast answers against them
-on small instances; nothing here may call the fast paths.
+pseudo-metric and separation sweep of `rnwit`, of the point count of an
+ordinal interval and of the Cantor-Bendixson rank of its points, plus
+the checked contract of a space's default split. Tests and the
+acceptance suite compare fast answers against them on small instances;
+nothing here may call the fast paths.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from . import space as sp
 from .errors import DomainError
-from .ordinal import ZERO, Ordinal
+from .ordinal import ZERO, Ordinal, fundamental_sequence
 from .ptree import PartitionTree, StagedTree, Verdict, Violation
 
 # the pairwise clauses of an admissible tree in report order, with their
@@ -186,6 +187,17 @@ def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
     if ea == eb and cb > ca:
         return Ordinal(((ea, cb - ca),) + b.terms[k + 1 :])
     return Ordinal(b.terms[k:])
+
+
+def cb_rank(K: sp.OrdinalInterval, a: Ordinal) -> int:
+    """Cantor-Bendixson rank of the point a of an ordinal interval, from
+    the space's adjacency: 0 when a is isolated (the minimum, or a point
+    with a predecessor), else one more than the rank of the members past
+    the 0th of its fundamental sequence, which converge to a and hold the
+    greatest rank in each of its left neighbourhoods."""
+    if a == K.minimum() or K.adjacency(a)[0] is not None:
+        return 0
+    return 1 + cb_rank(K, fundamental_sequence(a, 1))
 
 
 def canonical_split(space, iv: sp.ClosedInterval):

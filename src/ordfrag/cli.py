@@ -387,18 +387,14 @@ def cmd_frag_delta(args) -> int:
     return 0
 
 
-def _density_pairs(K, levels, args):
-    if sp.is_finite_space(K):
-        pts = sp.enumerate_points(K)
-        return [(u, v) for i, u in enumerate(pts) for v in pts[i + 1:]]
-    return gen.seeded_pairs(K, levels[-1], random.Random(f"{args.seed}:pairs"), args.samples)
-
-
 def cmd_frag_density(args) -> int:
     K, levels = _levels_of(args)
-    pairs = _density_pairs(K, levels, args)
-    bad = frag.verify_density(K, levels[-1], pairs)
-    doc = {"v": 1, "kind": "density", "pairs_checked": len(pairs),
+    if sp.is_finite_space(K):
+        checked, bad = frag.density_sweep(K, levels[-1])
+    else:
+        pairs = gen.seeded_pairs(K, levels[-1], random.Random(f"{args.seed}:pairs"), args.samples)
+        checked, bad = len(pairs), frag.verify_density(K, levels[-1], pairs)
+    doc = {"v": 1, "kind": "density", "pairs_checked": checked,
            "ok": bad is None}
     if bad is not None:
         doc["gap"] = _render_pair(K, bad)
@@ -412,11 +408,11 @@ def cmd_frag_check(args) -> int:
     if args.members:
         members = _points(K, args.members)
     elif sp.is_finite_space(K):
-        members = sp.enumerate_points(K)
+        # the witness reads only the two least points
+        members = [q for q in (K.minimum(), K.adjacency(K.minimum())[1]) if q is not None]
     else:
-        members = sorted(levels[-1], key=K.key)
-    metric = rn.pseudo_metric(rn.separating_family(K, levels))
-    wit = frag.fragment_check(K, members, metric.distance, eps)
+        members = levels[-1]
+    wit = frag.fragment_check(K, members, eps)
     _emit({
         "v": 1,
         "kind": "fragment",

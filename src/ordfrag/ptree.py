@@ -81,7 +81,7 @@ def build_tree(space, budget: int) -> PartitionTree:
     it leaves the queue, which is in id order, and the queue holds only
     the frontier.
     """
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+    if not plain_int(budget) or budget < 1:
         raise DomainError(f"budget must be a positive int, got {budget!r}")
     if budget > NODE_CAP:
         raise RangeError(f"budget {budget} exceeds the node cap {NODE_CAP}")

@@ -21,6 +21,7 @@ from .errors import (
     NoRoom,
     NoSubsequence,
     NotSimpleError,
+    plain_int,
     read_digits,
     read_int,
     read_kind,
@@ -179,7 +180,7 @@ def transfer_cofinal(st: StagedTree, rm: RegressiveMap, target_levels) -> Regres
     """
     targets = sorted(set(target_levels))
     for lvl in targets:
-        if not isinstance(lvl, int) or isinstance(lvl, bool) or not 0 <= lvl < st.top_level:
+        if not plain_int(lvl) or not 0 <= lvl < st.top_level:
             raise DomainError(f"target level {lvl!r} outside 0..{st.top_level - 1}")
     used_sources = sorted({st.level[a] for a in rm.mapping.values()})
     taken: set[int] = set()

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ordinal as ord_
-from .errors import DomainError, read_digits, read_list, read_object
+from .errors import DomainError, plain_int, read_digits, read_list, read_object
 from .ordinal import Ordinal
 
 
@@ -76,12 +76,12 @@ class _Chain:
 
 
 def _is_index(x, n: int) -> bool:
-    """x is a plain int in 0..n-1."""
+    """x is a plain int in 0..n-1, tested inline: tree verification calls this per endpoint."""
     return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
 
 
 def _check_size(size, what: str) -> None:
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+    if not plain_int(size) or size < 1:
         raise DomainError(f"{what} size must be a positive int, got {size!r}")
 
 

@@ -18,7 +18,7 @@ from . import rnwit as rn
 from . import space as sp
 from .errors import canonical_bytes
 from .frag import (
-    cb_degree,
+    density_sweep,
     ln_decomposition,
     verify_decomposition,
     verify_delta_identity,
@@ -27,7 +27,7 @@ from .frag import (
     weight_bound,
 )
 from .openpart import OpenPartition, partition_open, verify_open_partition
-from .ordinal import Ordinal, degree, parse
+from .ordinal import Ordinal, parse
 from .ptree import build_tree, to_staged, verify_admissible
 from .simple import (
     NoRoom,
@@ -257,6 +257,11 @@ def _instances():
     yield ("ordinal", 0) + _ordinal_instance()
 
 
+def _cb_rank(a: Ordinal) -> int:
+    """Cantor-Bendixson rank of a in an ordinal interval: its last CNF exponent, 0 for zero."""
+    return a.terms[-1][0] if a.terms else 0
+
+
 def criterion_5(seed) -> CriterionResult:
     """Graded decompositions: nesting, scatteredness, gaps, density."""
     rng = _rng(seed, "c5")
@@ -276,16 +281,15 @@ def criterion_5(seed) -> CriterionResult:
             if kind == "ordinal":
                 for a in pts:
                     degree_checks += 1
-                    if cb_degree(a) != degree(a):
-                        problems.append(f"degree oracle differs at {a}")
+                    if bf.cb_rank(K, a) != _cb_rank(a):
+                        problems.append(f"CB rank oracle differs at {a}")
         if kind == "chain":
             chains += 1
-            pts = sp.enumerate_points(K)
-            pairs = [(u, v) for i, u in enumerate(pts) for v in pts[i + 1:]]
+            checked, bad = density_sweep(K, levels[-1])
         else:
             pairs = gen.seeded_pairs(K, levels[-1], rng, 200)
-        pairs_checked += len(pairs)
-        bad = verify_density(K, levels[-1], pairs)
+            checked, bad = len(pairs), verify_density(K, levels[-1], pairs)
+        pairs_checked += checked
         if bad is not None:
             problems.append(f"{kind}{size}: density fails at {bad}")
     details = {

@@ -432,6 +432,21 @@ class TestFrag:
         doc = out_json(proc)
         assert doc["inside"] and doc["diameter"] == "0"
 
+    def test_density_of_a_20000_point_chain(self, tmp_path, capsys):
+        # every pair of the chain, read off its adjacent ones
+        doc = {"v": 1, "kind": "decomposition", "space": {"kind": "finite", "size": 20000},
+               "levels": [["0", "19999"]]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["frag", "density", "--in", str(path)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"v": 1, "kind": "density", "pairs_checked": 199990000, "ok": False,
+                       "gap": ["0", "1"]}
+        doc["levels"].append([str(i) for i in range(20000)])
+        path.write_text(json.dumps(doc))
+        assert cli.main(["frag", "density", "--in", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
     @pytest.mark.parametrize("eps", ["abc", "1/0", "inf", "nan", "", "1/2/3", "0x1"])
     def test_eps_that_is_not_a_fraction_is_exit_2(self, levels_file, capsys, eps):
         assert cli.main(["frag", "check", "--in", str(levels_file), f"--eps={eps}"]) == 2

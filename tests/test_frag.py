@@ -1,20 +1,23 @@
 """Decomposition levels, gap identities, scatteredness, fragmentation."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from ordfrag import bruteforce as bf
 from ordfrag import generators as gen
 from ordfrag import space as sp
+from ordfrag import suite
 from ordfrag.errors import DomainError
 from ordfrag.frag import (
-    cb_degree,
     delta_pairs,
+    density_sweep,
     fragment_check,
     levels_from_json,
     levels_to_json,
     ln_decomposition,
-    shift_derivative,
     verify_decomposition,
     verify_delta_identity,
     verify_density,
@@ -24,7 +27,7 @@ from ordfrag.frag import (
 from ordfrag.openpart import OpenPartition, partition_open
 from ordfrag.ordinal import Ordinal, degree, parse
 from ordfrag.ptree import build_tree, to_staged
-from ordfrag.space import FiniteChain, OrdinalInterval
+from ordfrag.space import FiniteChain, OrdinalInterval, SplitChain
 
 
 def chain_stage(n=8, m=2):
@@ -120,6 +123,19 @@ class TestDensity:
         with pytest.raises(DomainError):
             verify_density(FiniteChain(5), (0, 4), [(3, 3)])
 
+    def test_the_adjacent_sweep_matches_every_pair(self):
+        rng = random.Random("density-sweep")
+        verdicts = set()
+        for _ in range(400):
+            K = rng.choice((FiniteChain, SplitChain))(rng.randint(1, 9))
+            pts = sp.enumerate_points(K)
+            level = rng.sample(pts, rng.randint(0, len(pts)))
+            pairs = [(u, v) for i, u in enumerate(pts) for v in pts[i + 1:]]
+            expect = (len(pairs), verify_density(K, level, pairs))
+            assert density_sweep(K, level) == expect, (K, level)
+            verdicts.add(expect[1] is None)
+        assert verdicts == {True, False}
+
 
 class TestScattered:
     def test_finite_sets_empty_in_one_round(self):
@@ -132,31 +148,30 @@ class TestScattered:
         rep = verify_scattered_closed(FiniteChain(3), ())
         assert rep.emptied and rep.closed
 
-    def test_shift_derivative_pinned(self):
-        assert shift_derivative(parse("w^2*3+w*2+5")) == parse("w*3+2")
-        assert shift_derivative(parse("w")) == parse("1")
-        assert shift_derivative(parse("7")) == parse("0")
-
-    def test_derivative_rounds_match_the_degree(self):
-        for text in ("0", "5", "w", "w*4+1", "w^2", "w^3+w^2*2+w+9", "w^7*3"):
-            a = parse(text)
-            assert cb_degree(a) == degree(a), text
+    def test_the_cb_rank_oracle_matches_the_closed_form(self):
+        # every ordinal below w^3 with coefficients at most 3
+        K = OrdinalInterval(parse("w^3"))
+        for coefficients in itertools.product(range(4), repeat=3):
+            a = Ordinal(tuple((e, c) for e, c in zip((2, 1, 0), coefficients) if c))
+            assert bf.cb_rank(K, a) == suite._cb_rank(a), a
+        assert bf.cb_rank(K, parse("w^2")) == 2
+        # the leading exponent is not the rank
+        assert bf.cb_rank(K, parse("w+1")) == 0 < degree(parse("w+1"))
 
     def test_ordinal_interval_points_scatter_symbolically(self):
-        # the whole interval is handled by the symbolic route; explicit
-        # finite subsets still go the literal way
+        # explicit finite subsets of an ordinal interval go the literal
+        # way; the ranks of its points are the oracle test's
         K = OrdinalInterval(parse("w^2"))
         pts = (parse("0"), parse("w"), parse("w*2"), parse("w^2"))
         rep = verify_scattered_closed(K, pts)
         assert rep.emptied and rep.closed
-        assert cb_degree(parse("w^2")) == 2
 
 
 class TestFragmentCheck:
     def test_leftmost_singleton_is_the_canonical_witness(self):
         K = FiniteChain(5)
         members = (0, 1, 2, 3, 4)
-        w = fragment_check(K, members, lambda u, v: Fraction(abs(u - v)), Fraction(1))
+        w = fragment_check(K, members, Fraction(1))
         assert w.lo is None and w.hi == 1
         assert w.inside == (0,) and w.diameter == 0
 
@@ -165,7 +180,7 @@ class TestFragmentCheck:
         d = lambda u, v: Fraction(abs(u - v), 4)
         for members in [(2, 5, 7), (0, 8), (4,), tuple(range(9))]:
             eps = Fraction(1, 2)
-            got = fragment_check(K, members, d, eps)
+            got = fragment_check(K, members, eps)
             pts = sorted(members)
             cuts = [None] + pts + [None]
             expect = None
@@ -189,7 +204,7 @@ class TestFragmentCheck:
         K = FiniteChain(6)
         members = tuple(range(6))
         zero = lambda u, v: Fraction(0)
-        w = fragment_check(K, members, zero, Fraction(1, 100))
+        w = fragment_check(K, members, Fraction(1, 100))
         assert w.diameter == 0
         whole = max(
             (zero(u, v) for i, u in enumerate(members) for v in members[i + 1 :]),
@@ -200,9 +215,9 @@ class TestFragmentCheck:
     def test_input_validation(self):
         K = FiniteChain(4)
         with pytest.raises(DomainError, match="positive"):
-            fragment_check(K, (0, 1), lambda u, v: 0, 0)
+            fragment_check(K, (0, 1), 0)
         with pytest.raises(DomainError, match="nothing"):
-            fragment_check(K, (), lambda u, v: 0, Fraction(1))
+            fragment_check(K, (), Fraction(1))
 
 
 class TestWeightBound:

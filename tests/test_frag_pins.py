@@ -133,9 +133,6 @@ def frag_record(name):
     text = lambda pts: [sp.render_point(K, q) for q in pts]
     levels = ln_decomposition(st, partition_open(st))
     final = levels[-1]
-    pos = {sp.render_point(K, q): i for i, q in enumerate(final)}
-    d = lambda u, v: Fraction(abs(pos[sp.render_point(K, u)] - pos[sp.render_point(K, v)]),
-                              len(final))
     rng = random.Random(f"frag-pins:{name}")
     members = list(final) + rng.sample(list(final), min(3, len(final)))
     rng.shuffle(members)
@@ -143,7 +140,7 @@ def frag_record(name):
     for eps in (Fraction(1, 100), Fraction(1, len(final)), Fraction(2, len(final)),
                 Fraction(1, 3), Fraction(1)):
         for pts in (final, members, levels[len(levels) // 2]):
-            w = fragment_check(K, pts, d, eps)
+            w = fragment_check(K, pts, eps)
             fragments.append([None if w.lo is None else sp.render_point(K, w.lo),
                               None if w.hi is None else sp.render_point(K, w.hi),
                               text(w.inside), str(w.diameter)])

@@ -33,8 +33,6 @@ SRC = Path(ordfrag.__file__).parent
 
 # module -> names kept without a caller in src/, each with its reason
 ALLOWED = {
-    # the Cantor-Bendixson oracle planned for criterion 5 is built on it
-    ("ordinal", "fundamental_sequence"),
     # the stricter norm audit planned for criterion 7's norm clause
     ("rnwit", "verify_step_function"),
     # decoders of documents the CLI writes

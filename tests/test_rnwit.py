@@ -391,8 +391,10 @@ class TestFragmentBridge:
         eps = Fraction(1, 8)
         for mask in range(1, 256):
             members = tuple(i for i in range(8) if mask >> i & 1)
-            w = fragment_check(K, members, d, eps)
-            assert w.diameter < eps
+            w = fragment_check(K, members, eps)
+            diam = max((d(u, v) for i, u in enumerate(w.inside) for v in w.inside[i + 1:]),
+                       default=0)
+            assert w.diameter == diam < eps
 
     def test_singleton_family_matches_its_own_difference(self):
         fam = toy_family()[:1]

@@ -9,6 +9,7 @@ without a full gate run.
 import json
 
 from ordfrag import suite
+from ordfrag.ordinal import degree
 
 
 def test_canonical_bytes_are_sorted_and_compact():
@@ -60,6 +61,14 @@ def test_decomposition_criterion_covers_both_kinds():
     assert r.passed, r.details
     assert r.details["chains"] == 61
     assert r.details["degree_cross_checks"] > 0
+
+
+def test_criterion_5_fails_when_the_closed_form_is_the_leading_exponent(monkeypatch):
+    # degree is the leading exponent, not the CB rank: w+1 has degree 1, rank 0
+    monkeypatch.setattr(suite, "_cb_rank", degree)
+    r = suite.criterion_5(0)
+    assert not r.passed
+    assert "CB rank oracle differs at w+1" in r.details["problems"]
 
 
 def test_weight_criterion_margins():
