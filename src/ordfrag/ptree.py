@@ -173,11 +173,21 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
 
     Clauses: linkage, root, nontrivial, two-point-leaf, binary-split,
     level-step, limit-intersection, reverse-inclusion, level-overlap,
-    comparability. The pairwise clauses are decided by sorting and
-    sweeping endpoint ranks (`_pair_clauses`) in O(n) memory. An
-    admissible tree takes O(n log n) time; a broken one adds its
-    violating pairs and, per node, a bisection for each non-nested edge
-    above it.
+    comparability. The per-node clauses compare endpoint keys. On an
+    admissible tree they imply the pairwise ones, so the pairwise clauses
+    cost nothing there: no sort, no rank table, no sweep. If every
+    interval is proper and every node with children has exactly two
+    that split it at one interior point, then each child lies strictly
+    inside its parent, so each descendant lies strictly inside each
+    ancestor; and two incomparable nodes lie under the two children of
+    their meet, which share one point, so they share at most a point
+    and neither lies inside the other. If levels also rise on every
+    edge, same-level nodes are incomparable, so they too share at most
+    a point, and every pairwise count is 0. Only when a per-node
+    interval clause fails, or levels do not rise on some edge, are the
+    endpoints ranked and the violating pairs enumerated by
+    `_pair_clauses` in O(n) memory; that adds a sort, the violating
+    pairs and, per node, a bisection for each non-nested edge above it.
 
     An endpoint outside the space is malformed input, not an
     inadmissible tree: once the links are mirrored and there is one
@@ -185,10 +195,11 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
     order and low end first, and the first that is not a point raises
     its DomainError before any other clause is checked.
 
-    The tree is walked at most once, up front only when some non-root
-    node's level is not above its parent's: otherwise, with the links
-    mirrored and one root, parent steps lower the level and so end at
-    the root, and no node can be cut off.
+    The tree is walked at most once: up front when some non-root node's
+    level is not above its parent's, and otherwise only by
+    `_pair_clauses` when the intervals fail a per-node clause. With the
+    links mirrored, one root and rising levels, parent steps lower the
+    level and so end at the root, and no node can be cut off.
     """
     violations: list[Violation] = []
     counts: dict[str, int] = {}
@@ -229,19 +240,15 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
         return Verdict(False, tuple(violations), counts)
 
     # each endpoint is validated and keyed once, before any clause reads
-    # it; later steps read the ranks of the keys
+    # it; the per-node clauses compare the keys
     ivs = [n.interval for n in row]
     validate = sp.validate_point
     for iv in ivs:
         validate(K, iv.lo)
         validate(K, iv.hi)
     key = K.key
-    klo = [key(iv.lo) for iv in ivs]
-    khi = [key(iv.hi) for iv in ivs]
-    rank = {k: r for r, k in enumerate(sorted(set(klo) | set(khi)))}
-    lo = [rank[k] for k in klo]
-    hi = [rank[k] for k in khi]
-    del klo, khi, rank
+    lo = [key(iv.lo) for iv in ivs]
+    hi = [key(iv.hi) for iv in ivs]
 
     # levels by rank, keyed by their term tuples: rank order is the
     # ordinal order. Per distinct level, whether it is a limit and the
@@ -269,32 +276,39 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
     times = cache(lambda: _walk(row, pos, rp))  # DFS (tin, tout), walked once
 
     # reachability (cycles would hide below a fake root)
-    if not all(q < 0 or lvl[q] < r for q, r in zip(par, lvl)):
+    rising = all(q < 0 or lvl[q] < r for q, r in zip(par, lvl))
+    if not rising:
         tin, _ = times()
         unreachable = [i for p, i in enumerate(ids) if tin[p] < 0]
         if unreachable:
             report("linkage", tuple(unreachable[:8]), f"{len(unreachable)} nodes unreachable from root")
             return Verdict(False, tuple(violations), counts)
 
+    nested = True  # every interval proper and every split binary at an interior point
     for p, (i, n) in enumerate(zip(ids, row)):
-        kids = n.children
-        # distinct endpoints span at least two points; only a node with
-        # children needs to know whether exactly two
         if lo[p] > hi[p]:
+            nested = False
             report("nontrivial", (i,), "interval endpoints out of order")
             report("nontrivial", (i,), "interval has 0 points")
         elif lo[p] == hi[p]:
+            nested = False
             report("nontrivial", (i,), "interval has 1 points")
-        elif kids and K.count(n.interval.lo, n.interval.hi) == 2:
-            report("two-point-leaf", (i,), "two-point interval has children")
+        kids = n.children
         if len(kids) == 2:
             a, b = pos[kids[0]], pos[kids[1]]
             if lo[a] > lo[b]:
                 a, b = b, a
-            if not lo[a] == lo[p] < hi[a] == lo[b] < hi[b] == hi[p]:
-                report("binary-split", (i, ids[a], ids[b]), "children do not split at a single interior point")
-        elif kids:
-            report("binary-split", (i,), "exactly one child" if len(kids) == 1 else f"{len(kids)} children")
+            fault = None if lo[a] == lo[p] < hi[a] == lo[b] < hi[b] == hi[p] else (
+                (i, ids[a], ids[b]), "children do not split at a single interior point")
+        else:
+            fault = kids and ((i,), "exactly one child" if len(kids) == 1 else f"{len(kids)} children")
+        if fault:
+            # an interior split point makes three points, so only a bad
+            # split can sit on a two-point interval
+            nested = False
+            if lo[p] < hi[p] and K.count(n.interval.lo, n.interval.hi) == 2:
+                report("two-point-leaf", (i,), "two-point interval has children")
+            report("binary-split", *fault)
         q = par[p]
         if q < 0:
             continue
@@ -315,13 +329,15 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
         elif r != step[lvl[q]]:
             report("level-step", (i,), f"level {n.level} is not parent level {row[q].level} + 1")
 
-    # pairwise clauses on endpoint ranks
-    found = _pair_clauses(lo, hi, lvl, par, times)
-    for clause, detail in _PAIR_CLAUSES.items():
-        count, first = found[clause]
-        if count:
-            counts[clause] = count
-            violations.extend(Violation(clause, (ids[r], ids[c]), detail) for r, c in first)
+    if not (nested and rising):
+        # pairwise clauses on endpoint ranks
+        rank = {k: r for r, k in enumerate(sorted({*lo, *hi}))}
+        found = _pair_clauses([rank[k] for k in lo], [rank[k] for k in hi], lvl, par, times, nested)
+        for clause, detail in _PAIR_CLAUSES.items():
+            count, first = found[clause]
+            if count:
+                counts[clause] = count
+                violations.extend(Violation(clause, (ids[r], ids[c]), detail) for r, c in first)
 
     return Verdict(not violations and not counts, tuple(violations), counts)
 
@@ -369,7 +385,7 @@ class _PairLog:
         return self.count, sorted((-a, -b) for a, b in self._heap)
 
 
-def _pair_clauses(lo, hi, lvl, par, times) -> dict:
+def _pair_clauses(lo, hi, lvl, par, times, nested: bool) -> dict:
     """The pairwise clauses on ranks by position: per clause, the number
     of violating unordered pairs and the first _PAIR_REPORT_CAP of them
     as position pairs (r, c), r < c, in increasing order. `times()`
@@ -381,62 +397,28 @@ def _pair_clauses(lo, hi, lvl, par, times) -> dict:
     incomparable intervals to share at most a point and
     `level-overlap` wants the same of same-level intervals.
 
-    Admissible trees take the fast path: every edge strictly nested
-    with levels rising, all intervals proper, and a stack sweep in
-    (lo, -hi) order showing that each node's innermost open interval is
-    its parent's. Then every violating count is zero, and the tree is
-    not walked. Two equal intervals fail the sweep in either order, so
-    it needs no tie-break. Otherwise the violating pairs are
+    `nested` says the per-node clauses held: every interval is proper
+    and every split binary at an interior point, which (see
+    `verify_admissible`) leaves no reverse-inclusion or comparability
+    pair, so only the same-level pairs are enumerated and the tree is
+    not walked. Otherwise the violating pairs of every clause are
     enumerated, each once, without visiting the ancestor pairs that are
-    in order; that sweep breaks ties by DFS entry time.
+    in order, in a sweep by (lo, -hi) that breaks ties by DFS entry
+    time.
     """
-    n = len(lo)
     logs = {clause: _PairLog() for clause in _PAIR_CLAUSES}
-    laminar = (
-        all(q < 0 or (lo[q] <= a and b <= hi[q] and (lo[q] < a or b < hi[q]))
-            for q, a, b in zip(par, lo, hi))
-        and all(a < b for a, b in zip(lo, hi))
-        and _stack_follows_tree(_sweep_order(lo, hi), lo, hi, par)
-    )
-    if not laminar:
+    if not nested:
         tin, tout = times()
-        sweep = sorted(range(n), key=lambda v: (lo[v], -hi[v], tin[v]))
+        sweep = sorted(range(len(lo)), key=lambda v: (lo[v], -hi[v], tin[v]))
         _ancestor_pairs(lo, hi, par, tin, logs["reverse-inclusion"])
         _crossing_pairs(lo, hi, tin, tout, sweep, logs["reverse-inclusion"], logs["comparability"])
-    if not (laminar and all(q < 0 or lvl[q] < r for q, r in zip(par, lvl))):
-        # with nested intervals and rising levels, same-level nodes are
-        # incomparable and so already share at most a point
-        _level_overlaps(lo, hi, lvl, logs["level-overlap"])
+    _level_overlaps(lo, hi, lvl, logs["level-overlap"])
     return {clause: log.result() for clause, log in logs.items()}
-
-
-def _sweep_order(lo, hi) -> list[int]:
-    """Positions in (lo, -hi) order, sorted on one int per node."""
-    width = max(hi) + 1
-    order = [a * width - b for a, b in zip(lo, hi)]
-    return sorted(range(len(lo)), key=order.__getitem__)
 
 
 def _strictly_inside(lo, hi, u, v) -> bool:
     """[lo, hi] of v lies inside that of u and differs from it."""
     return lo[u] <= lo[v] and hi[v] <= hi[u] and (lo[u] < lo[v] or hi[v] < hi[u])
-
-
-def _stack_follows_tree(sweep, lo, hi, par) -> bool:
-    """Sweep proper intervals by (lo, -hi), keeping a stack of those that
-    extend past the current low; each must find its parent on top.
-
-    The stack stays a root path, so an earlier interval overlapping a
-    later one is always on it, that is, an ancestor.
-    """
-    stack: list[int] = []
-    for v in sweep:
-        while stack and hi[stack[-1]] <= lo[v]:
-            stack.pop()
-        if (stack[-1] if stack else -1) != par[v]:
-            return False
-        stack.append(v)
-    return True
 
 
 def _ancestor_pairs(lo, hi, par, tin, log: _PairLog) -> None:

@@ -618,6 +618,8 @@ def dense_from_json(K, doc) -> DenseSetRecord:
             raise DomainError(f"selection {e!r} has no point text z")
         level = read_int(e.get("level"), "selection level", 1)
         j = read_int(e.get("j"), "selection j", 0)
+        if j > level:  # every j above the level would name the same boxes
+            raise DomainError(f"selection j {j!r} is not an int in 0..{level}")
         box, want = read_list(e.get("box"), "box", level), canonical(level, j)
         if box != want:
             i = next(i for i, (got, ok) in enumerate(zip(box, want)) if got != ok)

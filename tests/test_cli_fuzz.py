@@ -418,6 +418,22 @@ def test_a_forged_level_is_refused_before_its_boxes_are_built(comb0_bundle, tmp_
     assert err == "ordfrag: error: box is not a list of 1000000000\n"
 
 
+@pytest.mark.parametrize("above", [1, 5])
+def test_a_selection_j_above_its_level_is_exit_2(comb0_bundle, tmp_path, capsys, above):
+    """Every j above the level names the boxes of j = level, so a
+    final-stair selection with j = level + 5 was once read with exit 0."""
+    argv = ["rn", "approx", "--point", "3", "--n", "2"]
+    assert cli.main([*argv, f"--in={comb0_bundle}"]) == 0
+    capsys.readouterr()
+    doc = json.loads(comb0_bundle.read_text())
+    final = next(e for e in doc["dense"]["z"] if e["j"] == e["level"])
+    final["j"] = final["level"] + above
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    err = refusal(argv, f"--in={path}", capsys)
+    assert err == f"ordfrag: error: selection j {final['j']} is not an int in 0..{final['level']}\n"
+
+
 # -- every field the readers read, deleted or given another JSON type ----------
 
 # one value of each JSON type; a field is given each one not of its own

@@ -270,8 +270,9 @@ class TestVerify:
     @pytest.mark.parametrize("mutation", ["swap", "whole", "equal", "reversed", "one-point"])
     def test_rising_levels_walk_only_when_the_intervals_ask(self, monkeypatch, mutation):
         """Levels rise on every edge, so reachability needs no walk; the
-        pairwise sweep walks the tree once, and only when the intervals
-        are not laminar."""
+        pairwise enumeration walks the tree once, and only when an
+        interval fails a per-node clause (nontrivial, two-point-leaf or
+        binary-split), as each mutation here makes one do."""
         tree = build_tree(FiniteChain(9), 15)
         walks = _count_walks(monkeypatch)
         assert verify_admissible(tree).ok and walks == []
@@ -466,6 +467,58 @@ def outcome(verify, tree):
     except DomainError as err:
         return str(err)
     return v.ok, v.violations, list(v.counts.items())
+
+
+class TestVerifyPairwiseClauses:
+    @pytest.mark.parametrize("fault", [None, "level-step"])
+    @pytest.mark.parametrize("K", SMALL_SPACES[1:], ids=lambda K: type(K).__name__)
+    def test_admissible_trees_neither_walk_nor_sweep(self, monkeypatch, K, fault):
+        """With every per-node interval clause holding and levels rising
+        on every edge, the pairwise clauses cannot fail, so the endpoints
+        are neither ranked nor swept; a level-step fault that keeps levels
+        rising (a leaf at its parent's level + 2) does not change that."""
+        tree = build_tree(K, 31)
+        if fault:
+            rows = {i: [i, n.interval.lo, n.interval.hi, n.level, n.parent]
+                    for i, n in tree.nodes.items()}
+            leaf = max(i for i, n in tree.nodes.items() if not n.children)
+            rows[leaf][3] = add(rows[rows[leaf][4]][3], from_int(2))
+            tree = make_tree(K, [tuple(r) for r in rows.values()], tree.budget)
+        want = definitional_verify_admissible(tree)
+
+        def refuse(*args):
+            raise AssertionError("the pairwise clauses were enumerated")
+
+        for name in ("_pair_clauses", "_walk", "_crossing_pairs", "_level_overlaps"):
+            monkeypatch.setattr(ptree, name, refuse)
+        got = verify_admissible(tree)
+        assert got == want
+        assert got.counts == ({} if fault is None else {"level-step": 1})
+
+    @pytest.mark.parametrize("case", ["unary", "two-point", "three-children"])
+    def test_laminar_trees_failing_only_per_node_clauses_keep_their_verdicts(self, monkeypatch,
+                                                                             case):
+        """Trees whose intervals are nested or share at most a point, but
+        that fail a per-node interval clause, take the enumeration path
+        and give the oracle's verdict: a unary node strictly inside its
+        parent, a two-point node split into its two points, and a node
+        with three children."""
+        if case == "unary":
+            rows = [(0, 0, 4, ZERO, None), (1, 0, 2, from_int(1), 0)]
+            want = {"binary-split": 1}
+        elif case == "two-point":  # the one-point children are nontrivial faults too
+            rows = [(0, 0, 1, ZERO, None), (1, 0, 0, from_int(1), 0), (2, 1, 1, from_int(1), 0)]
+            want = {"nontrivial": 2, "two-point-leaf": 1, "binary-split": 1}
+        else:
+            rows = [(0, 0, 6, ZERO, None), (1, 0, 2, from_int(1), 0), (2, 2, 4, from_int(1), 0),
+                    (3, 4, 6, from_int(1), 0)]
+            want = {"binary-split": 1}
+        tree = make_tree(FiniteChain(rows[0][2] + 1), rows)
+        walks = _count_walks(monkeypatch)
+        got = verify_admissible(tree)
+        assert got == definitional_verify_admissible(tree)
+        assert got.counts == want
+        assert walks == [len(rows)]
 
 
 class TestVerifyAgainstDefinitionalOracle:
