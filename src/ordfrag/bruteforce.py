@@ -211,7 +211,7 @@ def canonical_split(space, iv: sp.ClosedInterval):
     when the boundary collides with an endpoint.
     """
     cnt = sp.point_count(space, iv)
-    if cnt is not sp.INFINITE and cnt < 3:
+    if cnt < 3:
         raise DomainError("need at least three points to split")
     w = space.split(iv.lo, iv.hi, cnt)
     if sp.compare_points(space, iv.lo, w) != "less" or sp.compare_points(space, w, iv.hi) != "less":

@@ -31,6 +31,7 @@ from .errors import (
     OrdfragError,
     RangeError,
     canonical_bytes,
+    read_digits,
     read_fraction,
 )
 from .ptree import (
@@ -251,11 +252,11 @@ def cmd_staged_gen(args) -> int:
 
 
 def _level_list(text: str, flag: str) -> list[int]:
-    """The levels of a comma-separated flag; blank parts are skipped."""
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as err:
-        raise DomainError(f"{flag} takes comma-separated levels, got {text!r}") from err
+    """The levels, digit runs, of a comma-separated flag; blank parts are skipped."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not all(map(str.isdecimal, parts)):
+        raise DomainError(f"{flag} takes comma-separated levels, got {text!r}")
+    return [read_digits(part, f"{flag} level") for part in parts]
 
 
 def cmd_staged_cut(args) -> int:

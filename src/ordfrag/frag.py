@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from . import space as sp
 from .errors import DomainError, read_kind, read_list
-from .openpart import OpenPartition, rank, verify_open_partition
-from .ptree import StagedTree
-from .simple import RegressiveMap, is_simple, pool_ancestors
+
+# the staged layer (openpart, simple) is imported by the two functions that read a stage
+
 
 def ln_decomposition(st: StagedTree, p: OpenPartition) -> list[tuple]:
     """Endpoint sets graded by partition rank, boundary points first.
@@ -28,6 +28,8 @@ def ln_decomposition(st: StagedTree, p: OpenPartition) -> list[tuple]:
     endpoints of every node whose root branch meets at most n cells.
     The partition is re-verified before anything is read off it.
     """
+    from .openpart import rank, verify_open_partition
+
     if st.payload is None or st.space is None:
         raise DomainError("decomposition needs payload intervals")
     bad = verify_open_partition(st, p)
@@ -196,6 +198,8 @@ def weight_bound(st: StagedTree) -> WeightReport:
     a simple top level can never outnumber them. The Hall pair records
     the exact deficiency otherwise.
     """
+    from .simple import RegressiveMap, is_simple, pool_ancestors
+
     tops = sorted(st.tops())
     reach = set()
     for y in tops:

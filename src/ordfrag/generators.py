@@ -102,6 +102,22 @@ class _Builder:
         return st
 
 
+def _add_comb(b: _Builder, root, base: int, teeth: int, lo: int, hi: int, width: int,
+              top: int) -> None:
+    """A right comb under root (None for none): spine node i at level
+    base + i holds [lo + i * width, hi], and its tooth climbs to the top
+    level, one point shorter per level, inside its block of width
+    points. The spine goes in first, then each tooth in spine order."""
+    spine = []
+    for i in range(teeth):
+        spine.append(b.add(spine[-1] if spine else root, base + i,
+                           ClosedInterval(lo + i * width, hi)))
+    for i, cur in enumerate(spine):
+        start = lo + i * width
+        for depth in range(1, top - base - i + 1):
+            cur = b.add(cur, base + i + depth, ClosedInterval(start, start + width - 1 - depth))
+
+
 def gen_comb(seed, teeth=None, room=None) -> StagedTree:
     """A right comb with payload: a spine hugging the right edge and one
     unary tooth per spine node, every tooth reaching the top level with
@@ -118,17 +134,8 @@ def gen_comb(seed, teeth=None, room=None) -> StagedTree:
     m = t + r
     width = m + 2
     K = FiniteChain(t * width)
-    hi = t * width - 1
     b = _Builder()
-    spine = []
-    for i in range(t):
-        parent = spine[-1] if spine else None
-        spine.append(b.add(parent, i, ClosedInterval(i * width, hi)))
-    for i in range(t):
-        cur = spine[i]
-        for lvl in range(i + 1, m + 1):
-            depth = lvl - i
-            cur = b.add(cur, lvl, ClosedInterval(i * width, i * width + width - 1 - depth))
+    _add_comb(b, None, 0, t, 0, t * width - 1, width, m)
     return b.staged(m, range(t, m), space=K)
 
 
@@ -257,22 +264,8 @@ def gen_two_comb(seed):
     K = FiniteChain(total)
     b = _Builder()
     root = b.add(None, 0, ClosedInterval(0, total - 1))
-
-    def comb(t, lo_edge, hi_edge):
-        spine = []
-        for i in range(t):
-            parent = spine[-1] if spine else root
-            start = lo_edge + i * width
-            spine.append(b.add(parent, 1 + i, ClosedInterval(start, hi_edge)))
-        for i in range(t):
-            cur = spine[i]
-            start = lo_edge + i * width
-            for lvl in range(2 + i, m + 1):
-                depth = lvl - (1 + i)
-                cur = b.add(cur, lvl, ClosedInterval(start, start + width - 1 - depth))
-
-    comb(t_a, 0, t_a * width - 1)
-    comb(t_b, t_a * width, total - 1)
+    _add_comb(b, root, 1, t_a, 0, t_a * width - 1, width, m)
+    _add_comb(b, root, 1, t_b, t_a * width, total - 1, width, m)
     pool = {1, 2} | set(range(dmin, m))
     st = b.staged(m, pool, space=K)
 

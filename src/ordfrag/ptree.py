@@ -95,7 +95,7 @@ def build_tree(space, budget: int) -> PartitionTree:
     while queue and next_id + 2 <= budget:
         nid, iv, lvl, parent = queue.popleft()
         cnt = space.count(iv.lo, iv.hi)
-        if cnt is not sp.INFINITE and cnt <= 2:
+        if cnt <= 2:
             nodes[nid] = TreeNode(nid, iv, lvl, parent)
             continue
         w = space.split(iv.lo, iv.hi, cnt)
@@ -792,7 +792,7 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
         for i in row:
             n = tree.nodes[i]
             cnt = K.count(n.interval.lo, n.interval.hi)
-            if (cnt is sp.INFINITE or cnt > 2) and not n.children:
+            if cnt > 2 and not n.children:
                 raise InsufficientMaterialization(
                     f"node {i} at level {lvl} is unexpanded but level {m} was requested"
                 )

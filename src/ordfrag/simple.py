@@ -134,13 +134,10 @@ def is_simple(st: StagedTree, members) -> RegressiveMap | HallViolator:
     return HallViolator(frozenset(w_set), frozenset(n_set))
 
 
-def verify_simple_witness(st: StagedTree, members, rm: RegressiveMap) -> list[str]:
-    """All the ways rm fails to witness simplicity of the member set."""
+def _regressive_problems(st: StagedTree, rm: RegressiveMap) -> list[str]:
+    """The ways some member of rm fails to map to a strict ancestor at a
+    pool level; images may be shared."""
     problems = []
-    members = sorted(set(members))
-    if sorted(rm.mapping) != members:
-        problems.append("domain does not equal the member set")
-    seen: dict[int, int] = {}
     for x, a in rm.mapping.items():
         if a not in st.parent:
             problems.append(f"{x} maps to unknown node {a}")
@@ -149,6 +146,17 @@ def verify_simple_witness(st: StagedTree, members, rm: RegressiveMap) -> list[st
             problems.append(f"{x} maps to level {st.level[a]}, not a pool level")
         if st.level[a] >= st.level.get(x, -1) or st.ancestor_at(x, st.level[a]) != a:
             problems.append(f"{a} is not a strict ancestor of {x}")
+    return problems
+
+
+def verify_simple_witness(st: StagedTree, members, rm: RegressiveMap) -> list[str]:
+    """All the ways rm fails to witness simplicity of the member set."""
+    problems = []
+    if sorted(rm.mapping) != sorted(set(members)):
+        problems.append("domain does not equal the member set")
+    problems += _regressive_problems(st, rm)
+    seen: dict[int, int] = {}
+    for x, a in rm.mapping.items():
         if a in seen:
             problems.append(f"nodes {seen[a]} and {x} share the image {a}")
         seen[a] = x
@@ -228,8 +236,7 @@ def compose_fibrewise(
     missing pool level there raises NoRoom with the exact bound.
     """
     domain = _check_node_set(st, pi.mapping.keys())
-    problems = verify_simple_witness(st, domain, pi)
-    problems = [p for p in problems if "share the image" not in p]  # pi need not be injective
+    problems = _regressive_problems(st, pi)  # pi need not be injective
     if problems:
         raise DomainError("bad coarse map: " + "; ".join(problems))
 
@@ -242,10 +249,6 @@ def compose_fibrewise(
     lifted: dict[int, int] = {}
     for w, members in sorted(fibres.items()):
         fm = fibre_maps[w]
-        if sorted(fm.mapping) != members:
-            raise DomainError(f"fibre map at {w} is not defined on exactly the fibre")
-        if len(set(fm.mapping.values())) != len(fm.mapping):
-            raise DomainError(f"fibre map at {w} is not injective")
         bad = verify_simple_witness(st, members, fm)
         if bad:
             raise DomainError(f"bad fibre map at {w}: " + "; ".join(bad))
@@ -367,7 +370,7 @@ def bounded_regressive(st: StagedTree, members) -> BoundedRegressive:
     Members entirely to its left step to the shallowest pool ancestor
     whose payload still clears that minimum; the rest take their
     deepest pool ancestor. One certificate per fibre records which case
-    applied, and is checked before returning.
+    applied, and `verify_bound_certificates` checks them before returning.
     """
     if st.payload is None or st.space is None:
         raise DomainError("bounded maps need payload intervals")
@@ -383,7 +386,7 @@ def bounded_regressive(st: StagedTree, members) -> BoundedRegressive:
     anchor = lo[b_star]
 
     mapping: dict[int, int] = {}
-    strict: set[int] = set()
+    strict: set[int] = set()  # images of members left of the anchor
     for a in members:
         cands = pool_ancestors(st, a)
         if not cands:
@@ -393,25 +396,17 @@ def bounded_regressive(st: StagedTree, members) -> BoundedRegressive:
             if pick is None:
                 raise NoRoom(a, None, "no pool ancestor stays below the anchor minimum")
             mapping[a] = pick
-            strict.add(a)
+            strict.add(pick)
         else:
             mapping[a] = cands[-1]
 
-    certificates: dict[int, BoundCertificate] = {}
-    fibres: dict[int, list[int]] = {}
-    for a in members:
-        fibres.setdefault(mapping[a], []).append(a)
-    for w, xs in sorted(fibres.items()):
-        if any(x in strict for x in xs):
-            cert = BoundCertificate(w, b_star, "strict")
-            if not hi[w] < anchor:
-                raise InternalInconsistency(f"strict certificate at {w} fails its bound")
-        else:
-            cert = BoundCertificate(w, b_star, "trivial")
-            if any(lo[x] > anchor for x in xs):
-                raise InternalInconsistency(f"trivial certificate at {w} fails its bound")
-        certificates[w] = cert
-    return BoundedRegressive(RegressiveMap(mapping), certificates)
+    br = BoundedRegressive(RegressiveMap(mapping), {
+        w: BoundCertificate(w, b_star, "strict" if w in strict else "trivial")
+        for w in sorted(set(mapping.values()))})
+    problems = verify_bound_certificates(st, br)
+    if problems:
+        raise InternalInconsistency("bounded map fails its certificates: " + "; ".join(problems))
+    return br
 
 
 def verify_bound_certificates(st: StagedTree, br: BoundedRegressive) -> list[str]:
@@ -454,24 +449,24 @@ def endpoint_LR(st: StagedTree, members):
     if st.payload is None or st.space is None:
         raise DomainError("endpoint classification needs payload intervals")
     K = st.space
-    if not sp.is_finite_space(K):
+    if not sp.is_finite_space(K):  # condensation_core, which starts here, enumerates it
         raise DomainError("endpoint classification enumerates the space; it must be finite")
     members = _check_node_set(st, members)
-    keys = [K.key(p) for p in sp.enumerate_points(K)]
-    index = {k: i for i, k in enumerate(keys)}
+    top = K.key(K.maximum())
     lo, hi = st.payload_keys
     left: set[int] = set()
     right: set[int] = set()
     for b in members:
         for anc in pool_ancestors(st, b):
-            if index[lo[anc]] > 0:
-                x = keys[index[lo[anc]] - 1]
+            pred = K.adjacency(st.payload[anc].lo)[0]
+            if pred is not None:
+                x = K.key(pred)
                 window = frozenset(a for a in members if lo[a] > x and hi[a] <= lo[b])
                 if _simple(st, window):
                     left.add(b)
                     break
         for anc in pool_ancestors(st, b):
-            if index[hi[anc]] < len(keys) - 1:
+            if hi[anc] != top:
                 window = frozenset(a for a in members if lo[a] >= hi[b] and hi[a] <= hi[anc])
                 if _simple(st, window):
                     right.add(b)

@@ -33,14 +33,15 @@ from .errors import DomainError, plain_int, read_digits, read_list, read_object
 from .ordinal import Ordinal
 
 
-class _Infinite:
-    """Sentinel for countably infinite point counts."""
+class _Infinite(float):
+    """The count of a countably infinite interval: one float infinity,
+    so it compares above every finite count, that prints as INFINITE."""
 
     _instance = None
 
-    def __new__(cls):
+    def __new__(cls, *_):
         if cls._instance is None:
-            cls._instance = super().__new__(cls)
+            cls._instance = super().__new__(cls, "inf")
         return cls._instance
 
     def __repr__(self):

@@ -294,7 +294,11 @@ class TestStaged:
         ("3", "0,3", "strictly below the top level 3"),
         ("3", "0,x", "--pool takes comma-separated levels"),
         ("30", "0", "tree has no node at the top level 30"),
-    ], ids=["negative-level", "pool-at-the-top", "pool-not-a-number", "below-the-deepest-level"])
+        ("3", "1_0", "--pool takes comma-separated levels, got '1_0'"),
+        ("3", "0,+1", "--pool takes comma-separated levels, got '0,+1'"),
+        ("3", "-1", "--pool takes comma-separated levels, got '-1'"),
+    ], ids=["negative-level", "pool-at-the-top", "pool-not-a-number", "below-the-deepest-level",
+            "pool-underscore", "pool-plus-sign", "pool-minus-sign"])
     def test_bad_cut_is_exit_2(self, tmp_path, capsys, level, pool, message):
         tree = tmp_path / "tree.json"
         assert cli.main(["tree", "build", "--space", SPACE8, "--budget", "20",
@@ -311,8 +315,10 @@ class TestStaged:
          "--levels takes comma-separated levels, got 'a,b'"),
         ("comb", None, ["cofinal", "--levels", ","],
          "--levels takes comma-separated levels, got ','"),
+        ("comb", None, ["cofinal", "--levels", "+5,0_6"],
+         "--levels takes comma-separated levels, got '+5,0_6'"),
     ], ids=["compose-without-payload", "compose-empty-pool", "cofinal-levels-not-numbers",
-            "cofinal-levels-blank"])
+            "cofinal-levels-blank", "cofinal-levels-signed"])
     def test_bad_construct_input_is_exit_2(self, tmp_path, capsys, kind, reshape, argv,
                                            message):
         """Each of these used to leave `staged construct` with a traceback

@@ -22,7 +22,6 @@ BROAD = {"AttributeError", "IndexError", "KeyError", "TypeError", "ValueError",
 
 # (module, function) -> the one call its handler guards
 ALLOWED = {
-    ("cli", "_level_list"): "int() of each part of a comma-separated level flag",
     ("cli", "_load"): "json.loads() of a document, which refuses an overlong integer",
     ("errors", "read_digits"): "int() of a digit run, which refuses an overlong one",
     ("errors", "read_fraction"): "Fraction() of a fraction string",

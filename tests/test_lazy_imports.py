@@ -41,9 +41,9 @@ ROWS = [
     (["staged", "check-simple", "--in", "@comb"], {"simple"}),
     (["staged", "partition", "--in", "@comb"], {"openpart", "simple"}),
     (["frag", "ln", "--in", "@comb"], {"frag", "openpart", "simple"}),
-    (["frag", "check", "--in", "@levels"], {"frag", "openpart", "simple"}),
-    # rnwit imports frag, which imports openpart and simple
-    (["rn", "witness", "--in", "@levels"], {"rnwit", "frag", "openpart", "simple"}),
+    (["frag", "check", "--in", "@levels"], {"frag"}),
+    # rnwit imports frag, which imports openpart and simple only when staging
+    (["rn", "witness", "--in", "@levels"], {"rnwit", "frag"}),
 ]
 
 

@@ -1,5 +1,6 @@
 """Open partitions: construction, verification, rank, and stages."""
 
+import random
 import re
 
 import pytest
@@ -198,6 +199,76 @@ class TestVerifier:
         problems = verify_open_partition(st, discrete)
         assert problems and all(msg.startswith("openness") for msg in problems)
         assert len(problems) == len(st.tops())
+
+
+def pairwise_shape_clauses(st, p) -> dict[int, set[str]]:
+    """The chain and convexity clauses as first written: a chain problem
+    for every pair of incomparable members, through their meet, and a
+    convexity problem for every member, by level, whose parent is not
+    the one before it. Cell index to the clauses it fails."""
+    out = {}
+    for k, cell in enumerate(p.cells):
+        members = sorted((v for v in cell if v in st.parent), key=lambda v: st.level[v])
+        clauses = set()
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                if st.meet(members[i], members[j]) not in (members[i], members[j]):
+                    clauses.add("chain")
+        for u, v in zip(members, members[1:]):
+            if st.parent[v] != u:
+                clauses.add("convexity")
+        out[k] = clauses
+    return out
+
+
+def random_cells(st, rng) -> OpenPartition:
+    """Each node, by level, joins its parent's cell, the cell of a
+    deeper ancestor, any cell so far, or a cell of its own."""
+    cell_of = {}
+    for v in sorted(st.parent, key=lambda v: (st.level[v], v)):
+        up, r = st.parent[v], rng.random()
+        if up is not None and r < 0.45:
+            cell_of[v] = cell_of[up]
+        elif up is not None and r < 0.6:
+            cell_of[v] = cell_of[st.ancestor_at(v, rng.randrange(st.level[v]))]
+        elif r < 0.75 and cell_of:
+            cell_of[v] = rng.choice(sorted(cell_of.values()))
+        else:
+            cell_of[v] = v
+    cells = {}
+    for v, c in cell_of.items():
+        cells.setdefault(c, set()).add(v)
+    return OpenPartition(tuple(frozenset(c) for _, c in sorted(cells.items())))
+
+
+class TestShapeAgainstThePairwiseDefinition:
+    @pytest.mark.parametrize("kind", ["random", "comb", "miniature"])
+    def test_the_same_cells_fail_the_same_clauses(self, kind):
+        """One pass over consecutive members, by level, flags a cell
+        `chain` exactly when some pair in it is incomparable, and flags it
+        at all exactly when the pairwise definition does."""
+        rng = random.Random(f"shape:{kind}")
+        seen = set()
+        for i in range(500):
+            if kind == "random":
+                st = gen.gen_random_staged(rng.randrange(2**32), max_nodes=rng.randint(4, 24))
+            elif kind == "comb":
+                st = gen.gen_comb(rng.randrange(2**32), teeth=rng.randint(1, 4),
+                                  room=rng.randint(1, 3))
+            else:
+                st = gen.gen_split_miniature(rng.randint(2, 5), rng.choice(("full", "no_parent")))
+            p = random_cells(st, rng)
+            want = pairwise_shape_clauses(st, p)
+            got = {k: set() for k in range(len(p))}
+            for msg in verify_open_partition(st, p):
+                m = re.match(r"(chain|convexity): cell (\d+) ", msg)
+                if m:
+                    got[int(m[2])].add(m[1])
+            for k in want:
+                assert ("chain" in got[k]) == ("chain" in want[k]), (i, k)
+                assert bool(got[k]) == bool(want[k]), (i, k)
+                seen.add(frozenset(want[k]))
+        assert {frozenset(), frozenset({"convexity"}), frozenset({"chain", "convexity"})} <= seen
 
 
 class TestRank:

@@ -42,6 +42,7 @@ from ordfrag.space import (
     SplitChain,
     render_point,
 )
+from test_ptree_pins import MUTANT_SPACES
 
 W = parse("w")
 W2 = parse("w^2")
@@ -519,6 +520,42 @@ class TestVerifyPairwiseClauses:
         assert got == definitional_verify_admissible(tree)
         assert got.counts == want
         assert walks == [len(rows)]
+
+
+class TestBrokenMirroring:
+    @pytest.mark.parametrize("fault", ["foreign-child", "dropped-child", "missing-parent"])
+    @pytest.mark.parametrize("space_name", sorted(MUTANT_SPACES))
+    def test_links_that_do_not_mirror_are_linkage_verdicts(self, space_name, fault):
+        """Built trees whose TreeNodes are replaced so that the child and
+        parent links disagree, which rows passed through make_tree never
+        do: a child tuple naming a node whose parent is elsewhere, a node
+        dropped from its parent's children, or a parent id that is no
+        node. Each verdict is the oracle's and counts `linkage`."""
+        K = MUTANT_SPACES[space_name]
+        for seed in range(9):
+            rng = random.Random(f"{space_name}:{fault}:{seed}")
+            tree = build_tree(K, rng.randint(3, 61))
+            nodes = dict(tree.nodes)
+            if fault == "foreign-child":
+                a, c = rng.choice([(a, c) for a in nodes for c, n in nodes.items()
+                                   if n.parent not in (None, a) and c != a])
+                n = nodes[a]
+                nodes[a] = TreeNode(a, n.interval, n.level, n.parent, n.children + (c,))
+            elif fault == "dropped-child":
+                a = rng.choice([i for i, n in nodes.items() if n.children])
+                n = nodes[a]
+                drop = rng.choice(n.children)
+                nodes[a] = TreeNode(a, n.interval, n.level, n.parent,
+                                    tuple(c for c in n.children if c != drop))
+            else:
+                c = rng.choice([i for i in nodes if i != tree.root_id])
+                n = nodes[c]
+                nodes[c] = TreeNode(c, n.interval, n.level, max(nodes) + rng.randint(1, 5),
+                                    n.children)
+            mutant = PartitionTree(K, nodes, tree.root_id, tree.budget)
+            got = verify_admissible(mutant)
+            assert got == definitional_verify_admissible(mutant)
+            assert "linkage" in got.counts
 
 
 class TestVerifyAgainstDefinitionalOracle:

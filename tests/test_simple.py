@@ -15,7 +15,13 @@ from ordfrag import bruteforce as bf
 from ordfrag import generators as gen
 from ordfrag import simple
 from ordfrag import space as sp
-from ordfrag.errors import DomainError, NoRoom, NoSubsequence, NotSimpleError
+from ordfrag.errors import (
+    DomainError,
+    InternalInconsistency,
+    NoRoom,
+    NoSubsequence,
+    NotSimpleError,
+)
 from ordfrag.simple import (
     BoundCertificate,
     BoundedRegressive,
@@ -450,8 +456,26 @@ class TestComposeFibrewise:
         w = sorted(fibre_maps)[0]
         fibre_maps = dict(fibre_maps)
         fibre_maps[w] = RegressiveMap({})
-        with pytest.raises(DomainError, match="not defined on exactly the fibre"):
+        with pytest.raises(DomainError,
+                           match=r"bad fibre map at \d+: domain does not equal the member set"):
             compose_fibrewise(st, pi, fibre_maps)
+
+    def test_fibre_map_with_a_shared_image_is_refused(self):
+        # one comb's tips under their level-1 ancestor; two of them, both
+        # below the spine node at pool level 2, are sent there together
+        st, parts, _ = gen.gen_two_comb(4)
+        tips, witness = parts[0]
+        pi = RegressiveMap({x: st.ancestor_at(x, 1) for x in tips})
+        (w,) = set(pi.mapping.values())
+        x, y = sorted(tips, key=lambda t: st.payload[t].lo)[1:3]
+        a = st.ancestor_at(x, 2)
+        assert 2 in st.pool and st.ancestor_at(y, 2) == a
+        shared = RegressiveMap({**witness.mapping, x: a, y: a})
+        assert verify_simple_witness(st, tips, shared) == [
+            f"nodes {min(x, y)} and {max(x, y)} share the image {a}"]
+        with pytest.raises(DomainError, match=rf"bad fibre map at {w}: nodes {min(x, y)} "
+                                              rf"and {max(x, y)} share the image {a}$"):
+            compose_fibrewise(st, pi, {w: shared})
 
     def test_lift_without_room_raises(self):
         # one fibre with two members, sources at levels 1 and 3, but the
@@ -557,6 +581,21 @@ class TestBoundedRegressive:
         out = verify_bound_certificates(st, BoundedRegressive(br.map, missing))
         assert any("cover exactly" in p for p in out)
 
+    def test_a_certificate_problem_is_an_internal_inconsistency(self, monkeypatch):
+        """The map is checked by `verify_bound_certificates` before it is
+        returned, so any problem that verifier reports is a fault."""
+        st = gen.gen_comb(6, teeth=5, room=2)
+        seen = []
+
+        def refuting(tree, br):
+            seen.append(br)
+            return ["strict fibre at 0 does not stay below min of 1"]
+
+        monkeypatch.setattr(simple, "verify_bound_certificates", refuting)
+        with pytest.raises(InternalInconsistency, match="does not stay below"):
+            bounded_regressive(st, frozenset(st.tops()))
+        assert len(seen) == 1
+
 
 def lr_by_sweep(st, members):
     """Quantify over every cut point and every pool ancestor literally."""
@@ -632,6 +671,18 @@ class TestEndpointClasses:
         assert isinstance(is_simple(st, chosen), RegressiveMap)
         L, R = endpoint_LR(st, chosen)
         assert L == chosen and R == chosen
+
+    def test_reads_neighbours_without_enumerating_the_space(self, monkeypatch):
+        stages = [gen.gen_split_miniature(4), gen.gen_split_miniature(5, pool_mode="full"),
+                  gen.gen_comb(2, teeth=4, room=2), gen.gen_broom(4)]
+        want = [lr_by_sweep(st, frozenset(st.tops())) for st in stages]
+
+        def refuse(*args):
+            raise AssertionError("endpoint_LR enumerated the space")
+
+        monkeypatch.setattr(sp, "enumerate_points", refuse)
+        assert [endpoint_LR(st, frozenset(st.tops())) for st in stages] == want
+        assert any(L or R for L, R in want)
 
     def test_needs_payload_and_a_finite_space(self):
         bare = gen.gen_random_staged(5)

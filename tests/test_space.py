@@ -197,6 +197,12 @@ class TestCounting:
         assert point_count(K, ClosedInterval(from_int(2), W)) is INFINITE
         assert point_count(SplitChain(3), ClosedInterval((0, MINUS), (1, PLUS))) == 4
 
+    def test_infinite_is_one_count_above_every_finite_one(self):
+        assert INFINITE > 10**400 and not INFINITE <= 2 and INFINITE == float("inf")
+        assert repr(INFINITE) == str(INFINITE) == f"{INFINITE}" == "INFINITE"
+        assert type(INFINITE)() is INFINITE
+        assert pickle.loads(pickle.dumps(INFINITE)) is INFINITE
+
     def test_ordinal_finite_windows(self):
         K = OrdinalInterval(W2)
         assert point_count(K, ClosedInterval(W, parse("w+5"))) == 6
