@@ -186,14 +186,29 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
     a point, and every pairwise count is 0. Only when a per-node
     interval clause fails, or levels do not rise on some edge, are the
     endpoints ranked and the violating pairs enumerated by
-    `_pair_clauses` in O(n) memory; that adds a sort, the violating
-    pairs and, per node, a bisection for each non-nested edge above it.
+    `_pair_clauses` in O(n) memory; that adds a sort and the violating
+    pairs.
+
+    The same argument, run on one pair, bounds that enumeration. Call a
+    node damaged when its interval is not proper or some strict
+    ancestor fails binary-split. If neither u nor v is damaged, every
+    node above either splits into two children at one interior point,
+    so an ancestor u holds v strictly inside, and incomparable u and v
+    lie under the two halves of their meet: the pair breaks neither
+    reverse-inclusion nor comparability, nor, when levels rise,
+    level-overlap. So every violating pair has a damaged end, and
+    `_pair_clauses` bisects the root path only of damaged nodes and
+    sweeps undamaged nodes against the damaged ones alone. It still
+    sorts, walks and sweeps all n nodes, but a tree with one bad split
+    makes queries only for the subtree below it.
 
     An endpoint outside the space is malformed input, not an
     inadmissible tree: once the links are mirrored and there is one
-    root, every endpoint goes through `space.validate_point`, in id
-    order and low end first, and the first that is not a point raises
-    its DomainError before any other clause is checked.
+    root, each distinct endpoint object goes through
+    `space.validate_point` once, in id order and low end first (a built
+    tree shares each split point between two children, so about n/2 of
+    its 2n endpoints are distinct objects), and the first that is not a
+    point raises its DomainError before any other clause is checked.
 
     The tree is walked at most once: up front when some non-root node's
     level is not above its parent's, and otherwise only by
@@ -239,16 +254,29 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
     if broken:
         return Verdict(False, tuple(violations), counts)
 
-    # each endpoint is validated and keyed once, before any clause reads
-    # it; the per-node clauses compare the keys
+    # each distinct endpoint object is validated and keyed once, at its
+    # first occurrence, before any clause reads it; the per-node clauses
+    # compare the keys
     ivs = [n.interval for n in row]
     validate = sp.validate_point
-    for iv in ivs:
-        validate(K, iv.lo)
-        validate(K, iv.hi)
     key = K.key
-    lo = [key(iv.lo) for iv in ivs]
-    hi = [key(iv.hi) for iv in ivs]
+    keys: dict[int, object] = {}  # id(point) -> key, never None; the tree keeps each point alive
+    known = keys.get
+    lo, hi = [], []
+    for iv in ivs:
+        x = iv.lo
+        k = known(id(x))
+        if k is None:
+            validate(K, x)
+            k = keys[id(x)] = key(x)
+        lo.append(k)
+        x = iv.hi
+        k = known(id(x))
+        if k is None:
+            validate(K, x)
+            k = keys[id(x)] = key(x)
+        hi.append(k)
+    del keys, known  # freed before the level table is built, so the peak does not grow
 
     # levels by rank, keyed by their term tuples: rank order is the
     # ordinal order. Per distinct level, whether it is a limit and the
@@ -285,6 +313,7 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
             return Verdict(False, tuple(violations), counts)
 
     nested = True  # every interval proper and every split binary at an interior point
+    split_faults = []  # positions of the nodes failing binary-split
     for p, (i, n) in enumerate(zip(ids, row)):
         if lo[p] > hi[p]:
             nested = False
@@ -306,6 +335,7 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
             # an interior split point makes three points, so only a bad
             # split can sit on a two-point interval
             nested = False
+            split_faults.append(p)
             if lo[p] < hi[p] and K.count(n.interval.lo, n.interval.hi) == 2:
                 report("two-point-leaf", (i,), "two-point interval has children")
             report("binary-split", *fault)
@@ -332,7 +362,8 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
     if not (nested and rising):
         # pairwise clauses on endpoint ranks
         rank = {k: r for r, k in enumerate(sorted({*lo, *hi}))}
-        found = _pair_clauses([rank[k] for k in lo], [rank[k] for k in hi], lvl, par, times, nested)
+        found = _pair_clauses([rank[k] for k in lo], [rank[k] for k in hi], lvl, par, times,
+                              nested, split_faults)
         for clause, detail in _PAIR_CLAUSES.items():
             count, first = found[clause]
             if count:
@@ -385,7 +416,7 @@ class _PairLog:
         return self.count, sorted((-a, -b) for a, b in self._heap)
 
 
-def _pair_clauses(lo, hi, lvl, par, times, nested: bool) -> dict:
+def _pair_clauses(lo, hi, lvl, par, times, nested: bool, split_faults) -> dict:
     """The pairwise clauses on ranks by position: per clause, the number
     of violating unordered pairs and the first _PAIR_REPORT_CAP of them
     as position pairs (r, c), r < c, in increasing order. `times()`
@@ -401,17 +432,37 @@ def _pair_clauses(lo, hi, lvl, par, times, nested: bool) -> dict:
     and every split binary at an interior point, which (see
     `verify_admissible`) leaves no reverse-inclusion or comparability
     pair, so only the same-level pairs are enumerated and the tree is
-    not walked. Otherwise the violating pairs of every clause are
-    enumerated, each once, without visiting the ancestor pairs that are
-    in order, in a sweep by (lo, -hi) that breaks ties by DFS entry
-    time.
+    not walked. Otherwise a node is damaged when its interval is not
+    proper or a strict ancestor is among `split_faults`, the positions
+    failing binary-split, and every reverse-inclusion and comparability
+    pair has a damaged end: if u and v are both undamaged, every node
+    above either splits into two children at one interior point, so an
+    ancestor u holds v strictly inside and incomparable u and v lie
+    under the two halves of their meet (see `verify_admissible`). The
+    violating pairs of these two clauses are enumerated, each once,
+    without visiting the ancestor pairs that are in order and without
+    meeting a pair of undamaged nodes, in a sweep by (lo, -hi) that
+    breaks ties by DFS entry time. When levels rise the same holds for
+    level-overlap pairs, but its per-level sweep does not rely on it.
     """
     logs = {clause: _PairLog() for clause in _PAIR_CLAUSES}
     if not nested:
         tin, tout = times()
+        order = sorted(range(len(lo)), key=tin.__getitem__)  # DFS order: parents first
+        faulty = [False] * len(lo)  # the node or an ancestor fails binary-split
+        for p in split_faults:
+            faulty[p] = True
+        damaged = [False] * len(lo)
+        for v in order:
+            q = par[v]
+            if q >= 0 and faulty[q]:
+                faulty[v] = damaged[v] = True
+            elif lo[v] >= hi[v]:
+                damaged[v] = True
         sweep = sorted(range(len(lo)), key=lambda v: (lo[v], -hi[v], tin[v]))
-        _ancestor_pairs(lo, hi, par, tin, logs["reverse-inclusion"])
-        _crossing_pairs(lo, hi, tin, tout, sweep, logs["reverse-inclusion"], logs["comparability"])
+        _ancestor_pairs(lo, hi, par, order, damaged, logs["reverse-inclusion"])
+        _crossing_pairs(lo, hi, tin, tout, order, sweep, damaged,
+                        logs["reverse-inclusion"], logs["comparability"])
     _level_overlaps(lo, hi, lvl, logs["level-overlap"])
     return {clause: log.result() for clause, log in logs.items()}
 
@@ -421,8 +472,10 @@ def _strictly_inside(lo, hi, u, v) -> bool:
     return lo[u] <= lo[v] and hi[v] <= hi[u] and (lo[u] < lo[v] or hi[v] < hi[u])
 
 
-def _ancestor_pairs(lo, hi, par, tin, log: _PairLog) -> None:
-    """Log every ancestor pair (u, v) whose intervals are not strictly nested.
+def _ancestor_pairs(lo, hi, par, order, damaged, log: _PairLog) -> None:
+    """Log every ancestor pair (u, v) whose intervals are not strictly
+    nested, visiting the nodes in DFS `order`; only a damaged v can
+    end such a pair.
 
     Cutting the tree at its non-nested edges leaves pieces in which
     strict nesting is transitive. Along a root path each piece's lows
@@ -432,7 +485,7 @@ def _ancestor_pairs(lo, hi, par, tin, log: _PairLog) -> None:
     """
     path: list[int] = []
     pieces: list[tuple[int, list[int], list[int]]] = []  # (start in path, lows, -highs)
-    for v in sorted(range(len(lo)), key=tin.__getitem__):
+    for v in order:
         p = par[v]
         while path and path[-1] != p:
             path.pop()
@@ -442,12 +495,13 @@ def _ancestor_pairs(lo, hi, par, tin, log: _PairLog) -> None:
             if not lows:
                 pieces.pop()
         joins = p >= 0 and _strictly_inside(lo, hi, p, v)
-        for start, lows, neg_highs in pieces[:-1] if joins else pieces:
-            cut = min(bisect.bisect_right(lows, lo[v]), bisect.bisect_right(neg_highs, -hi[v]))
-            for k in range(cut, len(lows)):
-                log.add(path[start + k], v)
-            if cut and lows[cut - 1] == lo[v] and neg_highs[cut - 1] == -hi[v]:
-                log.add(path[start + cut - 1], v)
+        if damaged[v]:
+            for start, lows, neg_highs in pieces[:-1] if joins else pieces:
+                cut = min(bisect.bisect_right(lows, lo[v]), bisect.bisect_right(neg_highs, -hi[v]))
+                for k in range(cut, len(lows)):
+                    log.add(path[start + k], v)
+                if cut and lows[cut - 1] == lo[v] and neg_highs[cut - 1] == -hi[v]:
+                    log.add(path[start + cut - 1], v)
         if not joins:
             pieces.append((len(path), [], []))
         path.append(v)
@@ -455,28 +509,37 @@ def _ancestor_pairs(lo, hi, par, tin, log: _PairLog) -> None:
         pieces[-1][2].append(-hi[v])
 
 
-def _crossing_pairs(lo, hi, tin, tout, sweep, inclusion: _PairLog, comparability: _PairLog) -> None:
-    """Log every incomparable pair whose intervals overlap or contain one another.
+def _crossing_pairs(lo, hi, tin, tout, by_tin, sweep, damaged,
+                    inclusion: _PairLog, comparability: _PairLog) -> None:
+    """Log every incomparable pair whose intervals overlap or contain one
+    another, where at least one end is damaged.
 
     In sweep order, an earlier u meets v (one interval inside the
     other, or overlap) exactly when hi[u] reaches lo[v] + 1 for a proper
     v and hi[v] otherwise. Nodes neither above nor below v end before
     v starts (tout < tin[v]) or start after it ends (tin > tout[v]), so
-    two max trees over the earlier nodes, ordered by tout and by tin,
-    report exactly those.
+    two max trees over the earlier nodes, ordered by tout and by tin
+    (`by_tin` is the DFS order), report exactly those. A damaged v
+    queries the trees over all earlier nodes; an undamaged v queries
+    two more trees that hold only the damaged ones, and only when their
+    root reaches it.
     """
     n = len(lo)
     by_tout = sorted(range(n), key=tout.__getitem__)
-    by_tin = sorted(range(n), key=tin.__getitem__)
     touts = [tout[v] for v in by_tout]
     tins = [tin[v] for v in by_tin]
     tout_slot = {v: k for k, v in enumerate(by_tout)}
     tin_slot = {v: k for k, v in enumerate(by_tin)}
     before, after = _MaxTree(n), _MaxTree(n)
+    damaged_before, damaged_after = _MaxTree(n), _MaxTree(n)
     for v in sweep:
         reach = lo[v] + 1 if lo[v] < hi[v] else hi[v]
-        met = [by_tout[k] for k in before.reaching(0, bisect.bisect_left(touts, tin[v]), reach)]
-        met += [by_tin[k] for k in after.reaching(bisect.bisect_right(tins, tout[v]), n, reach)]
+        left, right = (before, after) if damaged[v] else (damaged_before, damaged_after)
+        met = []
+        if left.best[1] >= reach:
+            met += [by_tout[k] for k in left.reaching(0, bisect.bisect_left(touts, tin[v]), reach)]
+        if right.best[1] >= reach:
+            met += [by_tin[k] for k in right.reaching(bisect.bisect_right(tins, tout[v]), n, reach)]
         for u in met:
             if (lo[u] <= lo[v] and hi[v] <= hi[u]) or (lo[v] <= lo[u] and hi[u] <= hi[v]):
                 inclusion.add(u, v)
@@ -484,6 +547,9 @@ def _crossing_pairs(lo, hi, tin, tout, sweep, inclusion: _PairLog, comparability
                 comparability.add(u, v)
         before.raise_to(tout_slot[v], hi[v])
         after.raise_to(tin_slot[v], hi[v])
+        if damaged[v]:
+            damaged_before.raise_to(tout_slot[v], hi[v])
+            damaged_after.raise_to(tin_slot[v], hi[v])
 
 
 class _MaxTree:

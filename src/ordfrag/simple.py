@@ -449,8 +449,10 @@ def endpoint_LR(st: StagedTree, members):
     if st.payload is None or st.space is None:
         raise DomainError("endpoint classification needs payload intervals")
     K = st.space
-    if not sp.is_finite_space(K):  # condensation_core, which starts here, enumerates it
-        raise DomainError("endpoint classification enumerates the space; it must be finite")
+    if not sp.is_finite_space(K):
+        raise DomainError("endpoint classification needs a finite space: a pool ancestor that "
+                          "starts at a limit point has no predecessor to escape to, and "
+                          "construct core enumerates the space")
     members = _check_node_set(st, members)
     top = K.key(K.maximum())
     lo, hi = st.payload_keys

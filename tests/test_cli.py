@@ -335,6 +335,25 @@ class TestStaged:
         assert captured.out == ""
         assert captured.err == f"ordfrag: error: {message}\n"
 
+    @pytest.mark.parametrize("op", ["lr", "core"])
+    def test_endpoint_classes_over_an_infinite_space_are_exit_2(self, tmp_path, capsys, op):
+        """The cut of a 15-node tree over w*2 is a valid stage, but a pool
+        ancestor there may start at a limit point, which has no
+        predecessor, and the core enumerates the space: both refuse."""
+        tree, stage = tmp_path / "tree.json", tmp_path / "stage.json"
+        assert cli.main(["tree", "build", "--space", '{"kind":"ordinal","alpha":"w*2"}',
+                         "--budget", "15", "--out", str(tree)]) == 0
+        assert cli.main(["staged", "cut", "--in", str(tree), "--level", "3", "--pool", "0,1",
+                         "--out", str(stage)]) == 0
+        capsys.readouterr()
+        assert cli.main(["staged", "construct", op, "--in", str(stage)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "ordfrag: error: endpoint classification needs a finite space: a pool ancestor "
+            "that starts at a limit point has no predecessor to escape to, and construct "
+            "core enumerates the space\n")
+
     @pytest.mark.parametrize("reshape, message", [
         (lambda doc: doc["nodes"].append(doc["nodes"][-1]), "node id 14 is repeated"),
         (lambda doc: doc["nodes"].insert(0, dict(doc["nodes"][14], parent=0, level=1)),

@@ -1,5 +1,6 @@
 """Partition tree construction, verification and staging."""
 
+import bisect
 import dataclasses
 import itertools
 import pickle
@@ -9,7 +10,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from ordfrag import generators as gen
@@ -43,6 +44,7 @@ from ordfrag.space import (
     render_point,
 )
 from test_ptree_pins import MUTANT_SPACES
+from test_ptree_pins import SPACES as PIN_SPACES
 
 W = parse("w")
 W2 = parse("w^2")
@@ -563,6 +565,211 @@ class TestVerifyAgainstDefinitionalOracle:
     @settings(max_examples=300, deadline=None)
     def test_whole_verdicts_agree(self, tree):
         assert outcome(verify_admissible, tree) == outcome(definitional_verify_admissible, tree)
+
+
+def whole_tree_pair_clauses(lo, hi, lvl, par, times, nested, split_faults):
+    """`ptree._pair_clauses` as it enumerated before it marked damaged
+    nodes, kept as the differential reference: every node bisects every
+    piece of its root path that it does not join, and every node
+    queries two max trees over all earlier nodes in the sweep.
+    `split_faults` is not read."""
+    logs = {clause: ptree._PairLog() for clause in ptree._PAIR_CLAUSES}
+    if not nested:
+        tin, tout = times()
+        n = len(lo)
+        inclusion, comparability = logs["reverse-inclusion"], logs["comparability"]
+        path, pieces = [], []  # pieces: (start in path, lows, -highs)
+        for v in sorted(range(n), key=tin.__getitem__):
+            p = par[v]
+            while path and path[-1] != p:
+                path.pop()
+                _start, lows, neg_highs = pieces[-1]
+                lows.pop()
+                neg_highs.pop()
+                if not lows:
+                    pieces.pop()
+            joins = p >= 0 and lo[p] <= lo[v] and hi[v] <= hi[p] and (lo[p] < lo[v] or hi[v] < hi[p])
+            for start, lows, neg_highs in pieces[:-1] if joins else pieces:
+                cut = min(bisect.bisect_right(lows, lo[v]), bisect.bisect_right(neg_highs, -hi[v]))
+                for k in range(cut, len(lows)):
+                    inclusion.add(path[start + k], v)
+                if cut and lows[cut - 1] == lo[v] and neg_highs[cut - 1] == -hi[v]:
+                    inclusion.add(path[start + cut - 1], v)
+            if not joins:
+                pieces.append((len(path), [], []))
+            path.append(v)
+            pieces[-1][1].append(lo[v])
+            pieces[-1][2].append(-hi[v])
+        by_tout = sorted(range(n), key=tout.__getitem__)
+        by_tin = sorted(range(n), key=tin.__getitem__)
+        touts = [tout[v] for v in by_tout]
+        tins = [tin[v] for v in by_tin]
+        tout_slot = {v: k for k, v in enumerate(by_tout)}
+        tin_slot = {v: k for k, v in enumerate(by_tin)}
+        before, after = ptree._MaxTree(n), ptree._MaxTree(n)
+        for v in sorted(range(n), key=lambda v: (lo[v], -hi[v], tin[v])):
+            reach = lo[v] + 1 if lo[v] < hi[v] else hi[v]
+            met = [by_tout[k] for k in before.reaching(0, bisect.bisect_left(touts, tin[v]), reach)]
+            met += [by_tin[k] for k in after.reaching(bisect.bisect_right(tins, tout[v]), n, reach)]
+            for u in met:
+                if (lo[u] <= lo[v] and hi[v] <= hi[u]) or (lo[v] <= lo[u] and hi[u] <= hi[v]):
+                    inclusion.add(u, v)
+                if max(lo[u], lo[v]) < min(hi[u], hi[v]):
+                    comparability.add(u, v)
+            before.raise_to(tout_slot[v], hi[v])
+            after.raise_to(tin_slot[v], hi[v])
+    ptree._level_overlaps(lo, hi, lvl, logs["level-overlap"])
+    return {clause: log.result() for clause, log in logs.items()}
+
+
+TREE_VERIFY_MUTATIONS = ("level-step", "binary-split", "linkage", "root", "reverse-inclusion")
+
+
+def tree_verify_mutant(rng, tree, kinds):
+    """A copy of `tree` with each named mutation applied in turn, as the
+    tree-verify benchmark applies one: a level two above the parent's, a
+    left child widened to its parent's high end, a parent link turned
+    back to a child, a second level-0 node, and two same-level intervals
+    under different parents swapped (or, with no such pair, one widened
+    to the whole space). Nodes are chosen on the unmutated tree."""
+    K, nodes = tree.space, tree.nodes
+    rows = {i: [i, n.interval.lo, n.interval.hi, n.level, n.parent] for i, n in nodes.items()}
+    non_root = [i for i, n in nodes.items() if n.parent is not None]
+    for kind in kinds:
+        if kind == "level-step":
+            i = rng.choice(non_root)
+            rows[i][3] = add(nodes[nodes[i].parent].level, from_int(2))
+        elif kind == "binary-split":
+            i = rng.choice([i for i, n in nodes.items() if n.children])
+            a = min(nodes[i].children, key=lambda c: K.key(nodes[c].interval.lo))
+            rows[a][2] = nodes[i].interval.hi
+        elif kind == "linkage":
+            internal = [i for i in non_root if nodes[i].children]
+            if internal:
+                i = rng.choice(internal)
+                rows[i][4] = nodes[i].children[0]
+        elif kind == "root":
+            rows[rng.choice(non_root)][3] = ZERO
+        else:
+            a = rng.choice(non_root)
+            others = [b for b in non_root
+                      if nodes[b].level == nodes[a].level and nodes[b].parent != nodes[a].parent]
+            if others:
+                b = rng.choice(others)
+                rows[a][1:3], rows[b][1:3] = rows[b][1:3], rows[a][1:3]
+            else:
+                rows[a][1:3] = rows[tree.root_id][1:3]
+    return make_tree(K, [tuple(r) for r in rows.values()], tree.budget)
+
+
+def damaged_nodes(tree) -> set:
+    """The nodes whose interval is not proper or that lie below a node
+    failing binary-split, read off the tree through order keys and
+    parent links (a cycle ends the climb)."""
+    nodes, key = tree.nodes, tree.space.key
+
+    def splits(i):
+        kids = nodes[i].children
+        if not kids:
+            return True
+        if len(kids) != 2:
+            return False
+        a, b = sorted(kids, key=lambda c: key(nodes[c].interval.lo))
+        p, l, r = nodes[i].interval, nodes[a].interval, nodes[b].interval
+        return key(p.lo) == key(l.lo) < key(l.hi) == key(r.lo) < key(r.hi) == key(p.hi)
+
+    damaged = set()
+    for i, n in nodes.items():
+        hurt, seen, q = key(n.interval.lo) >= key(n.interval.hi), {i}, n.parent
+        while not hurt and q in nodes and q not in seen:
+            hurt = not splits(q)
+            seen.add(q)
+            q = nodes[q].parent
+        if hurt:
+            damaged.add(i)
+    return damaged
+
+
+class TestDamagedSweep:
+    @pytest.mark.parametrize("space_name", sorted(PIN_SPACES))
+    def test_sweep_matches_the_whole_tree_enumeration(self, monkeypatch, space_name):
+        """Seeded single and double mutations of the five tree-verify
+        kinds: every `_pair_clauses` call gives the whole-tree
+        enumeration's counts and first pairs for every clause."""
+        K = PIN_SPACES[space_name]
+        sweep, compared = ptree._pair_clauses, []
+
+        def both(*args):
+            got = sweep(*args)
+            assert got == whole_tree_pair_clauses(*args)
+            compared.append(args[5])  # nested: only same-level pairs are enumerated
+            return got
+
+        monkeypatch.setattr(ptree, "_pair_clauses", both)
+        for kind in TREE_VERIFY_MUTATIONS:
+            for seed in range(8):
+                rng = random.Random(f"{space_name}:{kind}:{seed}")
+                kinds = [kind] + [rng.choice(TREE_VERIFY_MUTATIONS)] * (seed % 2)
+                tree = tree_verify_mutant(rng, build_tree(K, rng.randint(31, 301)), kinds)
+                assert not verify_admissible(tree).ok
+        assert compared.count(False) >= 12
+
+    @given(mutated_trees())
+    @settings(max_examples=300, deadline=None)
+    def test_every_violating_pair_has_a_damaged_end(self, tree):
+        """The oracle lists every pair on these small trees (41 nodes at
+        most; a tree with a clause past the report cap of 100 is
+        skipped): each
+        reverse-inclusion and comparability pair, and each level-overlap
+        pair when levels rise on every edge, has a damaged end."""
+        try:
+            verdict = definitional_verify_admissible(tree)
+        except DomainError:
+            return
+        nodes = tree.nodes
+        rising = all(n.parent not in nodes or n.level > nodes[n.parent].level
+                     for n in nodes.values())
+        clauses = {"reverse-inclusion", "comparability"} | ({"level-overlap"} if rising else set())
+        pairs = [x.nodes for x in verdict.violations if x.clause in clauses]
+        assume(all(verdict.counts.get(c, 0) <= 100 for c in clauses))
+        damaged = damaged_nodes(tree) if pairs else set()
+        for u, v in pairs:
+            assert u in damaged or v in damaged, (u, v)
+
+    def test_only_damaged_nodes_query_the_trees_over_all_nodes(self, monkeypatch):
+        """A binary-split mutant of a 601-node tree damages the subtree
+        below one node: only those nodes query the two max trees that
+        every node is raised into, and the verdict is unchanged."""
+        K = PIN_SPACES["finite"]
+        tree = build_tree(K, 601)
+        i = max(i for i, n in tree.nodes.items() if n.children)  # a node of the last split level
+        i = tree.nodes[tree.nodes[i].parent].parent
+        left = min(tree.nodes[i].children, key=lambda c: tree.nodes[c].interval.lo)
+        rows = {j: [j, n.interval.lo, n.interval.hi, n.level, n.parent] for j, n in tree.nodes.items()}
+        rows[left][2] = tree.nodes[i].interval.hi
+        mutant = make_tree(K, [tuple(r) for r in rows.values()], tree.budget)
+        damaged = damaged_nodes(mutant)
+        assert 2 <= len(damaged) <= 14
+        raised, queried = {}, {}
+        raise_to, reaching = ptree._MaxTree.raise_to, ptree._MaxTree.reaching
+
+        def counting_raise(self, slot, value):
+            raised[id(self)] = raised.get(id(self), 0) + 1
+            return raise_to(self, slot, value)
+
+        def counting_reach(self, a, b, threshold):
+            queried[id(self)] = queried.get(id(self), 0) + 1
+            return reaching(self, a, b, threshold)
+
+        monkeypatch.setattr(ptree._MaxTree, "raise_to", counting_raise)
+        monkeypatch.setattr(ptree._MaxTree, "reaching", counting_reach)
+        verdict = verify_admissible(mutant)
+        assert verdict == definitional_verify_admissible(mutant)
+        assert "binary-split" in verdict.counts
+        whole = [t for t, k in raised.items() if k == len(mutant.nodes)]
+        assert len(whole) == 2
+        assert sum(queried.get(t, 0) for t in whole) <= 2 * len(damaged)
+        assert sum(queried.values()) < len(mutant.nodes)  # the whole-tree sweep made 2n
 
 
 def comb_rows(n):

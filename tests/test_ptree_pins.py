@@ -16,7 +16,8 @@ from ordfrag import space as sp
 from ordfrag.bruteforce import definitional_verify_admissible
 from ordfrag.errors import DomainError
 from ordfrag.ordinal import ZERO, add, from_int, parse
-from ordfrag.ptree import StagedTree, build_tree, make_tree, to_staged, tree_to_json, verify_admissible
+from ordfrag.ptree import (StagedTree, build_tree, make_tree, to_staged, tree_from_json, tree_to_json,
+                           verify_admissible)
 from ordfrag.space import ClosedInterval, FiniteChain, OrderSum, OrdinalInterval, SplitChain
 
 W = parse("w")
@@ -244,28 +245,60 @@ def test_staged_payload_errors_are_pinned(name):
     assert str(err.value) == want
 
 
-@pytest.mark.parametrize("kind", sorted(SPACES))
-def test_each_endpoint_is_validated_once(monkeypatch, kind):
-    """Building an n-node tree validates no point of its space, and
-    verifying it validates between 2n points and 2n plus a constant: one
-    per endpoint. The verifier makes at least 2n calls, so it cannot
-    validate endpoints without going through `sp.validate_point`."""
+def verify_counting_validations(monkeypatch, kind, decoded):
+    """Verify a 301-node tree over SPACES[kind], built or passed through
+    JSON, recording each point `sp.validate_point` is given while
+    building and while verifying (decoding validates too, and is not
+    recorded). Returns the tree and the points in call order."""
     K = SPACES[kind]
     calls = []
     validate = sp.validate_point
 
     def counting(space, p):
-        if space is K:
+        if space == K:  # a decoded tree has its own equal space
             calls.append(p)
         return validate(space, p)
 
     monkeypatch.setattr(sp, "validate_point", counting)
     tree = build_tree(K, 301)
     assert calls == []
+    if decoded:
+        tree = tree_from_json(tree_to_json(tree))
+        calls.clear()
     assert verify_admissible(tree).ok
-    n = len(tree.nodes)
-    assert n == 301
-    assert 2 * n <= len(calls) <= 2 * n + 8
+    assert len(tree.nodes) == 301
+    first = {}
+    for i in sorted(tree.nodes):
+        iv = tree.nodes[i].interval
+        for x in (iv.lo, iv.hi):
+            first.setdefault(id(x), x)
+    assert [id(x) for x in calls] == list(first)
+    return tree, calls
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_each_endpoint_is_validated_once(monkeypatch, kind):
+    """Building an n-node tree validates no point of its space, and
+    verifying it validates each distinct endpoint object once, in id
+    order and low end first: a built tree shares each split point
+    between two children, so 301 nodes make 152 calls."""
+    _, calls = verify_counting_validations(monkeypatch, kind, decoded=False)
+    assert len(calls) == 152
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_each_decoded_endpoint_is_validated_once(monkeypatch, kind):
+    """A decoded tree makes one call per endpoint object too. Its split
+    and sum points are fresh tuples, so it makes exactly 2n calls. Chain
+    and ordinal points that the interpreter or the parser shares (small
+    ints, constants) are one object each, but equal large ints stay
+    apart, so decoding still makes more calls than there are distinct
+    points."""
+    tree, calls = verify_counting_validations(monkeypatch, kind, decoded=True)
+    if kind in ("split", "sum", "nested-sum"):
+        assert len(calls) == 2 * len(tree.nodes)
+    else:
+        assert len(calls) > len({tree.space.key(x) for x in calls})
 
 
 @pytest.mark.parametrize("kind", sorted(SPACES))
