@@ -18,6 +18,7 @@ import functools
 import importlib.util
 import json
 import random
+import re
 import sys
 
 from . import space as sp
@@ -96,13 +97,19 @@ def _read_doc(args) -> dict:
     path = getattr(args, "infile", None)
     if path is None:
         raise DomainError("this subcommand needs --in FILE (use - for stdin)")
-    if path == "-":
-        return _load(sys.stdin.read(), "stdin")
+    where = "stdin" if path == "-" else path
     try:
-        with open(path, encoding="utf-8") as fh:
-            return _load(fh.read(), path)
-    except OSError as err:
-        raise DomainError(f"cannot read {path}: {err.strerror}") from err
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as err:
+                raise DomainError(f"cannot read {path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:  # bytes that are not UTF-8 text
+        raise DomainError(f"malformed JSON in {where}: {err}") from err
+    return _load(text, where)
 
 
 def _emit(doc, args) -> None:
@@ -145,7 +152,10 @@ def _levels_of(args):
 
 
 def _points(K, text: str):
-    return [sp.parse_point(K, part.strip()) for part in text.split(",") if part.strip()]
+    """The points of a comma-separated flag. A comma inside parentheses,
+    as in the split point (0,-), separates nothing; blank parts are skipped."""
+    read = sp.PointCodec(K).read
+    return [read(part.strip()) for part in re.split(r",(?![^(]*\))", text) if part.strip()]
 
 
 def _render_pair(K, pair):
@@ -528,41 +538,54 @@ def _add_io(p, out=True):
         p.add_argument("--out", metavar="FILE", help="write JSON here instead of stdout")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, shared by every call: do not change it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """(the whole parser, {(group, command): the command's own parser}),
+    each command's parser recorded as it is added."""
     top = argparse.ArgumentParser(
         prog="ordfrag",
         description="Partition trees, open partitions, graded decompositions, "
                     "and rational separating families over compact chains.")
     groups = top.add_subparsers(dest="group", required=True)
+    leaves = {}
 
-    g = groups.add_parser("space", help="describe or sample a space")
-    sub = g.add_subparsers(dest="cmd", required=True)
-    p = sub.add_parser("show", help="normalize and summarize a space")
+    def group(name: str, help: str):
+        sub = groups.add_parser(name, help=help).add_subparsers(dest="cmd", required=True)
+
+        def command(cmd: str, help: str) -> argparse.ArgumentParser:
+            p = leaves[name, cmd] = sub.add_parser(cmd, help=help)
+            return p
+
+        return command
+
+    command = group("space", "describe or sample a space")
+    p = command("show", "normalize and summarize a space")
     p.add_argument("--space", required=True, help="inline space JSON")
     p.add_argument("--out")
-    p = sub.add_parser("sample", help="seeded sample of points")
+    p = command("sample", "seeded sample of points")
     p.add_argument("--space", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--out")
 
-    g = groups.add_parser("tree", help="build, verify, export partition trees")
-    sub = g.add_subparsers(dest="cmd", required=True)
-    p = sub.add_parser("build", help="materialize a budgeted admissible tree")
+    command = group("tree", "build, verify, export partition trees")
+    p = command("build", "materialize a budgeted admissible tree")
     p.add_argument("--space", required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--out")
-    p = sub.add_parser("verify", help="check every admissibility clause")
+    p = command("verify", "check every admissibility clause")
     _add_io(p)
-    p = sub.add_parser("export", help="render a tree as DOT")
+    p = command("export", "render a tree as DOT")
     _add_io(p, out=False)
     p.add_argument("--dot", metavar="FILE", help="write DOT here (default stdout)")
 
-    g = groups.add_parser("staged", help="finite staged miniatures")
-    sub = g.add_subparsers(dest="cmd", required=True)
-    p = sub.add_parser("gen", help="seeded staged-tree generators")
+    command = group("staged", "finite staged miniatures")
+    p = command("gen", "seeded staged-tree generators")
     p.add_argument("--kind", default="comb",
                    choices=["comb", "broom", "two-comb", "random", "miniature", "sibling"])
     p.add_argument("--seed", type=int, default=0)
@@ -572,16 +595,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--pool-mode", default="no_parent", choices=["no_parent", "full"])
     p.add_argument("--out")
-    p = sub.add_parser("cut", help="cut a staged tree out of a tree document")
+    p = command("cut", "cut a staged tree out of a tree document")
     _add_io(p)
     p.add_argument("--level", type=int, required=True, help="the top level m")
     p.add_argument("--pool", required=True,
                    help="comma-separated pool levels, each below m")
     p.add_argument("--no-limit-top", dest="limit_top", action="store_false",
                    help="the top level does not stand in for a limit stage")
-    p = sub.add_parser("check-simple", help="decide simplicity of the top level")
+    p = command("check-simple", "decide simplicity of the top level")
     _add_io(p)
-    p = sub.add_parser("construct", help="run a witness construction")
+    p = command("construct", "run a witness construction")
     p.add_argument("op", choices=["cofinal", "compose", "disjoint", "union",
                                   "bounded", "lr", "core"])
     _add_io(p)
@@ -589,53 +612,50 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instance seed for union, which takes no --in and builds its "
                         "own two-part instance")
     p.add_argument("--levels", help="comma-separated target levels for cofinal")
-    p = sub.add_parser("partition", help="open chain-interval partition")
+    p = command("partition", "open chain-interval partition")
     _add_io(p)
     p.add_argument("--dot", metavar="FILE", help="also write a colored DOT rendering")
 
-    g = groups.add_parser("frag", help="graded decompositions and fragment checks")
-    sub = g.add_subparsers(dest="cmd", required=True)
-    p = sub.add_parser("ln", help="graded point decomposition of a staged tree")
+    command = group("frag", "graded decompositions and fragment checks")
+    p = command("ln", "graded point decomposition of a staged tree")
     _add_io(p)
-    p = sub.add_parser("delta", help="gap pairs of every level")
+    p = command("delta", "gap pairs of every level")
     _add_io(p)
-    p = sub.add_parser("density", help="gap density of the deepest level")
+    p = command("density", "gap density of the deepest level")
     _add_io(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=200)
-    p = sub.add_parser("check", help="small-diameter fragment under the induced metric")
+    p = command("check", "small-diameter fragment under the induced metric")
     _add_io(p)
     p.add_argument("--eps", default="1/8", help="diameter bound, a fraction")
     p.add_argument("--members", help="comma-separated points (default: whole space)")
-    p = sub.add_parser("weight", help="top-level counting bound")
+    p = command("weight", "top-level counting bound")
     _add_io(p)
 
-    g = groups.add_parser("rn", help="separating families and dense approximants")
-    sub = g.add_subparsers(dest="cmd", required=True)
-    p = sub.add_parser("witness", help="bundle: step family plus dense set")
+    command = group("rn", "separating families and dense approximants")
+    p = command("witness", "bundle: step family plus dense set")
     _add_io(p)
     p.add_argument("--denbound", type=int, default=16)
-    p = sub.add_parser("dense", help="the countable dense approximant set")
+    p = command("dense", "the countable dense approximant set")
     _add_io(p)
     p.add_argument("--denbound", type=int, default=16)
-    p = sub.add_parser("approx", help="approximate one point from a witness bundle")
+    p = command("approx", "approximate one point from a witness bundle")
     _add_io(p)
     p.add_argument("--point", required=True)
     p.add_argument("--n", type=int, required=True, help="accuracy 1/n")
-    p = sub.add_parser("check", help="full Namioka-style criterion")
+    p = command("check", "full Namioka-style criterion")
     _add_io(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--subsets", type=int, default=20)
     p.add_argument("--denbound", type=int, default=16)
 
-    g = groups.add_parser("suite", help="the acceptance suite")
-    sub = g.add_subparsers(dest="cmd", required=True)
-    p = sub.add_parser("run", help="run all nine criteria, canonical JSON report")
+    command = group("suite", "the acceptance suite")
+    p = command("run", "run all nine criteria, canonical JSON report")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
-    return top
+    return top, leaves
 
 
 # flags that count work to do; 0 or fewer would make a check vacuous
@@ -649,8 +669,22 @@ def _check_counts(args) -> None:
             raise DomainError(f"--{flag} must lie in 1..{NODE_CAP}, got {value}")
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """argv parsed by the parser of the command its first two words name,
+    the same object that parses those words in the whole parser. Argv
+    that names no command, or that the command leaves partly unparsed,
+    goes to the whole parser, which words every usage, help and error
+    text as it would have."""
+    leaf = _parsers()[1].get(tuple(argv[:2]))
+    if leaf is not None:
+        args, rest = leaf.parse_known_args(argv[2:], argparse.Namespace(group=argv[0], cmd=argv[1]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     # looked up at call time, so a replaced handler is the one that runs
     handler = globals()[f"cmd_{args.group}_{args.cmd.replace('-', '_')}"]
     try:

@@ -216,24 +216,27 @@ def weight_bound(st: StagedTree) -> WeightReport:
 
 
 def levels_to_json(K, levels) -> dict:
+    write = sp.PointCodec(K).write
     return {
         "v": 1,
         "kind": "decomposition",
-        "levels": [[sp.render_point(K, q) for q in pts] for pts in levels],
+        "levels": [[write(q) for q in pts] for pts in levels],
     }
 
 
-def read_levels(K, rows) -> list[tuple]:
-    """A document's `levels`: a nonempty list of rows of point texts.
-    A refusal of any row names the field."""
+def read_levels(codec: sp.PointCodec, rows) -> list[tuple]:
+    """A document's `levels`: a nonempty list of rows of point texts,
+    read through the document's codec, so a point that several levels
+    name is one object. A refusal of any row names the field."""
     if not read_list(rows, "levels"):
         raise DomainError("a decomposition needs at least level 0")
+    read = codec.read
     try:
-        return [tuple(sp.parse_point(K, t, "a point text in a level row") for t in read_list(row, "level row"))
+        return [tuple(read(t, "a point text in a level row") for t in read_list(row, "level row"))
                 for row in rows]
     except DomainError as bad:
         raise DomainError(f"levels: {bad}") from None
 
 
 def levels_from_json(K, doc) -> list[tuple]:
-    return read_levels(K, read_kind(doc, "decomposition", "levels")["levels"])
+    return read_levels(sp.PointCodec(K), read_kind(doc, "decomposition", "levels")["levels"])

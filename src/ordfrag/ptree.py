@@ -206,9 +206,10 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
     inadmissible tree: once the links are mirrored and there is one
     root, each distinct endpoint object goes through
     `space.validate_point` once, in id order and low end first (a built
-    tree shares each split point between two children, so about n/2 of
-    its 2n endpoints are distinct objects), and the first that is not a
-    point raises its DomainError before any other clause is checked.
+    or decoded tree shares each split point between two children, so
+    about n/2 of its 2n endpoints are distinct objects), and the first
+    that is not a point raises its DomainError before any other clause
+    is checked.
 
     The tree is walked at most once: up front when some non-root node's
     level is not above its parent's, and otherwise only by
@@ -254,29 +255,8 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
     if broken:
         return Verdict(False, tuple(violations), counts)
 
-    # each distinct endpoint object is validated and keyed once, at its
-    # first occurrence, before any clause reads it; the per-node clauses
-    # compare the keys
-    ivs = [n.interval for n in row]
-    validate = sp.validate_point
-    key = K.key
-    keys: dict[int, object] = {}  # id(point) -> key, never None; the tree keeps each point alive
-    known = keys.get
-    lo, hi = [], []
-    for iv in ivs:
-        x = iv.lo
-        k = known(id(x))
-        if k is None:
-            validate(K, x)
-            k = keys[id(x)] = key(x)
-        lo.append(k)
-        x = iv.hi
-        k = known(id(x))
-        if k is None:
-            validate(K, x)
-            k = keys[id(x)] = key(x)
-        hi.append(k)
-    del keys, known  # freed before the level table is built, so the peak does not grow
+    # the per-node clauses compare endpoint keys
+    lo, hi = _endpoint_keys(K, [n.interval for n in row])
 
     # levels by rank, keyed by their term tuples: rank order is the
     # ordinal order. Per distinct level, whether it is a limit and the
@@ -371,6 +351,33 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
                 violations.extend(Violation(clause, (ids[r], ids[c]), detail) for r, c in first)
 
     return Verdict(not violations and not counts, tuple(violations), counts)
+
+
+def _endpoint_keys(K, intervals) -> tuple[list, list]:
+    """The order keys of the low and the high ends of `intervals`. Each
+    distinct endpoint object is validated and keyed once, at its first
+    occurrence, low end first, so the first endpoint that is not a point
+    raises its DomainError before any key is compared. The id map is
+    freed on return, before the caller builds anything else."""
+    validate = sp.validate_point
+    key = K.key
+    keys: dict[int, object] = {}  # id(point) -> key, never None; the intervals keep each point alive
+    known = keys.get
+    lo, hi = [], []
+    for iv in intervals:
+        x = iv.lo
+        k = known(id(x))
+        if k is None:
+            validate(K, x)
+            k = keys[id(x)] = key(x)
+        lo.append(k)
+        x = iv.hi
+        k = known(id(x))
+        if k is None:
+            validate(K, x)
+            k = keys[id(x)] = key(x)
+        hi.append(k)
+    return lo, hi
 
 
 def _walk(row, pos, root):
@@ -637,7 +644,8 @@ class StagedTree:
 
     @cached_property
     def payload_keys(self) -> tuple[dict, dict]:
-        """(lo, hi): the order key of each node's payload ends, by node."""
+        """(lo, hi): the order key of each node's payload ends, by node.
+        `validate` stores the keys it computes here."""
         if self.payload is None or self.space is None:
             raise DomainError("the stage carries no payload intervals")
         key = self.space.key
@@ -728,12 +736,12 @@ class StagedTree:
             if set(self.payload) != ids:
                 raise DomainError("payload table does not match node set")
             K = self.space
-            # one validation per endpoint, in id order, before any check
-            # reads it; then one key each
-            for i in sorted(ids):
-                sp.validate_point(K, self.payload[i].lo)
-                sp.validate_point(K, self.payload[i].hi)
-            lo, hi = self.payload_keys
+            # each distinct endpoint object validated and keyed once, in
+            # id order, before any check reads it; the keys are kept
+            order = sorted(ids)
+            lo, hi = _endpoint_keys(K, [self.payload[i] for i in order])
+            lo, hi = dict(zip(order, lo)), dict(zip(order, hi))
+            self.payload_keys = lo, hi
             whole = sp.whole_interval(K)
             wlo, whi = K.key(whole.lo), K.key(whole.hi)
             for i in ids:
@@ -808,8 +816,9 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
 
     Requires every wide node strictly below m to be expanded, so the
     stage is a faithful prefix rather than an accident of the budget.
-    `StagedTree.validate` validates each payload endpoint once, before
-    the frontier is counted; a top level with no node is refused last.
+    `StagedTree.validate` validates each distinct payload endpoint object
+    once, before the frontier is counted; a top level with no node is
+    refused last.
     """
     if not plain_int(m) or m < 0:
         raise DomainError(f"top level must be a natural number, got {m!r}")
@@ -872,6 +881,7 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
 
 def tree_to_json(tree: PartitionTree) -> dict:
     K = tree.space
+    codec = sp.PointCodec(K)
     rows = []
     for i in sorted(tree.nodes):
         n = tree.nodes[i]
@@ -880,7 +890,7 @@ def tree_to_json(tree: PartitionTree) -> dict:
                 "id": n.id,
                 "parent": n.parent,
                 "level": ord_.render(n.level),
-                "interval": sp.interval_to_json(K, n.interval),
+                "interval": codec.write_interval(n.interval),
             }
         )
     doc = {"v": 1, "kind": "tree", "space": K.to_json(), "nodes": rows}
@@ -892,10 +902,11 @@ def tree_to_json(tree: PartitionTree) -> dict:
 def tree_from_json(doc) -> PartitionTree:
     read_kind(doc, "tree", "space", "nodes")
     K = sp.space_from_json(doc["space"])
+    codec = sp.PointCodec(K)
     rows = []
     for k, r in enumerate(_node_rows(doc)):
         i = _row_id(r, k, "id")
-        iv = sp.interval_from_json(K, r.get("interval"))
+        iv = codec.read_interval(r.get("interval"))
         rows.append((i, iv.lo, iv.hi, ord_.parse(r.get("level"), "a level string"),
                      _row_id(r, k, "parent")))
     budget = read_int(doc["budget"], "budget", 1) if "budget" in doc else None
@@ -903,11 +914,12 @@ def tree_from_json(doc) -> PartitionTree:
 
 
 def staged_to_json(st: StagedTree) -> dict:
+    codec = None if st.payload is None else sp.PointCodec(st.space)
     rows = []
     for i in st.nodes():
         row = {"id": i, "parent": st.parent[i], "level": st.level[i]}
-        if st.payload is not None:
-            row["payload"] = sp.interval_to_json(st.space, st.payload[i])
+        if codec is not None:
+            row["payload"] = codec.write_interval(st.payload[i])
         rows.append(row)
     doc = {
         "v": 1,
@@ -925,6 +937,7 @@ def staged_to_json(st: StagedTree) -> dict:
 def staged_from_json(doc) -> StagedTree:
     read_kind(doc, "staged", "top_level", "pool", "nodes")
     K = sp.space_from_json(doc["space"]) if "space" in doc else None
+    codec = None if K is None else sp.PointCodec(K)
     parent = {}
     level = {}
     payload = {}
@@ -935,9 +948,9 @@ def staged_from_json(doc) -> StagedTree:
         parent[i] = _row_id(r, k, "parent")
         level[i] = r.get("level")  # validate names a level that is not an int
         if "payload" in r:
-            if K is None:
+            if codec is None:
                 raise DomainError("payload rows need a space")
-            payload[i] = sp.interval_from_json(K, r["payload"], "payload")
+            payload[i] = codec.read_interval(r["payload"], "payload")
     limit_top = doc.get("limit_top", True)
     if not isinstance(limit_top, bool):
         raise DomainError(f"limit_top {limit_top!r} is not a bool")

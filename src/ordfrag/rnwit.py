@@ -570,7 +570,7 @@ def _box_json(bound: int, level: int, j: int) -> list:
 def dense_to_json(K, D: DenseSetRecord) -> dict:
     """Each distinct point is rendered once, and the boxes of each
     (level, j) once."""
-    render = functools.cache(functools.partial(sp.render_point, K))
+    render = sp.PointCodec(K).write
     box = functools.cache(functools.partial(_box_json, D.denominator_bound))
     return {
         "v": 1,
@@ -593,7 +593,7 @@ def dense_to_json(K, D: DenseSetRecord) -> dict:
 
 
 def _pair(parse, x, what: str) -> tuple:
-    # checked before the cached parse, which would hash a list
+    # checked before the parse, so that the refusal names the field
     if type(x) is not list or len(x) != 2:
         raise DomainError(f"{what} {x!r} is not a pair")
     if type(x[0]) is not str or type(x[1]) is not str:
@@ -601,13 +601,14 @@ def _pair(parse, x, what: str) -> tuple:
     return parse(x[0]), parse(x[1])
 
 
-def dense_from_json(K, doc) -> DenseSetRecord:
-    """Each distinct point text is parsed once. A selection's box must be
-    the canonical rendering of its stair's boxes; its length is checked
-    first, so a forged level costs nothing."""
+def dense_from_json(codec: sp.PointCodec, doc) -> DenseSetRecord:
+    """The dense set a document writes, its point texts read through
+    `codec`. A selection's box must be the canonical rendering of its
+    stair's boxes; its length is checked first, so a forged level costs
+    nothing."""
     read_kind(doc, "rn-dense", "points", "m", "z", "denbound")
     bound = read_int(doc["denbound"], "denbound", 4)
-    parse = functools.cache(functools.partial(sp.parse_point, K))
+    parse = codec.read
     canonical = functools.cache(functools.partial(_box_json, bound))
     points = tuple(map(parse, read_list(doc["points"], "points", texts=True)))
     m_sets = tuple((read_int(n, "m-set depth", 1), tuple(map(parse, read_list(pts, "m-set", texts=True))))
@@ -626,13 +627,13 @@ def dense_from_json(K, doc) -> DenseSetRecord:
             raise DomainError(f"box {box[i]!r} at depth {i + 1} is not the canonical {want[i]!r}")
         selections.append(ZSelection(level, _pair(parse, e.get("gap"), "gap"), j,
                                      _pair(parse, e.get("region"), "region"), parse(e["z"])))
-    return DenseSetRecord(K, points, m_sets, tuple(selections), bound)
+    return DenseSetRecord(codec.space, points, m_sets, tuple(selections), bound)
 
 
 def witness_bundle_to_json(K, family, D: DenseSetRecord, levels) -> dict:
     """The family sorted by tag, each single cut with its gap and depth,
     the dense set and the decomposition it was built from."""
-    render = functools.cache(functools.partial(sp.render_point, K))
+    render = sp.PointCodec(K).write
     entries = []
     for f in sorted(_functions(family), key=lambda f: _tag_key(K, f)):
         if len(f.cuts) != 1:
@@ -648,14 +649,15 @@ def witness_bundle_to_json(K, family, D: DenseSetRecord, levels) -> dict:
 
 
 def witness_bundle_from_json(K, doc) -> tuple:
-    """(family, dense set, levels). Each distinct point text of the
-    family is parsed once."""
+    """(family, dense set, levels). The family, the dense set and the
+    levels share one codec, so each distinct point text is parsed once."""
     read_kind(doc, "rn-witness", "family", "dense", "levels")
-    parse = functools.cache(functools.partial(sp.parse_point, K))
+    codec = sp.PointCodec(K)
+    parse = codec.read
     family = []
     for entry in read_list(doc["family"], "family"):
         x, y = _pair(parse, read_object(entry, "family entry", "gap", "n", "cut")["gap"], "gap")
         n = read_int(entry["n"], "family n", 1)
         lo, hi = _pair(parse, entry["cut"], "cut")
         family.append(StepFunction(K, ((lo, hi, Fraction(1, n)),), (x, y, n)))
-    return tuple(family), dense_from_json(K, doc["dense"]), read_levels(K, doc["levels"])
+    return tuple(family), dense_from_json(codec, doc["dense"]), read_levels(codec, doc["levels"])

@@ -433,6 +433,47 @@ def parse_point(space, text: str, what: str = "a string"):
     return p
 
 
+class PointCodec:
+    """The point texts of one document and the points they name.
+
+    `read` parses and validates each distinct text once and returns one
+    point object per text, so the points of a decoded document share
+    objects the way a built tree's endpoints do. `write` renders each
+    distinct point once. A codec lives as long as the document it reads
+    or writes.
+    """
+
+    def __init__(self, space):
+        self.space = space
+        self._points: dict = {}  # text -> point
+        self._texts: dict = {}  # point -> text
+
+    def read(self, text, what: str = "a string"):
+        """The point `text` names; `what` names a text that is not a string."""
+        # a point is never None, and a text that is not a string is not looked up
+        p = self._points.get(text) if isinstance(text, str) else None
+        if p is None:
+            p = self._points[text] = parse_point(self.space, text, what)
+        return p
+
+    def write(self, p) -> str:
+        text = self._texts.get(p)
+        if text is None:
+            text = self._texts[p] = render_point(self.space, p)
+        return text
+
+    def read_interval(self, doc, what: str = "interval") -> ClosedInterval:
+        if type(doc) is not list or len(doc) != 2:
+            raise DomainError(f"{what} {doc!r} is not a pair of points")
+        lo, hi = self.read(doc[0]), self.read(doc[1])
+        if self.space.key(lo) > self.space.key(hi):
+            raise DomainError(f"interval endpoints out of order: {self.write(lo)} > {self.write(hi)}")
+        return ClosedInterval(lo, hi)
+
+    def write_interval(self, iv: ClosedInterval) -> list:
+        return [self.write(iv.lo), self.write(iv.hi)]
+
+
 # -- JSON --------------------------------------------------------------------
 
 
@@ -460,16 +501,3 @@ def _space_from_json(doc, room: int) -> SpaceDescriptor:
             raise DomainError(f"order sums nest more than {SUM_DEPTH_CAP} deep")
         return OrderSum(tuple(_space_from_json(p, room - 1) for p in read_list(doc.get("parts"), "parts")))
     raise DomainError(f"unknown space kind {kind!r}")
-
-
-def interval_to_json(space, iv: ClosedInterval) -> list:
-    return [render_point(space, iv.lo), render_point(space, iv.hi)]
-
-
-def interval_from_json(space, doc, what: str = "interval") -> ClosedInterval:
-    if type(doc) is not list or len(doc) != 2:
-        raise DomainError(f"{what} {doc!r} is not a pair of points")
-    lo, hi = parse_point(space, doc[0]), parse_point(space, doc[1])
-    if space.key(lo) > space.key(hi):
-        raise DomainError(f"interval endpoints out of order: {render_point(space, lo)} > {render_point(space, hi)}")
-    return ClosedInterval(lo, hi)

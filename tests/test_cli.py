@@ -5,8 +5,9 @@ byte-level output contract are part of the interface. The exceptions
 call `cli.main` in-process: one replaces a command with one that fails,
 some time a refusal that a subprocess's start-up would blur, and the
 others check that the parser built once per process dispatches every
-subcommand by name and gives the console's bytes. The heavyweight
-suite command is exercised in test_acceptance instead.
+subcommand by name, that each command's own parser answers as the whole
+parser does, and that in-process calls give the console's bytes. The
+heavyweight suite command is exercised in test_acceptance instead.
 """
 
 import argparse
@@ -457,6 +458,26 @@ class TestFrag:
         doc = out_json(proc)
         assert doc["inside"] and doc["diameter"] == "0"
 
+    @pytest.mark.parametrize("space, ends, members, least, second", [
+        ({"kind": "split", "size": 3}, ["(0,-)", "(2,+)"], "(1,+), (0,-),(2,-)", "(0,-)", "(1,+)"),
+        ({"kind": "sum", "parts": [{"kind": "finite", "size": 2}, {"kind": "split", "size": 2}]},
+         ["part0:0", "part1:(1,+)"], "part1:(0,+),part0:1", "part0:1", "part1:(0,+)"),
+    ], ids=["split", "sum"])
+    def test_members_name_split_points(self, tmp_path, capsys, space, ends, members, least,
+                                       second):
+        """--members separates points only at commas outside parentheses:
+        splitting at every comma once refused (0,-) as '(0'."""
+        path = tmp_path / "levels.json"
+        path.write_text(json.dumps({"v": 1, "kind": "decomposition", "space": space,
+                                    "levels": [ends]}))
+        assert cli.main(["frag", "check", "--in", str(path), f"--members={members}"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["lo"], doc["hi"], doc["inside"]) == (None, second, [least])
+        assert cli.main(["frag", "check", "--in", str(path), f"--members={members},(0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ordfrag: error: ") and "'(0'" in captured.err
+
     def test_density_of_a_20000_point_chain(self, tmp_path, capsys):
         # every pair of the chain, read off its adjacent ones
         doc = {"v": 1, "kind": "decomposition", "space": {"kind": "finite", "size": 20000},
@@ -758,3 +779,78 @@ class TestTriage:
         assert a.stdout == b.stdout
         assert a.stdout.endswith("\n")
         assert ": " not in a.stdout.splitlines()[0]
+
+
+def _subcommands(parser) -> dict:
+    """{(group, command): the command's parser}, read off the parser itself."""
+    def choices(p):
+        (sub,) = (a for a in p._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
+    return {(group, cmd): leaf for group, gp in choices(parser).items()
+            for cmd, leaf in choices(gp).items()}
+
+
+SUBCOMMANDS = _subcommands(cli.build_parser())
+COMMAND_IDS = [" ".join(k) for k in sorted(SUBCOMMANDS)]
+
+
+def _valid_argv(group, cmd) -> list[str]:
+    """A command line that sets every argument of the command."""
+    argv = [group, cmd]
+    for a in SUBCOMMANDS[group, cmd]._actions:
+        if isinstance(a, argparse._HelpAction):
+            continue
+        value = a.choices[-1] if a.choices else "2" if a.type is int else "x"
+        argv += [a.option_strings[-1]] if a.nargs == 0 else [*a.option_strings[-1:], value]
+    return argv
+
+
+def _malformed_argvs(group, cmd) -> list[list[str]]:
+    valid = _valid_argv(group, cmd)
+    out = [valid + ["--bogus", "1"], valid + ["extra"], valid + ["-h"], [group, cmd, "-h"],
+           [group, "nocommand"], ["nogroup", cmd], [group], []]
+    for a in SUBCOMMANDS[group, cmd]._actions:
+        if a.option_strings and a.nargs is None:
+            at = valid.index(a.option_strings[-1])
+            if a.required:
+                out.append(valid[:at] + valid[at + 2:])
+            if a.type is int:
+                out.append(valid[:at + 1] + ["x"] + valid[at + 2:])
+    return out
+
+
+def _outcome(parse, argv, capsys):
+    """(namespace or exit code, stdout, stderr) of one parse."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestDispatch:
+    """`main` parses with the parser of the command its first two words
+    name; it must answer exactly as the whole parser does."""
+
+    def test_every_subcommand_is_recorded(self):
+        assert set(cli._parsers()[1]) == set(SUBCOMMANDS)
+        assert all(cli._parsers()[1][k] is leaf for k, leaf in SUBCOMMANDS.items())
+
+    @pytest.mark.parametrize("group, cmd", sorted(SUBCOMMANDS), ids=COMMAND_IDS)
+    def test_a_valid_argv_parses_as_the_whole_parser_does(self, monkeypatch, group, cmd):
+        argv = _valid_argv(group, cmd)
+        whole = cli.build_parser().parse_args(argv)
+        # the command's own parser answers without the whole parser
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("the whole parser ran"))
+        assert cli._parse_args(argv) == whole
+        assert (whole.group, whole.cmd) == (group, cmd)
+
+    @pytest.mark.parametrize("group, cmd", sorted(SUBCOMMANDS), ids=COMMAND_IDS)
+    def test_a_malformed_argv_fails_as_the_whole_parser_does(self, capsys, group, cmd):
+        for argv in _malformed_argvs(group, cmd):
+            fast = _outcome(cli._parse_args, argv, capsys)
+            whole = _outcome(cli.build_parser().parse_args, argv, capsys)
+            assert fast == whole, argv
+            assert fast[0][0] == "exit", argv

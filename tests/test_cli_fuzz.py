@@ -12,6 +12,8 @@ import functools
 import json
 import operator
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -320,6 +322,29 @@ def test_deep_nesting_through_in_is_exit_2(documents, capsys, argv, kind):
     for text in (DEEP_ARRAY, json.dumps(dict(docs[kind], space=DEEP_SUM))):
         path.write_text(text)
         assert_exit_2([argv], f"--in={path}", capsys, text[:40])
+
+
+@pytest.mark.parametrize("argv,kind", DOC_COMMANDS, ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+def test_a_file_that_is_not_utf8_is_exit_2(documents, capsys, argv, kind):
+    """Bytes that are not UTF-8 text once escaped as a UnicodeDecodeError
+    traceback with exit 1, the code of a verified negative answer."""
+    where, _ = documents
+    if argv[-1] == "construct":
+        argv = argv + ["disjoint"]
+    path = where / "latin1.json"
+    path.write_bytes(b'{"x": "\xff"}')
+    (err,) = assert_exit_2([argv], f"--in={path}", capsys, "latin-1")
+    assert err == (f"ordfrag: error: malformed JSON in {path}: 'utf-8' codec can't decode "
+                   "byte 0xff in position 7: invalid start byte\n")
+
+
+def test_stdin_that_is_not_utf8_is_exit_2():
+    """Through stdin the interpreter decodes the bytes, strictly or with
+    surrogate escapes depending on the locale; either way one error line."""
+    proc = subprocess.run([sys.executable, "-m", "ordfrag.cli", "staged", "check-simple", "--in", "-"],
+                          input=b'{"x": "\xff"}', capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"ordfrag: error: ") and proc.stderr.count(b"\n") == 1
 
 
 @pytest.mark.parametrize("argv", SPACE_COMMANDS, ids=" ".join)

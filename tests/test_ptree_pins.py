@@ -288,23 +288,21 @@ def test_each_endpoint_is_validated_once(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", sorted(SPACES))
 def test_each_decoded_endpoint_is_validated_once(monkeypatch, kind):
-    """A decoded tree makes one call per endpoint object too. Its split
-    and sum points are fresh tuples, so it makes exactly 2n calls. Chain
-    and ordinal points that the interpreter or the parser shares (small
-    ints, constants) are one object each, but equal large ints stay
-    apart, so decoding still makes more calls than there are distinct
-    points."""
+    """A decoded tree makes one call per endpoint object too. The decoder
+    reads each distinct point text once and returns one object per text,
+    so a decoded tree shares its split points as a built one does and
+    its 301 nodes make the same 152 calls, one per distinct point."""
     tree, calls = verify_counting_validations(monkeypatch, kind, decoded=True)
-    if kind in ("split", "sum", "nested-sum"):
-        assert len(calls) == 2 * len(tree.nodes)
-    else:
-        assert len(calls) > len({tree.space.key(x) for x in calls})
+    assert len(calls) == 152
+    assert len({tree.space.key(x) for x in calls}) == 152
 
 
 @pytest.mark.parametrize("kind", sorted(SPACES))
 def test_each_cut_node_is_validated_twice(monkeypatch, kind):
-    """`to_staged` validates each payload endpoint of the cut once, in
-    `StagedTree.validate`, and counts the frontier on validated payloads."""
+    """`to_staged` validates the payload endpoints of each cut node at
+    most twice: `StagedTree.validate` makes one call per distinct
+    endpoint object, in id order and low end first, and the frontier is
+    counted on validated payloads."""
     K = SPACES[kind]
     tree = build_tree(K, 301)
     calls = []
@@ -318,7 +316,12 @@ def test_each_cut_node_is_validated_twice(monkeypatch, kind):
     monkeypatch.setattr(sp, "validate_point", counting)
     st = to_staged(tree, 4, {0, 2})
     assert st.tops()
-    assert len(calls) == 2 * len(st.nodes())
+    first = {}
+    for i in st.nodes():
+        for x in (st.payload[i].lo, st.payload[i].hi):
+            first.setdefault(id(x), x)
+    assert [id(x) for x in calls] == list(first)
+    assert len(calls) < 2 * len(st.nodes())
 
 
 # -- seeded mutants ------------------------------------------------------------

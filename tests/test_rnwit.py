@@ -432,14 +432,14 @@ class TestSerialization:
         D = rn.dense_set(K, toy_family(), TOY_LEVELS)
         doc = rn.dense_to_json(K, D)
         assert doc["z"][0]["box"] == [["15/16", "17/16"]]
-        assert rn.dense_from_json(K, doc) == D
+        assert rn.dense_from_json(sp.PointCodec(K), doc) == D
 
     def test_kind_guards(self):
         K = FiniteChain(5)
         with pytest.raises(DomainError):
             rn.witness_bundle_from_json(K, {"v": 1, "kind": "rn-dense", "family": []})
         with pytest.raises(DomainError):
-            rn.dense_from_json(K, {"v": 2, "kind": "rn-dense"})
+            rn.dense_from_json(sp.PointCodec(K), {"v": 2, "kind": "rn-dense"})
         with pytest.raises(DomainError):
             rn.witness_bundle_from_json(K, {"v": 1, "kind": "bundle"})
 

@@ -92,7 +92,7 @@ def test_decomposition(name):
 def test_rn_dense(name, denbound):
     K, levels = decomposition(name)
     D = rn.dense_set(K, rn.separating_family(K, levels), levels, denbound)
-    assert_round_trip(D, lambda D: rn.dense_to_json(K, D), lambda doc: rn.dense_from_json(K, doc))
+    assert_round_trip(D, lambda D: rn.dense_to_json(K, D), lambda doc: rn.dense_from_json(sp.PointCodec(K), doc))
 
 
 @pytest.mark.parametrize("name", STAGES)

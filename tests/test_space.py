@@ -20,13 +20,12 @@ from ordfrag.space import (
     FiniteChain,
     OrderSum,
     OrdinalInterval,
+    PointCodec,
     SplitChain,
     adjacency,
     compare_points,
     enumerate_interval,
     enumerate_points,
-    interval_from_json,
-    interval_to_json,
     is_finite_space,
     parse_point,
     point_count,
@@ -350,7 +349,7 @@ class TestJson:
     def test_interval_roundtrip(self):
         K = OrdinalInterval(W2)
         iv = ClosedInterval(W, parse("w*2"))
-        assert interval_from_json(K, interval_to_json(K, iv)) == iv
+        assert PointCodec(K).read_interval(PointCodec(K).write_interval(iv)) == iv
 
     def test_bad_documents(self):
         with pytest.raises(DomainError):

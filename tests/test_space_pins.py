@@ -93,7 +93,7 @@ def transcript(K, points) -> str:
             iv = ClosedInterval(p, points[j])
             lines.append(
                 f"[{r[i]}, {r[j]}] count {sp.point_count(K, iv)} split {_split(K, iv)}"
-                f" json {sp.interval_to_json(K, iv)}"
+                f" json {sp.PointCodec(K).write_interval(iv)}"
             )
     return "\n".join(lines)
 
