@@ -353,15 +353,18 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
     return Verdict(not violations and not counts, tuple(violations), counts)
 
 
-def _endpoint_keys(K, intervals) -> tuple[list, list]:
+def _endpoint_keys(K, intervals, seed: dict | None = None) -> tuple[list, list]:
     """The order keys of the low and the high ends of `intervals`. Each
     distinct endpoint object is validated and keyed once, at its first
     occurrence, low end first, so the first endpoint that is not a point
-    raises its DomainError before any key is compared. The id map is
-    freed on return, before the caller builds anything else."""
+    raises its DomainError before any key is compared. `seed` (`id(point)
+    -> key`, such as a `PointCodec`'s) holds points already validated,
+    which are neither validated nor keyed again. The id map is freed on
+    return, before the caller builds anything else."""
     validate = sp.validate_point
     key = K.key
-    keys: dict[int, object] = {}  # id(point) -> key, never None; the intervals keep each point alive
+    # id(point) -> key, never None; the intervals keep each point alive
+    keys: dict[int, object] = {} if seed is None else dict(seed)
     known = keys.get
     lo, hi = [], []
     for iv in intervals:
@@ -645,7 +648,8 @@ class StagedTree:
     @cached_property
     def payload_keys(self) -> tuple[dict, dict]:
         """(lo, hi): the order key of each node's payload ends, by node.
-        `validate` stores the keys it computes here."""
+        `validate` stores here the keys it computes or, for a decoded
+        stage, the keys the document's `PointCodec` computed."""
         if self.payload is None or self.space is None:
             raise DomainError("the stage carries no payload intervals")
         key = self.space.key
@@ -697,73 +701,91 @@ class StagedTree:
             x, y = self.parent[x], self.parent[y]
         return x
 
-    def validate(self) -> None:
-        ids = set(self.parent)
+    def validate(self, keys: dict | None = None) -> None:
+        """Check the structure, the pool and the payloads; the first fault
+        raises its DomainError.
+
+        Each distinct payload endpoint object is validated and keyed
+        once, in id order and low end first, before any payload clause
+        reads it. `keys` (`id(point) -> key`, such as the `PointCodec`
+        that decoded the payloads) seeds that map with points already
+        validated, which are then neither validated nor keyed again. The
+        keys are kept as `payload_keys`. Every payload is proper before
+        same-level overlap is decided, so a level overlaps iff two of its
+        nodes that are neighbours in low-key order do: one sort of all
+        nodes by low key decides every level, and `_first_overlap` runs
+        only to name the pair a refusal reports, on the lowest level that
+        overlaps.
+        """
+        parent, level, top = self.parent, self.level, self.top_level
+        ids = set(parent)  # the node clauses are checked in its order
         if not ids:
             raise DomainError("staged tree has no nodes")
-        if set(self.level) != ids:
+        if level.keys() != ids:
             raise DomainError("level table does not match node set")
-        roots = [i for i in ids if self.parent[i] is None]
+        roots = [i for i, p in parent.items() if p is None]
         if len(roots) != 1:
             raise DomainError(f"expected one root, found {len(roots)}")
-        if self.level[roots[0]] != 0:
+        if level[roots[0]] != 0:
             raise DomainError("root must sit at level 0")
-        if not plain_int(self.top_level) or self.top_level < 0:
-            raise DomainError(f"bad top level {self.top_level!r}")
+        if not plain_int(top) or top < 0:
+            raise DomainError(f"bad top level {top!r}")
         for i in ids:
-            l = self.level[i]
-            if not plain_int(l):
+            l = level[i]
+            if type(l) is not int and not plain_int(l):
                 raise DomainError(f"node {i} level {l!r} is not an int")
-            if not 0 <= l <= self.top_level:
-                raise DomainError(f"node {i} level {l!r} outside 0..{self.top_level}")
-            p = self.parent[i]
+            if not 0 <= l <= top:
+                raise DomainError(f"node {i} level {l!r} outside 0..{top}")
+            p = parent[i]
             if p is not None:
-                if p not in ids:
+                if p not in parent:
                     raise DomainError(f"node {i} has missing parent {p}")
-                if self.level[p] != l - 1:  # the parent's level may not be checked yet
+                if level[p] != l - 1:  # the parent's level may not be checked yet
                     raise DomainError(f"edge {p}->{i} does not step one level")
-        for l in sorted(self.pool, key=repr):
-            read_int(l, "pool level")
-        if not self.pool <= set(range(self.top_level)):
+        bad = [l for l in self.pool if not plain_int(l)]
+        if bad:
+            read_int(min(bad, key=repr), "pool level")
+        if self.pool and (min(self.pool) < 0 or max(self.pool) >= top):
             raise DomainError(
-                f"pool {sorted(self.pool)} must lie strictly below the top level {self.top_level}"
+                f"pool {sorted(self.pool)} must lie strictly below the top level {top}"
             )
-        if self.top_level == 0 and self.limit_top:
+        if top == 0 and self.limit_top:
             raise DomainError("a single-level stage cannot designate its top as a limit")
-        if self.payload is not None:
-            if self.space is None:
-                raise DomainError("payload intervals need a space")
-            if set(self.payload) != ids:
-                raise DomainError("payload table does not match node set")
-            K = self.space
-            # each distinct endpoint object validated and keyed once, in
-            # id order, before any check reads it; the keys are kept
-            order = sorted(ids)
-            lo, hi = _endpoint_keys(K, [self.payload[i] for i in order])
-            lo, hi = dict(zip(order, lo)), dict(zip(order, hi))
-            self.payload_keys = lo, hi
-            whole = sp.whole_interval(K)
-            wlo, whi = K.key(whole.lo), K.key(whole.hi)
-            for i in ids:
-                if lo[i] > hi[i]:
-                    raise DomainError(f"payload of {i} out of order")
-                if lo[i] == hi[i]:  # keys are injective
-                    raise DomainError(f"payload of {i} is trivial")
-                p = self.parent[i]
-                if p is None:
-                    if lo[i] != wlo or hi[i] != whi:
-                        raise DomainError("root payload must be the whole space")
-                elif lo[p] > lo[i] or hi[i] > hi[p]:
-                    raise DomainError(f"payload of {i} escapes its parent")
-            rows: dict[int, list[int]] = {}
-            for i in sorted(ids):
-                rows.setdefault(self.level[i], []).append(i)
-            for lvl in sorted(rows):
-                clash = _first_overlap(rows[lvl], lo, hi)
-                if clash is not None:
-                    raise DomainError(
-                        f"same-level payloads of {clash[0]} and {clash[1]} overlap nontrivially"
-                    )
+        if self.payload is None:
+            return
+        if self.space is None:
+            raise DomainError("payload intervals need a space")
+        if self.payload.keys() != ids:
+            raise DomainError("payload table does not match node set")
+        K = self.space
+        order = sorted(ids)
+        lo, hi = _endpoint_keys(K, map(self.payload.__getitem__, order), keys)
+        lo, hi = dict(zip(order, lo)), dict(zip(order, hi))
+        self.payload_keys = lo, hi
+        wlo, whi = K.key(K.minimum()), K.key(K.maximum())
+        for i in ids:
+            a, b = lo[i], hi[i]
+            if not a < b:  # keys are injective
+                raise DomainError(f"payload of {i} {'is trivial' if a == b else 'out of order'}")
+            p = parent[i]
+            if p is None:
+                if a != wlo or b != whi:
+                    raise DomainError("root payload must be the whole space")
+            elif lo[p] > a or b > hi[p]:
+                raise DomainError(f"payload of {i} escapes its parent")
+        # in low-key order, each node meets the previous node of its level
+        last: dict[int, object] = {}  # level -> high key of that node; keys are never None
+        clashing = set()
+        for i in sorted(ids, key=lo.__getitem__):
+            l = level[i]
+            h = last.get(l)
+            if h is not None and h > lo[i]:
+                clashing.add(l)
+            last[l] = hi[i]
+        if clashing:
+            l = min(clashing)
+            a, b = _first_overlap([i for i in ids if level[i] == l], lo, hi)
+            raise DomainError(f"same-level payloads of {a} and {b} overlap nontrivially")
 
 
 def _node_rows(doc) -> list:
@@ -788,7 +810,9 @@ def _row_id(row, k: int, field: str):
 
 def _first_overlap(row: list[int], lo: dict, hi: dict) -> tuple[int, int] | None:
     """The first pair (a, b), a < b, in id order among `row` whose proper
-    intervals, given by their endpoint keys, share more than a point, or None.
+    intervals, given by their endpoint keys, share more than a point, or
+    None. `StagedTree.validate` calls it only to name the pair of a level
+    it has found to overlap.
 
     Sweeps the intervals by low end. Every interval still open when
     another starts overlaps it, so the best pair that starting interval
@@ -827,10 +851,10 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
         if not plain_int(l) or not 0 <= l < m:
             raise DomainError(f"pool level {l!r} must lie strictly below the top level {m}")
     K = tree.space
-    rows: dict[Ordinal, list[int]] = {}
+    rows: dict[tuple, list[int]] = {}  # level terms -> nodes
     for i in sorted(tree.nodes):
-        rows.setdefault(tree.nodes[i].level, []).append(i)
-    by_level = [rows.get(ord_.from_int(lvl), []) for lvl in range(m + 1)]
+        rows.setdefault(tree.nodes[i].level.terms, []).append(i)
+    by_level = [rows.get(ord_.from_int(lvl).terms, []) for lvl in range(m + 1)]
     if not by_level[0]:
         raise DomainError("tree has no root at level 0")
 
@@ -935,6 +959,14 @@ def staged_to_json(st: StagedTree) -> dict:
 
 
 def staged_from_json(doc) -> StagedTree:
+    """The validated stage a staged document describes, in one pass over
+    its rows. Plain-int ids and parents are read directly, and `_row_id`
+    names what is wrong with any other. The document's `PointCodec`
+    validates and keys each distinct payload text once and its keys seed
+    `StagedTree.validate`, so each payload point is validated once in
+    all. A stage whose top level holds no node is refused after
+    `validate`: it would answer every question about its tops vacuously.
+    """
     read_kind(doc, "staged", "top_level", "pool", "nodes")
     K = sp.space_from_json(doc["space"]) if "space" in doc else None
     codec = None if K is None else sp.PointCodec(K)
@@ -942,10 +974,15 @@ def staged_from_json(doc) -> StagedTree:
     level = {}
     payload = {}
     for k, r in enumerate(_node_rows(doc)):
-        i = _row_id(r, k, "id")
+        i = r.get("id") if type(r) is dict else None
+        if type(i) is not int:
+            i = _row_id(r, k, "id")
         if i in parent:
             raise DomainError(f"node id {i} is repeated")
-        parent[i] = _row_id(r, k, "parent")
+        p = r.get("parent")
+        if type(p) is not int and (p is not None or "parent" not in r):
+            p = _row_id(r, k, "parent")
+        parent[i] = p
         level[i] = r.get("level")  # validate names a level that is not an int
         if "payload" in r:
             if codec is None:
@@ -964,7 +1001,9 @@ def staged_from_json(doc) -> StagedTree:
         space=K,
         limit_top=limit_top,
     )
-    st.validate()
+    st.validate(None if codec is None else codec.keys)
+    if st.top_level not in level.values():
+        raise DomainError(f"staged tree has no node at the top level {st.top_level}")
     return st
 
 

@@ -438,15 +438,19 @@ class PointCodec:
 
     `read` parses and validates each distinct text once and returns one
     point object per text, so the points of a decoded document share
-    objects the way a built tree's endpoints do. `write` renders each
-    distinct point once. A codec lives as long as the document it reads
-    or writes.
+    objects the way a built tree's endpoints do. `read_interval` keys
+    each distinct end once, into `keys` (`id(point) -> key`): the codec
+    keeps every point it returns alive, so the ids stay valid while it
+    lives, and a decoder can hand the map on as the keys of points
+    already validated. `write` renders each distinct point once. A codec
+    lives as long as the document it reads or writes.
     """
 
     def __init__(self, space):
         self.space = space
         self._points: dict = {}  # text -> point
         self._texts: dict = {}  # point -> text
+        self.keys: dict = {}  # id(point) -> key, for each interval end read
 
     def read(self, text, what: str = "a string"):
         """The point `text` names; `what` names a text that is not a string."""
@@ -463,10 +467,19 @@ class PointCodec:
         return text
 
     def read_interval(self, doc, what: str = "interval") -> ClosedInterval:
+        """The interval a pair of point texts names, its ends compared by
+        their keys in `keys`."""
         if type(doc) is not list or len(doc) != 2:
             raise DomainError(f"{what} {doc!r} is not a pair of points")
         lo, hi = self.read(doc[0]), self.read(doc[1])
-        if self.space.key(lo) > self.space.key(hi):
+        keys = self.keys
+        a = keys.get(id(lo))
+        if a is None:  # keys are never None
+            a = keys[id(lo)] = self.space.key(lo)
+        b = keys.get(id(hi))
+        if b is None:
+            b = keys[id(hi)] = self.space.key(hi)
+        if a > b:
             raise DomainError(f"interval endpoints out of order: {self.write(lo)} > {self.write(hi)}")
         return ClosedInterval(lo, hi)
 

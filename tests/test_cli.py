@@ -364,15 +364,17 @@ class TestStaged:
         (lambda doc: doc.update(top_level=True), "bad top level True"),
         (lambda doc: doc.update(pool=[True]), "pool level True is not an int"),
         (lambda doc: doc.update(pool=[3.0, 4.0]), "pool level 3.0 is not an int"),
+        (lambda doc: doc.update(top_level=6), "staged tree has no node at the top level 6"),
     ], ids=["repeated-row", "earlier-conflicting-row", "bool-node-level", "float-node-level",
-            "bool-top-level", "bool-pool-level", "float-pool-levels"])
+            "bool-top-level", "bool-pool-level", "float-pool-levels", "empty-top-level"])
     @pytest.mark.parametrize("argv", [["staged", "check-simple"], ["staged", "construct", "disjoint"],
                                       ["frag", "weight"], ["staged", "partition"]],
                              ids=["check-simple", "disjoint", "weight", "partition"])
     def test_malformed_staged_document_is_exit_2(self, tmp_path, capsys, reshape, message, argv):
         """Each of these used to exit 0, or 1 with a refusal, on a
-        document that repeats a node id or gives a level as a bool or a
-        float."""
+        document that repeats a node id, gives a level as a bool or a
+        float, or has a top level that holds no node (the comb's tops
+        sit at level 5)."""
         stage = tmp_path / "comb.json"
         assert cli.main(["staged", "gen", "--kind", "comb", "--teeth", "3", "--room", "2",
                          "--out", str(stage)]) == 0

@@ -1,6 +1,7 @@
 """Partition tree construction, verification and staging."""
 
 import bisect
+import copy
 import dataclasses
 import itertools
 import pickle
@@ -15,8 +16,9 @@ from hypothesis import strategies as hst
 
 from ordfrag import generators as gen
 from ordfrag import ptree
+from ordfrag import space as sp
 from ordfrag.bruteforce import definitional_verify_admissible
-from ordfrag.errors import DomainError, InsufficientMaterialization
+from ordfrag.errors import DomainError, InsufficientMaterialization, plain_int, read_int, read_kind, read_list
 from ordfrag.ordinal import ZERO, add, from_int, parse
 from ordfrag.ptree import (
     PartitionTree,
@@ -921,6 +923,47 @@ class TestStaging:
                 st.validate()
             assert str(err.value) == f"same-level payloads of {clash[0]} and {clash[1]} overlap nontrivially"
 
+    @pytest.mark.parametrize("spans, pair", [
+        ({1: (0, 3), 2: (8, 11), 3: (12, 15), 4: (2, 5)}, (1, 4)),
+        ({1: (4, 6), 2: (0, 2), 3: (4, 9)}, (1, 3)),
+        ({1: (0, 4), 2: (4, 8), 3: (1, 7)}, (1, 3)),
+        ({1: (1, 7), 2: (0, 4), 3: (4, 8)}, (1, 2)),
+    ], ids=["non-adjacent-ids", "equal-low-ends", "wide-over-two", "wide-first"])
+    def test_an_overlap_refusal_names_the_pair_first_overlap_does(self, monkeypatch, spans, pair):
+        """Neighbours in low-key order decide same-level overlap, and
+        `_first_overlap` names the smallest overlapping pair: here the
+        pair in low-key order differs from it, or two low ends tie."""
+        K = FiniteChain(16)
+        payload = {0: ClosedInterval(0, 15), **{i: ClosedInterval(a, b) for i, (a, b) in spans.items()}}
+        st = StagedTree(parent={0: None, **{i: 0 for i in spans}}, level={0: 0, **{i: 1 for i in spans}},
+                        top_level=1, pool=frozenset({0}), payload=payload, space=K)
+        calls = []
+        first_overlap = ptree._first_overlap
+        monkeypatch.setattr(ptree, "_first_overlap", lambda *a: calls.append(a) or first_overlap(*a))
+        with pytest.raises(DomainError) as err:
+            st.validate()
+        assert str(err.value) == f"same-level payloads of {pair[0]} and {pair[1]} overlap nontrivially"
+        lo, hi = st.payload_keys
+        assert len(calls) == 1 and first_overlap(list(spans), lo, hi) == pair
+
+    def test_the_lowest_overlapping_level_is_named(self):
+        """Levels 1 and 2 both overlap; level 1 is named, though level 2
+        holds the smaller ids."""
+        K = FiniteChain(16)
+        st = StagedTree(parent={0: None, 5: 0, 6: 0, 1: 5, 2: 5}, level={0: 0, 5: 1, 6: 1, 1: 2, 2: 2},
+                        top_level=2, pool=frozenset({0}), space=K,
+                        payload={0: ClosedInterval(0, 15), 5: ClosedInterval(0, 8), 6: ClosedInterval(7, 15),
+                                 1: ClosedInterval(0, 4), 2: ClosedInterval(2, 8)})
+        with pytest.raises(DomainError, match="same-level payloads of 5 and 6 overlap nontrivially"):
+            st.validate()
+
+    def test_an_accepted_stage_never_calls_first_overlap(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ptree, "_first_overlap", lambda *a: calls.append(a))
+        for doc in staged_corpus():
+            staged_from_json(doc).validate()
+        assert calls == []
+
     def test_deep_cut_of_a_4097_chain_is_fast(self):
         t = build_tree(FiniteChain(4097), 10_000)
         start = time.perf_counter()
@@ -972,6 +1015,23 @@ class TestSerialization:
         with pytest.raises(DomainError, match=re.escape(f"limit_top {value!r} is not a bool")):
             staged_from_json(doc)
 
+    def test_a_huge_top_level_is_refused_at_once(self):
+        """The pool is compared with the top level, not with a set of
+        every level below it, and a top level that holds no node is
+        refused after `validate`."""
+        m = 10**12
+        doc = {"v": 1, "kind": "staged", "top_level": m, "pool": [0, m - 1], "limit_top": True,
+               "nodes": [{"id": 0, "parent": None, "level": 0}, {"id": 1, "parent": 0, "level": 1}]}
+        start = time.perf_counter()
+        with pytest.raises(DomainError) as err:
+            staged_from_json(doc)
+        assert str(err.value) == f"staged tree has no node at the top level {m}"
+        doc["pool"] = [m]
+        with pytest.raises(DomainError) as err:
+            staged_from_json(doc)
+        assert str(err.value) == f"pool [{m}] must lie strictly below the top level {m}"
+        assert time.perf_counter() - start < 0.5
+
     def test_dot_outputs(self):
         t = build_tree(FiniteChain(4), 100)
         d = tree_to_dot(t)
@@ -979,3 +1039,241 @@ class TestSerialization:
         st = to_staged(t, 1, {0})
         d2 = staged_to_dot(st, cell_of={i: 0 for i in st.nodes()})
         assert "fillcolor" in d2
+
+
+# -- staged decoding against the two-pass reference ----------------------------
+
+
+def two_pass_staged_from_json(doc):
+    """`ptree.staged_from_json` as it decoded before the codec's keys
+    seeded `StagedTree.validate`, kept as the differential reference:
+    every id and parent goes through `_row_id`, each row's ends are keyed
+    by the space, and `two_pass_validate` then validates and keys every
+    payload endpoint again. It accepts a stage whose top level holds no
+    node."""
+    read_kind(doc, "staged", "top_level", "pool", "nodes")
+    K = sp.space_from_json(doc["space"]) if "space" in doc else None
+    codec = None if K is None else sp.PointCodec(K)
+    parent, level, payload = {}, {}, {}
+    for k, r in enumerate(ptree._node_rows(doc)):
+        i = ptree._row_id(r, k, "id")
+        if i in parent:
+            raise DomainError(f"node id {i} is repeated")
+        parent[i] = ptree._row_id(r, k, "parent")
+        level[i] = r.get("level")
+        if "payload" in r:
+            if codec is None:
+                raise DomainError("payload rows need a space")
+            iv = r["payload"]
+            if type(iv) is not list or len(iv) != 2:
+                raise DomainError(f"payload {iv!r} is not a pair of points")
+            lo, hi = codec.read(iv[0]), codec.read(iv[1])
+            if K.key(lo) > K.key(hi):
+                raise DomainError(f"interval endpoints out of order: {codec.write(lo)} > {codec.write(hi)}")
+            payload[i] = ClosedInterval(lo, hi)
+    limit_top = doc.get("limit_top", True)
+    if not isinstance(limit_top, bool):
+        raise DomainError(f"limit_top {limit_top!r} is not a bool")
+    st = StagedTree(
+        parent=parent,
+        level=level,
+        top_level=doc["top_level"],
+        pool=frozenset(read_int(l, "pool level") for l in read_list(doc["pool"], "pool")),
+        payload=payload if payload else None,
+        space=K,
+        limit_top=limit_top,
+    )
+    two_pass_validate(st)
+    return st
+
+
+def two_pass_validate(st):
+    """`StagedTree.validate` as it checked a stage in separate node,
+    payload and level passes: the pool against `set(range(top_level))`,
+    and same-level overlap by `_first_overlap` on every level."""
+    ids = set(st.parent)
+    if not ids:
+        raise DomainError("staged tree has no nodes")
+    if set(st.level) != ids:
+        raise DomainError("level table does not match node set")
+    roots = [i for i in ids if st.parent[i] is None]
+    if len(roots) != 1:
+        raise DomainError(f"expected one root, found {len(roots)}")
+    if st.level[roots[0]] != 0:
+        raise DomainError("root must sit at level 0")
+    if not plain_int(st.top_level) or st.top_level < 0:
+        raise DomainError(f"bad top level {st.top_level!r}")
+    for i in ids:
+        l = st.level[i]
+        if not plain_int(l):
+            raise DomainError(f"node {i} level {l!r} is not an int")
+        if not 0 <= l <= st.top_level:
+            raise DomainError(f"node {i} level {l!r} outside 0..{st.top_level}")
+        p = st.parent[i]
+        if p is not None:
+            if p not in ids:
+                raise DomainError(f"node {i} has missing parent {p}")
+            if st.level[p] != l - 1:
+                raise DomainError(f"edge {p}->{i} does not step one level")
+    for l in sorted(st.pool, key=repr):
+        read_int(l, "pool level")
+    if not st.pool <= set(range(st.top_level)):
+        raise DomainError(f"pool {sorted(st.pool)} must lie strictly below the top level {st.top_level}")
+    if st.top_level == 0 and st.limit_top:
+        raise DomainError("a single-level stage cannot designate its top as a limit")
+    if st.payload is not None:
+        if st.space is None:
+            raise DomainError("payload intervals need a space")
+        if set(st.payload) != ids:
+            raise DomainError("payload table does not match node set")
+        K = st.space
+        order = sorted(ids)
+        lo, hi = ptree._endpoint_keys(K, [st.payload[i] for i in order])
+        lo, hi = dict(zip(order, lo)), dict(zip(order, hi))
+        st.payload_keys = lo, hi
+        whole = sp.whole_interval(K)
+        wlo, whi = K.key(whole.lo), K.key(whole.hi)
+        for i in ids:
+            if lo[i] > hi[i]:
+                raise DomainError(f"payload of {i} out of order")
+            if lo[i] == hi[i]:
+                raise DomainError(f"payload of {i} is trivial")
+            p = st.parent[i]
+            if p is None:
+                if lo[i] != wlo or hi[i] != whi:
+                    raise DomainError("root payload must be the whole space")
+            elif lo[p] > lo[i] or hi[i] > hi[p]:
+                raise DomainError(f"payload of {i} escapes its parent")
+        rows: dict[int, list[int]] = {}
+        for i in sorted(ids):
+            rows.setdefault(st.level[i], []).append(i)
+        for lvl in sorted(rows):
+            clash = ptree._first_overlap(rows[lvl], lo, hi)
+            if clash is not None:
+                raise DomainError(f"same-level payloads of {clash[0]} and {clash[1]} overlap nontrivially")
+
+
+def staged_corpus() -> list[dict]:
+    """A single-node stage, staged documents from every generator, and
+    `to_staged` cuts with seeded pools over every space kind of the
+    pinned trees."""
+    stages = [StagedTree(parent={0: None}, level={0: 0}, top_level=0, pool=frozenset(), limit_top=False)]
+    stages += [gen.gen_split_miniature(depth) for depth in range(2, 7)]
+    for seed in range(8):
+        stages += [gen.gen_comb(seed), gen.gen_broom(seed), gen.gen_sibling_tops(seed),
+                   gen.gen_random_staged(seed), gen.gen_two_comb(seed)[0]]
+    rng = random.Random(2718)
+    for kind, K in sorted(PIN_SPACES.items()):
+        tree = build_tree(K, 127)
+        for m in (2, 3, 4):
+            pool = rng.sample(range(m), rng.randint(0, m))
+            stages.append(to_staged(tree, m, pool, limit_top=rng.random() < 0.5))
+    return [staged_to_json(st) for st in stages]
+
+
+def outside_text(K) -> str:
+    """The text of a value just past the space: it parses but is no point."""
+    if isinstance(K, FiniteChain):
+        return str(K.size)
+    if isinstance(K, SplitChain):
+        return f"({K.size},-)"
+    if isinstance(K, OrdinalInterval):
+        return render_point(OrdinalInterval(add(K.alpha, from_int(1))), add(K.alpha, from_int(1)))
+    return f"part0:{outside_text(K.parts[0])}"
+
+
+def corruptions(rng, doc) -> list[dict]:
+    """Copies of doc, each with one field changed: an id, a parent, a
+    level, the pool, the top level, limit_top, or payload texts swapped
+    between two nodes, reversed, widened or sent outside the space."""
+    rows = doc["nodes"]
+    ids = [r["id"] for r in rows]
+    m = doc["top_level"]
+    out = []
+
+    def change(edit):
+        d = copy.deepcopy(doc)
+        edit(d, rng.randrange(len(rows)))
+        out.append(d)
+
+    for value in (rng.choice(ids), max(ids) + 1, 10**6, -1, "1", 1.0, True, None):
+        change(lambda d, k, v=value: d["nodes"][k].update(id=v))
+    for value in (rng.choice(ids), None, max(ids) + 5, "0", 0.5, "del"):
+        change(lambda d, k, v=value: d["nodes"][k].pop("parent") if v == "del"
+               else d["nodes"][k].update(parent=v))
+    for delta in (-1, 1, 2):
+        change(lambda d, k, v=delta: d["nodes"][k].update(level=d["nodes"][k]["level"] + v))
+    for value in (0, m, m + 1, -1, "2", None):
+        change(lambda d, k, v=value: d["nodes"][k].update(level=v))
+    for pool in ([m], [-1], [], [0, 0], ["1"], [True], [10**12], list(range(m + 1))):
+        change(lambda d, k, v=pool: d.update(pool=v))
+    # the reference builds set(range(top_level)), so no top level here is
+    # large; test_a_huge_top_level_is_refused_at_once covers one
+    for top in (m - 1, m + 1, m + 3, 0, -1, "3", None):
+        change(lambda d, k, v=top: d.update(top_level=v))
+    for value in (not doc["limit_top"], 1, None):
+        change(lambda d, k, v=value: d.update(limit_top=v))
+    if "space" in doc and len(rows) > 1:
+        K = sp.space_from_json(doc["space"])
+        whole = sp.PointCodec(K).write_interval(sp.whole_interval(K))
+
+        def swap(d, k):
+            j = rng.randrange(len(rows))
+            d["nodes"][k]["payload"], d["nodes"][j]["payload"] = d["nodes"][j]["payload"], d["nodes"][k]["payload"]
+
+        for _ in range(3):
+            change(swap)
+        change(lambda d, k: d["nodes"][k]["payload"].reverse())
+        change(lambda d, k: d["nodes"][k]["payload"].__setitem__(0, whole[0]))
+        change(lambda d, k: d["nodes"][k]["payload"].__setitem__(1, whole[1]))
+        change(lambda d, k: d["nodes"][k]["payload"].__setitem__(1, outside_text(K)))
+        change(lambda d, k: d["nodes"][k]["payload"].__setitem__(0, d["nodes"][k]["payload"][1]))
+        change(lambda d, k: d["nodes"][k].pop("payload"))
+    return out
+
+
+def decode_outcome(decode, doc):
+    """("refused", text), or what the decoded stage holds."""
+    try:
+        st = decode(doc)
+    except DomainError as err:
+        return "refused", str(err)
+    keys = st.payload_keys if st.payload is not None else None
+    return "decoded", st.parent, st.level, st.payload, keys
+
+
+def expected_outcome(doc):
+    """The reference's outcome, with the top-level rule the decoder adds:
+    a stage whose top level holds no node is refused."""
+    got = decode_outcome(two_pass_staged_from_json, doc)
+    if got[0] == "decoded" and doc["top_level"] not in got[2].values():
+        return "refused", f"staged tree has no node at the top level {doc['top_level']}"
+    return got
+
+
+class TestStagedDecodeAgainstTwoPass:
+    def test_the_corpus_decodes_as_the_reference_does(self):
+        corpus = staged_corpus()
+        assert len(corpus) == 61
+        for doc in corpus:
+            want = expected_outcome(doc)
+            assert want[0] == "decoded"
+            assert decode_outcome(staged_from_json, doc) == want
+
+    def test_single_field_corruptions_decode_as_the_reference_does(self):
+        rng = random.Random(31)
+        seen = set()
+        for doc in staged_corpus():
+            for bad in corruptions(rng, doc):
+                want = expected_outcome(bad)
+                assert decode_outcome(staged_from_json, bad) == want, bad
+                seen.add(want[1] if want[0] == "refused" else "decoded")
+        # each rule of the decoder and of validate refuses some corruption
+        for text in ("is repeated", "is not an int", "expected one root", "root must sit at level 0",
+                     "outside 0..", "has missing parent", "does not step one level",
+                     "pool level", "must lie strictly below", "cannot designate its top",
+                     "is not a bool", "bad top level", "out of order", "is not a point",
+                     "escapes its parent", "overlap nontrivially", "has no node at the top level",
+                     "payload table does not match", "root payload must be the whole space"):
+            assert any(text in s for s in seen), text
+        assert "decoded" in seen

@@ -16,8 +16,8 @@ from ordfrag import space as sp
 from ordfrag.bruteforce import definitional_verify_admissible
 from ordfrag.errors import DomainError
 from ordfrag.ordinal import ZERO, add, from_int, parse
-from ordfrag.ptree import (StagedTree, build_tree, make_tree, to_staged, tree_from_json, tree_to_json,
-                           verify_admissible)
+from ordfrag.ptree import (StagedTree, build_tree, make_tree, staged_from_json, staged_to_json, to_staged,
+                           tree_from_json, tree_to_json, verify_admissible)
 from ordfrag.space import ClosedInterval, FiniteChain, OrderSum, OrdinalInterval, SplitChain
 
 W = parse("w")
@@ -321,6 +321,27 @@ def test_each_cut_node_is_validated_twice(monkeypatch, kind):
         for x in (st.payload[i].lo, st.payload[i].hi):
             first.setdefault(id(x), x)
     assert [id(x) for x in calls] == list(first)
+    assert len(calls) < 2 * len(st.nodes())
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_each_decoded_stage_text_is_validated_once(monkeypatch, kind):
+    """Decoding a stage makes one `sp.validate_point` call per distinct
+    payload text, in row order and low end first: the document's codec
+    validates each text where it first reads it, and its keys seed
+    `StagedTree.validate`, which then validates no endpoint again."""
+    doc = staged_to_json(to_staged(build_tree(SPACES[kind], 301), 4, {0, 2}))
+    texts = list(dict.fromkeys(t for row in doc["nodes"] for t in row["payload"]))
+    calls = []
+    validate = sp.validate_point
+
+    def counting(space, p):
+        calls.append(p)
+        return validate(space, p)
+
+    monkeypatch.setattr(sp, "validate_point", counting)
+    st = staged_from_json(doc)
+    assert [st.space.render(p) for p in calls] == texts
     assert len(calls) < 2 * len(st.nodes())
 
 
