@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from collections import deque
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from operator import itemgetter
+from typing import NamedTuple
 
 from . import ordinal as ord_
 from . import space as sp
@@ -63,12 +65,115 @@ _set_parent = TreeNode.parent.__set__
 _set_children = TreeNode.children.__set__
 
 
-@dataclass(frozen=True)
+class _Columns(NamedTuple):
+    """A partition tree by position: position p holds the node with the
+    p-th smallest id."""
+
+    ids: Sequence  # ascending; range(n) for a built tree
+    lo: Sequence  # the low end of each node's interval
+    hi: Sequence  # the high end
+    level: Sequence  # Ordinal levels
+    parent: Sequence  # parent ids, None at a root
+    children: Sequence  # tuples of child ids
+
+
 class PartitionTree:
+    """A partition tree over `space`, kept as position-indexed columns.
+
+    `columns` holds, at position p, the node with the p-th smallest id:
+    its id, the low and high end of its interval, its level, its parent
+    id (None at the root) and the tuple of its child ids. A built tree
+    numbers its nodes 0..n-1, so its ids are `range(n)`. Every reader in
+    `ordfrag` reads the columns; no node record exists unless asked for.
+
+    `nodes` is a read-only mapping view of the same tree, equal to and
+    iterating like an id-ordered dict of `TreeNode`s. It builds each
+    node on its first access and keeps it; `len()` builds none. The
+    oracles of `bruteforce` read it. `PartitionTree(space, nodes,
+    root_id)` with such a dict, as a test fixture builds one, derives the
+    columns from it once, and its view returns the dict's own nodes.
+    """
+
     space: sp.SpaceDescriptor
-    nodes: dict[int, TreeNode]
+    columns: _Columns
     root_id: int
-    budget: int | None = None
+    budget: int | None
+
+    def __init__(self, space, nodes, root_id, budget=None):
+        self.space, self.root_id, self.budget = space, root_id, budget
+        # id(point) -> order key of the endpoints a decoder validated
+        self._keys: dict | None = None
+        if type(nodes) is _Columns:
+            self.columns = nodes
+            return
+        ids = sorted(nodes)
+        row = [nodes[i] for i in ids]
+        self.columns = _Columns(ids, [n.interval.lo for n in row], [n.interval.hi for n in row],
+                                [n.level for n in row], [n.parent for n in row],
+                                [n.children for n in row])
+        self.nodes = _NodeView(self.columns, dict(zip(ids, row)))
+
+    @cached_property
+    def nodes(self) -> Mapping:
+        return _NodeView(self.columns, {})
+
+    def __eq__(self, other):
+        if not isinstance(other, PartitionTree):
+            return NotImplemented
+        return ((self.space, self.root_id, self.budget, self.nodes)
+                == (other.space, other.root_id, other.budget, other.nodes))
+
+    def __reduce__(self):
+        # the key map goes by object identity, which a copy does not keep
+        return PartitionTree, (self.space, self.columns, self.root_id, self.budget)
+
+
+class _NodeView(Mapping):
+    """`PartitionTree.nodes`: id -> TreeNode in id order. A node is built
+    from the columns on its first access and kept. Iterating over the
+    values or items builds the nodes in one pass over the columns, and
+    keeps those built before."""
+
+    def __init__(self, columns: _Columns, built: dict):
+        self._columns = columns
+        self._built = built
+
+    @cached_property
+    def _pos(self) -> dict:
+        ids = self._columns.ids
+        return dict(zip(ids, range(len(ids))))
+
+    def __len__(self):
+        return len(self._columns.ids)
+
+    def __iter__(self):
+        return iter(self._columns.ids)
+
+    def __contains__(self, i):
+        return i in self._pos
+
+    def __getitem__(self, i):
+        n = self._built.get(i)
+        if n is None:
+            p = self._pos[i]
+            ids, lo, hi, level, parent, children = self._columns
+            n = self._built[i] = TreeNode(ids[p], ClosedInterval(lo[p], hi[p]), level[p], parent[p],
+                                          children[p])
+        return n
+
+    def _all(self) -> dict:
+        built = self._built
+        if len(built) < len(self):
+            ids, lo, hi, level, parent, children = self._columns
+            built = self._built = dict(zip(ids, map(TreeNode, ids, map(ClosedInterval, lo, hi), level,
+                                                    parent, children))) | built
+        return built
+
+    def values(self):
+        return self._all().values()
+
+    def items(self):
+        return self._all().items()
 
 
 def build_tree(space, budget: int) -> PartitionTree:
@@ -77,9 +182,10 @@ def build_tree(space, budget: int) -> PartitionTree:
     A node splits only while at least two budget slots remain, so
     children always arrive in pairs, at the space's canonical split
     point. Every endpoint is a point of the space by construction, so
-    nothing is validated or compared. Each node becomes a TreeNode when
-    it leaves the queue, which is in id order, and the queue holds only
-    the frontier.
+    nothing is validated or compared. Ids are given breadth-first, so a
+    node's id is its position: children are appended to the columns as
+    their parent splits, and the columns themselves are the queue, read
+    at `head`.
     """
     if not plain_int(budget) or budget < 1:
         raise DomainError(f"budget must be a positive int, got {budget!r}")
@@ -88,27 +194,30 @@ def build_tree(space, budget: int) -> PartitionTree:
     if sp.space_size(space) == 1:
         raise DomainError("cannot build a tree over a one-point space")
 
-    queue = deque([(0, sp.whole_interval(space), ord_.ZERO, None)])  # (id, interval, level, parent)
-    nodes: dict[int, TreeNode] = {}
-    level, succ = None, None
-    next_id = 1
-    while queue and next_id + 2 <= budget:
-        nid, iv, lvl, parent = queue.popleft()
-        cnt = space.count(iv.lo, iv.hi)
-        if cnt <= 2:
-            nodes[nid] = TreeNode(nid, iv, lvl, parent)
-            continue
-        w = space.split(iv.lo, iv.hi, cnt)
-        if lvl is not level:  # breadth-first: levels arrive in runs
-            level, succ = lvl, ord_.add(lvl, ord_.ONE)
-        queue.append((next_id, ClosedInterval(iv.lo, w), succ, nid))
-        queue.append((next_id + 1, ClosedInterval(w, iv.hi), succ, nid))
-        nodes[nid] = TreeNode(nid, iv, lvl, parent, (next_id, next_id + 1))
-        next_id += 2
-    while queue:  # the budget is spent: the rest are leaves
-        nid, iv, lvl, parent = queue.popleft()
-        nodes[nid] = TreeNode(nid, iv, lvl, parent)
-    return PartitionTree(space, nodes, 0, budget)
+    count, split = space.count, space.split
+    lo, hi, level, parent = [space.minimum()], [space.maximum()], [ord_.ZERO], [None]
+    children = []
+    lvl, succ = None, None
+    head, n = 0, 1
+    while head < n and n + 2 <= budget:
+        a, b = lo[head], hi[head]
+        cnt = count(a, b)
+        if cnt > 2:
+            w = split(a, b, cnt)
+            if level[head] is not lvl:  # breadth-first: levels arrive in runs
+                lvl = level[head]
+                succ = ord_.add(lvl, ord_.ONE)
+            lo += a, w
+            hi += w, b
+            level += succ, succ
+            parent += head, head
+            children.append((n, n + 1))
+            n += 2
+        else:
+            children.append(())
+        head += 1
+    children += [()] * (n - head)  # the budget is spent: the rest are leaves
+    return PartitionTree(space, _Columns(range(n), lo, hi, level, parent, children), 0, budget)
 
 
 def make_tree(space, rows, budget=None) -> PartitionTree:
@@ -129,16 +238,11 @@ def make_tree(space, rows, budget=None) -> PartitionTree:
             if r[4] not in children:
                 raise DomainError(f"row {r[0]} names missing parent {r[4]}")
             children[r[4]].append(r[0])
-    nodes = {
-        r[0]: TreeNode(r[0], ClosedInterval(r[1], r[2]), r[3], r[4], tuple(sorted(children[r[0]])))
-        for r in rows
-    }
-    if len(roots) != 1:
-        # verifier fixtures may be rootless on purpose; pick a stable anchor
-        root_id = min(nodes) if nodes else 0
-    else:
-        root_id = roots[0]
-    return PartitionTree(space, nodes, root_id, budget)
+    ids, lo, hi, level, parent = zip(*sorted(rows, key=itemgetter(0))) if rows else ((),) * 5
+    columns = _Columns(ids, lo, hi, level, parent, [tuple(sorted(children[i])) for i in ids])
+    # verifier fixtures may be rootless on purpose; pick a stable anchor
+    root_id = roots[0] if len(roots) == 1 else ids[0] if ids else 0
+    return PartitionTree(space, columns, root_id, budget)
 
 
 @dataclass(frozen=True)
@@ -170,6 +274,11 @@ _PAIR_CLAUSES = {
 
 def verify_admissible(tree: PartitionTree) -> Verdict:
     """Check every structural clause over all node pairs.
+
+    Reads the tree's columns by position and builds no node record: the
+    linkage pass maps each parent id to its position, and every later
+    pass indexes lists of endpoint keys, level ranks and parent
+    positions.
 
     Clauses: linkage, root, nontrivial, two-point-leaf, binary-split,
     level-step, limit-intersection, reverse-inclusion, level-overlap,
@@ -209,7 +318,9 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
     or decoded tree shares each split point between two children, so
     about n/2 of its 2n endpoints are distinct objects), and the first
     that is not a point raises its DomainError before any other clause
-    is checked.
+    is checked. A tree from `tree_from_json` carries the keys its
+    decoder computed for the points it validated, and none of those is
+    validated again.
 
     The tree is walked at most once: up front when some non-root node's
     level is not above its parent's, and otherwise only by
@@ -226,29 +337,35 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
             violations.append(Violation(clause, tuple(nodes), detail))
 
     K = tree.space
-    nodes = tree.nodes
-    ids = sorted(nodes)
+    ids, lo_pts, hi_pts, levels, parents, children = tree.columns
     if not ids:
         report("root", (), "empty tree")
         return Verdict(False, tuple(violations), counts)
+    pos = dict(zip(ids, range(len(ids))))
+    at = pos.get
 
     # linkage first; later passes assume a coherent parent structure
-    row = [nodes[i] for i in ids]
     broken = False
-    for i, n in zip(ids, row):
-        q = n.parent
-        missing = q is not None and q not in nodes
-        if missing:
-            report("linkage", (i,), f"parent {q} missing")
-            broken = True
-        for c in n.children:
-            if c not in nodes or nodes[c].parent != i:
+    par = []  # the parent's position, -1 at a root
+    roots = []
+    for i, q, kids in zip(ids, parents, children):
+        if q is None:
+            r = -1
+            roots.append(i)
+        else:
+            r = at(q, -2)
+            if r == -2:
+                report("linkage", (i,), f"parent {q} missing")
+                broken = True
+        for c in kids:
+            k = at(c)
+            if k is None or parents[k] != i:
                 report("linkage", (i, c), "child link not mirrored")
                 broken = True
-        if q is not None and not missing and i not in nodes[q].children:
+        if r >= 0 and i not in children[r]:
             report("linkage", (i,), "not listed among parent's children")
             broken = True
-    roots = [i for i, n in zip(ids, row) if n.parent is None]
+        par.append(r)
     if len(roots) != 1:
         report("root", tuple(roots), f"expected exactly one root, found {len(roots)}")
         broken = True
@@ -256,32 +373,30 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
         return Verdict(False, tuple(violations), counts)
 
     # the per-node clauses compare endpoint keys
-    lo, hi = _endpoint_keys(K, [n.interval for n in row])
+    lo, hi = _endpoint_keys(K, lo_pts, hi_pts, tree._keys)
 
     # levels by rank, keyed by their term tuples: rank order is the
     # ordinal order. Per distinct level, whether it is a limit and the
     # rank of level + 1 (-1 when no node has it).
-    pos = {i: p for p, i in enumerate(ids)}
-    lvl_keys = sorted({n.level.terms: n.level for n in row}.values())
+    lvl_keys = sorted({l.terms: l for l in levels}.values())
     lvl_rank = {l.terms: r for r, l in enumerate(lvl_keys)}
-    lvl = [lvl_rank[n.level.terms] for n in row]
+    lvl = [lvl_rank[l.terms] for l in levels]
     limit = [l.kind == "limit" for l in lvl_keys]
     step = [lvl_rank.get(ord_.add(l, ord_.ONE).terms, -1) for l in lvl_keys]
     zero = lvl_rank.get(ord_.ZERO.terms, -1)
-    par = [-1 if n.parent is None else pos[n.parent] for n in row]
 
     root = roots[0]
     rp = pos[root]
     if lvl[rp] != zero:
-        report("root", (root,), f"root level is {row[rp].level}, not 0")
-    if row[rp].interval != sp.whole_interval(K):
+        report("root", (root,), f"root level is {levels[rp]}, not 0")
+    if (lo_pts[rp], hi_pts[rp]) != (K.minimum(), K.maximum()):
         report("root", (root,), "root interval is not the whole space")
     if lvl.count(zero) > (lvl[rp] == zero):
         for p, i in enumerate(ids):
             if lvl[p] == zero and p != rp:
                 report("root", (i,), "non-root node at level 0")
 
-    times = cache(lambda: _walk(row, pos, rp))  # DFS (tin, tout), walked once
+    times = cache(lambda: _walk(children, pos, rp))  # DFS (tin, tout), walked once
 
     # reachability (cycles would hide below a fake root)
     rising = all(q < 0 or lvl[q] < r for q, r in zip(par, lvl))
@@ -294,20 +409,19 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
 
     nested = True  # every interval proper and every split binary at an interior point
     split_faults = []  # positions of the nodes failing binary-split
-    for p, (i, n) in enumerate(zip(ids, row)):
-        if lo[p] > hi[p]:
+    for p, (i, kids, l, h, q, r) in enumerate(zip(ids, children, lo, hi, par, lvl)):
+        if l >= h:
             nested = False
-            report("nontrivial", (i,), "interval endpoints out of order")
-            report("nontrivial", (i,), "interval has 0 points")
-        elif lo[p] == hi[p]:
-            nested = False
-            report("nontrivial", (i,), "interval has 1 points")
-        kids = n.children
+            if l > h:
+                report("nontrivial", (i,), "interval endpoints out of order")
+                report("nontrivial", (i,), "interval has 0 points")
+            else:
+                report("nontrivial", (i,), "interval has 1 points")
         if len(kids) == 2:
             a, b = pos[kids[0]], pos[kids[1]]
             if lo[a] > lo[b]:
                 a, b = b, a
-            fault = None if lo[a] == lo[p] < hi[a] == lo[b] < hi[b] == hi[p] else (
+            fault = None if lo[a] == l < hi[a] == lo[b] < hi[b] == h else (
                 (i, ids[a], ids[b]), "children do not split at a single interior point")
         else:
             fault = kids and ((i,), "exactly one child" if len(kids) == 1 else f"{len(kids)} children")
@@ -316,28 +430,26 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
             # split can sit on a two-point interval
             nested = False
             split_faults.append(p)
-            if lo[p] < hi[p] and K.count(n.interval.lo, n.interval.hi) == 2:
+            if l < h and K.count(lo_pts[p], hi_pts[p]) == 2:
                 report("two-point-leaf", (i,), "two-point interval has children")
             report("binary-split", *fault)
-        q = par[p]
         if q < 0:
             continue
-        r = lvl[p]
         if limit[r]:
             if not r > lvl[q]:
-                report("level-step", (i,), f"limit level {n.level} not above parent level {row[q].level}")
+                report("level-step", (i,), f"limit level {levels[p]} not above parent level {levels[q]}")
             lo_best, hi_best = lo[q], hi[q]
             while q >= 0:
                 lo_best, hi_best = max(lo_best, lo[q]), min(hi_best, hi[q])
                 q = par[q]
-            if lo_best != lo[p] or hi_best != hi[p]:
+            if lo_best != l or hi_best != h:
                 report(
                     "limit-intersection",
                     (i,),
                     "limit-level interval differs from the intersection of its ancestors",
                 )
         elif r != step[lvl[q]]:
-            report("level-step", (i,), f"level {n.level} is not parent level {row[q].level} + 1")
+            report("level-step", (i,), f"level {levels[p]} is not parent level {levels[q]} + 1")
 
     if not (nested and rising):
         # pairwise clauses on endpoint ranks
@@ -353,8 +465,8 @@ def verify_admissible(tree: PartitionTree) -> Verdict:
     return Verdict(not violations and not counts, tuple(violations), counts)
 
 
-def _endpoint_keys(K, intervals, seed: dict | None = None) -> tuple[list, list]:
-    """The order keys of the low and the high ends of `intervals`. Each
+def _endpoint_keys(K, los, his, seed: dict | None = None) -> tuple[list, list]:
+    """The order keys of the low ends `los` and the high ends `his`. Each
     distinct endpoint object is validated and keyed once, at its first
     occurrence, low end first, so the first endpoint that is not a point
     raises its DomainError before any key is compared. `seed` (`id(point)
@@ -363,31 +475,30 @@ def _endpoint_keys(K, intervals, seed: dict | None = None) -> tuple[list, list]:
     return, before the caller builds anything else."""
     validate = sp.validate_point
     key = K.key
-    # id(point) -> key, never None; the intervals keep each point alive
+    # id(point) -> key, never None; the callers keep each point alive
     keys: dict[int, object] = {} if seed is None else dict(seed)
     known = keys.get
     lo, hi = [], []
-    for iv in intervals:
-        x = iv.lo
+    for x, y in zip(los, his):
         k = known(id(x))
         if k is None:
             validate(K, x)
             k = keys[id(x)] = key(x)
         lo.append(k)
-        x = iv.hi
-        k = known(id(x))
+        k = known(id(y))
         if k is None:
-            validate(K, x)
-            k = keys[id(x)] = key(x)
+            validate(K, y)
+            k = keys[id(y)] = key(y)
         hi.append(k)
     return lo, hi
 
 
-def _walk(row, pos, root):
+def _walk(children, pos, root):
     """DFS entry and exit times (tin, tout) by position from the root's
     position, children in id order; -1 for a node the walk misses."""
-    tin = [-1] * len(row)
-    tout = [-1] * len(row)
+    tin = [-1] * len(children)
+    tout = [-1] * len(children)
+    at = pos.__getitem__
     clock = 0
     stack = [root]  # a position to enter, or ~position to leave
     while stack:
@@ -401,8 +512,8 @@ def _walk(row, pos, root):
         tin[p] = clock
         clock += 1
         stack.append(~p)
-        for c in sorted(row[p].children, reverse=True):
-            stack.append(pos[c])
+        if children[p]:
+            stack += map(at, sorted(children[p], reverse=True))
     return tin, tout
 
 
@@ -759,7 +870,8 @@ class StagedTree:
             raise DomainError("payload table does not match node set")
         K = self.space
         order = sorted(ids)
-        lo, hi = _endpoint_keys(K, map(self.payload.__getitem__, order), keys)
+        ivs = [self.payload[i] for i in order]
+        lo, hi = _endpoint_keys(K, [iv.lo for iv in ivs], [iv.hi for iv in ivs], keys)
         lo, hi = dict(zip(order, lo)), dict(zip(order, hi))
         self.payload_keys = lo, hi
         wlo, whi = K.key(K.minimum()), K.key(K.maximum())
@@ -851,49 +963,39 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
         if not plain_int(l) or not 0 <= l < m:
             raise DomainError(f"pool level {l!r} must lie strictly below the top level {m}")
     K = tree.space
-    rows: dict[tuple, list[int]] = {}  # level terms -> nodes
-    for i in sorted(tree.nodes):
-        rows.setdefault(tree.nodes[i].level.terms, []).append(i)
-    by_level = [rows.get(ord_.from_int(lvl).terms, []) for lvl in range(m + 1)]
+    ids, lo, hi, levels, parents, children = tree.columns
+    by_level: list[list[int]] = [[] for _ in range(m + 1)]  # positions by level
+    rows = {ord_.from_int(lvl).terms: row for lvl, row in enumerate(by_level)}
+    for p, l in enumerate(levels):
+        row = rows.get(l.terms)
+        if row is not None:
+            row.append(p)
     if not by_level[0]:
         raise DomainError("tree has no root at level 0")
 
-    fresh: dict[int, int] = {}
-    nid = 0
-    for row in by_level:
-        for old in row:
-            fresh[old] = nid
-            nid += 1
-    for old in fresh:
-        up = tree.nodes[old].parent
+    cut = [p for row in by_level for p in row]  # positions by new id
+    fresh = {ids[p]: new for new, p in enumerate(cut)}
+    for p in cut:
+        up = parents[p]
         if up is not None and up not in fresh:
-            raise DomainError(f"parent {up} of node {old} lies outside the cut at level {m}")
-    parent = {
-        fresh[old]: (None if tree.nodes[old].parent is None else fresh[tree.nodes[old].parent])
-        for old in fresh
-    }
-    level = {fresh[old]: tree.nodes[old].level.as_int() for old in fresh}
-    payload = {fresh[old]: tree.nodes[old].interval for old in fresh}
-    origin = {new: old for old, new in fresh.items()}
+            raise DomainError(f"parent {up} of node {ids[p]} lies outside the cut at level {m}")
     st = StagedTree(
-        parent=parent,
-        level=level,
+        parent={new: (None if parents[p] is None else fresh[parents[p]]) for new, p in enumerate(cut)},
+        level={new: levels[p].as_int() for new, p in enumerate(cut)},
         top_level=m,
         pool=pool,
-        payload=payload,
+        payload={new: ClosedInterval(lo[p], hi[p]) for new, p in enumerate(cut)},
         space=K,
         limit_top=limit_top and m > 0,
-        origin=origin,
+        origin={new: ids[p] for new, p in enumerate(cut)},
     )
     st.validate()
     # the payloads are valid and in order now, so counting needs no checks
     for lvl, row in enumerate(by_level[:m]):
-        for i in row:
-            n = tree.nodes[i]
-            cnt = K.count(n.interval.lo, n.interval.hi)
-            if cnt > 2 and not n.children:
+        for p in row:
+            if not children[p] and K.count(lo[p], hi[p]) > 2:
                 raise InsufficientMaterialization(
-                    f"node {i} at level {lvl} is unexpanded but level {m} was requested"
+                    f"node {ids[p]} at level {lvl} is unexpanded but level {m} was requested"
                 )
     if not by_level[m]:
         raise DomainError(f"tree has no node at the top level {m}")
@@ -905,18 +1007,12 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
 
 def tree_to_json(tree: PartitionTree) -> dict:
     K = tree.space
-    codec = sp.PointCodec(K)
-    rows = []
-    for i in sorted(tree.nodes):
-        n = tree.nodes[i]
-        rows.append(
-            {
-                "id": n.id,
-                "parent": n.parent,
-                "level": ord_.render(n.level),
-                "interval": codec.write_interval(n.interval),
-            }
-        )
+    write = sp.PointCodec(K).write
+    ids, lo, hi, levels, parents, _ = tree.columns
+    rows = [
+        {"id": i, "parent": q, "level": ord_.render(l), "interval": [write(a), write(b)]}
+        for i, a, b, l, q in zip(ids, lo, hi, levels, parents)
+    ]
     doc = {"v": 1, "kind": "tree", "space": K.to_json(), "nodes": rows}
     if tree.budget is not None:
         doc["budget"] = tree.budget
@@ -924,17 +1020,28 @@ def tree_to_json(tree: PartitionTree) -> dict:
 
 
 def tree_from_json(doc) -> PartitionTree:
+    """The tree a tree document describes, unverified. Its `PointCodec`
+    validates and keys each distinct point text once, and the tree keeps
+    those keys for `verify_admissible`, which then validates no endpoint
+    again. Each distinct level text is parsed once, and its nodes share
+    the level, as a built tree's do."""
     read_kind(doc, "tree", "space", "nodes")
     K = sp.space_from_json(doc["space"])
     codec = sp.PointCodec(K)
+    levels: dict[str, Ordinal] = {}  # text -> level
     rows = []
     for k, r in enumerate(_node_rows(doc)):
         i = _row_id(r, k, "id")
-        iv = codec.read_interval(r.get("interval"))
-        rows.append((i, iv.lo, iv.hi, ord_.parse(r.get("level"), "a level string"),
-                     _row_id(r, k, "parent")))
+        lo, hi = codec.read_interval(r.get("interval"))
+        text = r.get("level")
+        level = levels.get(text) if type(text) is str else None
+        if level is None:  # a text that is not a string is refused here
+            level = levels[text] = ord_.parse(text, "a level string")
+        rows.append((i, lo, hi, level, _row_id(r, k, "parent")))
     budget = read_int(doc["budget"], "budget", 1) if "budget" in doc else None
-    return make_tree(K, rows, budget)
+    tree = make_tree(K, rows, budget)
+    tree._keys = codec.keys
+    return tree
 
 
 def staged_to_json(st: StagedTree) -> dict:
@@ -987,7 +1094,7 @@ def staged_from_json(doc) -> StagedTree:
         if "payload" in r:
             if codec is None:
                 raise DomainError("payload rows need a space")
-            payload[i] = codec.read_interval(r["payload"], "payload")
+            payload[i] = ClosedInterval(*codec.read_interval(r["payload"], "payload"))
     limit_top = doc.get("limit_top", True)
     if not isinstance(limit_top, bool):
         raise DomainError(f"limit_top {limit_top!r} is not a bool")
@@ -1009,13 +1116,13 @@ def staged_from_json(doc) -> StagedTree:
 
 def tree_to_dot(tree: PartitionTree) -> str:
     K = tree.space
+    ids, lo, hi, levels, _, children = tree.columns
     lines = ["digraph tree {", "  node [shape=box, fontname=\"monospace\"];"]
-    for i in sorted(tree.nodes):
-        n = tree.nodes[i]
-        label = f"{i}: [{sp.render_point(K, n.interval.lo)}, {sp.render_point(K, n.interval.hi)}]\\nlevel {ord_.render(n.level)}"
+    for i, a, b, l in zip(ids, lo, hi, levels):
+        label = f"{i}: [{sp.render_point(K, a)}, {sp.render_point(K, b)}]\\nlevel {ord_.render(l)}"
         lines.append(f'  n{i} [label="{label}"];')
-    for i in sorted(tree.nodes):
-        for c in tree.nodes[i].children:
+    for i, kids in zip(ids, children):
+        for c in kids:
             lines.append(f"  n{i} -> n{c};")
     lines.append("}")
     return "\n".join(lines)

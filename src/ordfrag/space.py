@@ -206,10 +206,17 @@ class OrdinalInterval:
 
     def split(self, lo, hi, cnt):
         """lo + w^e for the largest e that stays below hi, on term tuples:
-        lo's terms above e, then w^e with lo's coefficient at e plus one."""
+        lo's terms above e, then w^e with lo's coefficient at e plus one.
+        The scan starts at the exponent of hi's first term that differs
+        from lo's: above it, lo + w^e agrees with hi on the terms above e
+        and exceeds hi's coefficient at e."""
         a, b = lo.terms, hi.terms
         k = 0
-        for e in range(b[0][0] if b else 0, -1, -1):
+        while k < len(a) and k < len(b) and a[k] == b[k]:
+            k += 1
+        if k == len(b):  # lo == hi, or lo > hi
+            raise DomainError("no splitting exponent found")
+        for e in range(b[k][0], -1, -1):
             while k < len(a) and a[k][0] > e:
                 k += 1
             c = a[k][1] + 1 if k < len(a) and a[k][0] == e else 1
@@ -466,9 +473,9 @@ class PointCodec:
             text = self._texts[p] = render_point(self.space, p)
         return text
 
-    def read_interval(self, doc, what: str = "interval") -> ClosedInterval:
-        """The interval a pair of point texts names, its ends compared by
-        their keys in `keys`."""
+    def read_interval(self, doc, what: str = "interval") -> tuple:
+        """The (lo, hi) ends of the interval a pair of point texts names,
+        compared by their keys in `keys`."""
         if type(doc) is not list or len(doc) != 2:
             raise DomainError(f"{what} {doc!r} is not a pair of points")
         lo, hi = self.read(doc[0]), self.read(doc[1])
@@ -481,7 +488,7 @@ class PointCodec:
             b = keys[id(hi)] = self.space.key(hi)
         if a > b:
             raise DomainError(f"interval endpoints out of order: {self.write(lo)} > {self.write(hi)}")
-        return ClosedInterval(lo, hi)
+        return lo, hi
 
     def write_interval(self, iv: ClosedInterval) -> list:
         return [self.write(iv.lo), self.write(iv.hi)]

@@ -73,7 +73,7 @@ def criterion_1(seed) -> CriterionResult:
             ordinal += 1
         budget = rng.randint(50, 2000)
         tree = build_tree(K, budget)
-        total_nodes += len(tree.nodes)
+        total_nodes += len(tree.columns.ids)
         verdict = verify_admissible(tree)
         if verdict.ok:
             clean += 1
@@ -239,7 +239,7 @@ def criterion_4(seed) -> CriterionResult:
 def _chain_instance(size: int):
     K = sp.FiniteChain(size)
     tree = build_tree(K, budget=6 * size)
-    m = max(n.level.as_int() for n in tree.nodes.values())
+    m = max(l.as_int() for l in tree.columns.level)
     st = to_staged(tree, m, pool=range(max(m - 1, 1)), limit_top=False)
     return K, ln_decomposition(st, partition_open(st))
 

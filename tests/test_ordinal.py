@@ -291,6 +291,29 @@ class TestIntervalTermsAgainstArithmetic:
             got = None
         assert got == exponent_scan(lo, hi)
 
+    @pytest.mark.parametrize("lo, hi", [
+        ("0", "0"), ("w", "w"), ("w^3*2+w+7", "w^3*2+w+7"),  # equal
+        ("0", "1"), ("w", "w+1"), ("w^2*2+w+4", "w^2*2+w+5"), ("w^3+w^2", "w^3+w^2+1"),  # adjacent
+    ])
+    def test_split_refuses_equal_and_adjacent_points(self, lo, hi):
+        """No point lies strictly between equal or adjacent endpoints: the
+        exponent scan finds none and `split` refuses, also when the ends
+        share every term but the last."""
+        lo, hi = parse(lo), parse(hi)
+        assert exponent_scan(lo, hi) is None
+        with pytest.raises(DomainError, match="no splitting exponent found"):
+            self.K.split(lo, hi, self.K.count(lo, hi))
+
+    @pytest.mark.parametrize("lo, hi, want", [
+        ("w^3+w", "w^3+w^2", "w^3+w*2"),  # hi's first differing term is w^2; the split is at w
+        ("w^3*2+5", "w^3*2+w", "w^3*2+6"),
+        ("w^2+w*3+1", "w^2*2", "w^2+w*4"),
+        ("w+3", "w^2", "w*2"),
+    ])
+    def test_split_below_a_shared_prefix(self, lo, hi, want):
+        lo, hi = parse(lo), parse(hi)
+        assert self.K.split(lo, hi, self.K.count(lo, hi)) == exponent_scan(lo, hi) == parse(want)
+
     def test_pinned(self):
         assert self.K.count(parse("w+3"), parse("w+5")) == 3
         assert self.K.count(parse("w"), parse("w+5")) == 6

@@ -1128,7 +1128,8 @@ def two_pass_validate(st):
             raise DomainError("payload table does not match node set")
         K = st.space
         order = sorted(ids)
-        lo, hi = ptree._endpoint_keys(K, [st.payload[i] for i in order])
+        lo, hi = ptree._endpoint_keys(K, [st.payload[i].lo for i in order],
+                                      [st.payload[i].hi for i in order])
         lo, hi = dict(zip(order, lo)), dict(zip(order, hi))
         st.payload_keys = lo, hi
         whole = sp.whole_interval(K)

@@ -248,8 +248,8 @@ def test_staged_payload_errors_are_pinned(name):
 def verify_counting_validations(monkeypatch, kind, decoded):
     """Verify a 301-node tree over SPACES[kind], built or passed through
     JSON, recording each point `sp.validate_point` is given while
-    building and while verifying (decoding validates too, and is not
-    recorded). Returns the tree and the points in call order."""
+    building, decoding and verifying. Returns the tree and the points
+    in call order."""
     K = SPACES[kind]
     calls = []
     validate = sp.validate_point
@@ -263,8 +263,9 @@ def verify_counting_validations(monkeypatch, kind, decoded):
     tree = build_tree(K, 301)
     assert calls == []
     if decoded:
-        tree = tree_from_json(tree_to_json(tree))
+        doc = tree_to_json(tree)  # rendering validates each point it writes
         calls.clear()
+        tree = tree_from_json(doc)
     assert verify_admissible(tree).ok
     assert len(tree.nodes) == 301
     first = {}
@@ -288,10 +289,12 @@ def test_each_endpoint_is_validated_once(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", sorted(SPACES))
 def test_each_decoded_endpoint_is_validated_once(monkeypatch, kind):
-    """A decoded tree makes one call per endpoint object too. The decoder
-    reads each distinct point text once and returns one object per text,
-    so a decoded tree shares its split points as a built one does and
-    its 301 nodes make the same 152 calls, one per distinct point."""
+    """Decoding and verifying a tree together make one call per endpoint
+    object. The decoder reads each distinct point text once and returns
+    one object per text, so a decoded tree shares its split points as a
+    built one does and its 301 nodes make the same 152 calls, one per
+    distinct point, all of them while decoding: the tree keeps its
+    codec's keys, and `verify_admissible` validates no endpoint again."""
     tree, calls = verify_counting_validations(monkeypatch, kind, decoded=True)
     assert len(calls) == 152
     assert len({tree.space.key(x) for x in calls}) == 152
