@@ -165,8 +165,9 @@ class _NodeView(Mapping):
         built = self._built
         if len(built) < len(self):
             ids, lo, hi, level, parent, children = self._columns
-            built = self._built = dict(zip(ids, map(TreeNode, ids, map(ClosedInterval, lo, hi), level,
-                                                    parent, children))) | built
+            nodes = dict(zip(ids, map(TreeNode, ids, map(ClosedInterval, lo, hi), level, parent, children)))
+            nodes.update(built)
+            built = self._built = nodes
         return built
 
     def values(self):
@@ -954,7 +955,8 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
     stage is a faithful prefix rather than an accident of the budget.
     `StagedTree.validate` validates each distinct payload endpoint object
     once, before the frontier is counted; a top level with no node is
-    refused last.
+    refused last. Nodes are grouped by the levels the tree has, so the
+    cost does not grow with m.
     """
     if not plain_int(m) or m < 0:
         raise DomainError(f"top level must be a natural number, got {m!r}")
@@ -964,16 +966,16 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
             raise DomainError(f"pool level {l!r} must lie strictly below the top level {m}")
     K = tree.space
     ids, lo, hi, levels, parents, children = tree.columns
-    by_level: list[list[int]] = [[] for _ in range(m + 1)]  # positions by level
-    rows = {ord_.from_int(lvl).terms: row for lvl, row in enumerate(by_level)}
+    top = ((0, m),)  # term tuples order as the ordinals do
+    by_level: dict[int, list[int]] = {}  # positions by level, for the levels up to m
     for p, l in enumerate(levels):
-        row = rows.get(l.terms)
-        if row is not None:
-            row.append(p)
-    if not by_level[0]:
+        if l.terms <= top:
+            by_level.setdefault(l.as_int(), []).append(p)
+    if 0 not in by_level:
         raise DomainError("tree has no root at level 0")
+    by_level = dict(sorted(by_level.items()))
 
-    cut = [p for row in by_level for p in row]  # positions by new id
+    cut = [p for row in by_level.values() for p in row]  # positions by new id
     fresh = {ids[p]: new for new, p in enumerate(cut)}
     for p in cut:
         up = parents[p]
@@ -991,13 +993,13 @@ def to_staged(tree: PartitionTree, m: int, pool, limit_top: bool = True) -> Stag
     )
     st.validate()
     # the payloads are valid and in order now, so counting needs no checks
-    for lvl, row in enumerate(by_level[:m]):
+    for lvl, row in by_level.items():
         for p in row:
-            if not children[p] and K.count(lo[p], hi[p]) > 2:
+            if lvl < m and not children[p] and K.count(lo[p], hi[p]) > 2:
                 raise InsufficientMaterialization(
                     f"node {ids[p]} at level {lvl} is unexpanded but level {m} was requested"
                 )
-    if not by_level[m]:
+    if m not in by_level:
         raise DomainError(f"tree has no node at the top level {m}")
     return st
 

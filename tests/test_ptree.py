@@ -827,6 +827,19 @@ class TestStaging:
         with pytest.raises(DomainError):
             to_staged(t, 0, {0})
 
+    def test_a_cut_above_the_tree_is_refused_at_once(self):
+        """Nodes are grouped by the levels the tree has, so a top level
+        far above its deepest node costs nothing per level in between;
+        an unexpanded wide node is still refused before the empty top."""
+        t = build_tree(FiniteChain(8), 100)
+        start = time.perf_counter()
+        for m in (5, 10**12):
+            with pytest.raises(DomainError, match=f"tree has no node at the top level {m}$"):
+                to_staged(t, m, {0, 3})
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(InsufficientMaterialization, match="node 4 at level 2 is unexpanded"):
+            to_staged(build_tree(FiniteChain(8), 7), 10**12, {0})
+
     @pytest.mark.parametrize("m", [0, 1])
     def test_cut_node_whose_parent_lies_outside_the_cut(self, m):
         # a level-3 node relabelled to level 0 sits in every cut, its parent in none below 2
