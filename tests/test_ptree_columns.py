@@ -1,11 +1,11 @@
 """Partition trees kept as columns, held to the node records they replace.
 
-`reference_build_tree` is the object builder the columns replaced: a
-breadth-first queue that makes one `TreeNode` and one `ClosedInterval`
-per node. A built tree's `nodes` view must equal its dict, and
-`verify_admissible` on a column tree must give the verdict it gives on
-the same tree assembled from that dict of nodes, and the verdict of the
-definitional oracle.
+`reference_build_tree` is the node-by-node construction the columns
+replaced: a breadth-first queue that makes one `TreeNode` and one
+`ClosedInterval` per node. A built tree's `nodes` view must equal its
+dict, and `verify_admissible` on a column tree must give the verdict it
+gives on the same tree assembled from that dict of nodes, and the
+verdict of the definitional oracle.
 """
 
 import pickle
@@ -65,7 +65,7 @@ KINDS = ("finite", "split", "ordinal", "sum")
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_the_node_view_equals_the_reference_builder(kind):
+def test_the_node_view_equals_the_reference_construction(kind):
     """Over seeded spaces and budgets: 1 to 3, random ones, and one far
     past what a finite space can use, so that the queue empties before
     the budget does."""
